@@ -7,8 +7,13 @@ the local coolant bulk temperature. The film coefficient is rescaled per
 channel so that h * (voxelized wetted area) equals h * (analytic wetted
 area), which keeps the total convective conductance independent of the
 rasterization. Exterior faces are adiabatic except where die footprints
-impose heat flux (and an optional exterior convective face used by the
-slab verification cases).
+impose heat flux, and except for an optional exterior convective face
+against fluid held at the inlet temperature (slab verification cases).
+
+Every convective face, channel wall or exterior, is one row of a single
+table (cell, U*A, sink). The sink indexes one array of fluid
+temperatures: a row per channel, re-marched each outer iteration from the
+heat its faces remove, plus a last row fixed at the inlet temperature.
 
 The linear system is symmetric positive definite and is solved by
 preconditioned conjugate gradients; the contract is the residual
@@ -17,17 +22,15 @@ tolerance, not the method.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix, diags
 from scipy.sparse.linalg import cg
 
-from . import hydraulics, thermal
-from .geometry import (Assembly, ChannelShape, Rectangular, Semicircular,
-                       channel_depth, cross_section_area, validate,
-                       wetted_perimeter)
+from . import thermal
+from .geometry import (Assembly, ChannelShape, Semicircular, channel_depth,
+                       cross_section_area, validate, wetted_perimeter)
 from .hydraulics import FlowCondition
 from .properties import CoolantProps, SolidMaterial
 
@@ -68,8 +71,8 @@ class Grid:
     flux_top: np.ndarray     # (nx, ny) W/m^2 on the exterior top face
     flux_bottom: np.ndarray  # (nx, ny) W/m^2 on the exterior bottom face
     shape: ChannelShape | None = None
-    # (face, h, fixed fluid temperature offset flag) for slab-style cases:
-    # the fluid is held at the flow inlet temperature
+    # (face, h) for slab-style cases: "top" or "bottom" exterior face
+    # convecting to fluid held at the flow inlet temperature
     exterior_convection: tuple[str, float] | None = None
 
     @property
@@ -133,7 +136,7 @@ def _channel_cross_section(shape: ChannelShape, row: str, y_center: float,
 def build_grid(assembly: Assembly, resolution: float) -> Grid:
     """Voxelize the assembly at a target cell size.
 
-    A cell becomes channel void when at least half of a 5x5 sample of its
+    A cell becomes channel void when more than half of a 4x4 sample of its
     cross-section lies inside the channel. Die powers are renormalized over
     the exterior faces they cover so the imposed power is conserved exactly.
     """
@@ -263,137 +266,122 @@ def make_slab_grid(length: float, width: float, thickness: float,
 # --------------------------------------------------------------------------
 # solver
 
+def _film(d: float, k: float, h):
+    """Half-cell conduction in series with the film, W/(m^2*K)."""
+    return 1.0 / (d / (2.0 * k) + 1.0 / h)
+
+
+def _shifted(axis: int):
+    """Slices picking the low and high cell of every interior face."""
+    lo, hi = [slice(None)] * 3, [slice(None)] * 3
+    lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+    return tuple(lo), tuple(hi)
+
+
 @dataclass
 class _System:
     matrix: object            # csr
     diag: np.ndarray
-    rhs_fixed: np.ndarray     # flux + exterior-convection contributions
-    conv_cell: np.ndarray     # solid unknown index per channel face
-    conv_ua: np.ndarray       # U*A per channel face, W/K
-    conv_channel: np.ndarray  # channel index per face
-    conv_station: np.ndarray  # x index per face
+    rhs_fixed: np.ndarray     # imposed exterior heat flux, W
+    # convective face table, one row per Robin face
+    face_cell: np.ndarray     # solid unknown index
+    face_ua: np.ndarray       # U*A, W/K
+    face_sink: np.ndarray     # flat index into the sink-temperature array
     n_unknowns: int
     index: np.ndarray         # (nx, ny, nz) -> unknown index or -1
 
+    def face_heat(self, temp: np.ndarray, t_sink: np.ndarray) -> np.ndarray:
+        """Heat leaving the solid through each convective face, W."""
+        return self.face_ua * (temp[self.face_cell]
+                               - t_sink.flat[self.face_sink])
 
-def _assemble(grid: Grid, material: SolidMaterial, h_by_channel: np.ndarray,
-              inlet: float) -> _System:
+
+def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
+    """Build the conduction matrix and the convective face table, whose
+    sinks index a (n_channels + 1, nx + 1) fluid-temperature array.
+    h is the channel film coefficient."""
     k = material.thermal_conductivity
     solid = ~grid.void
     n = int(solid.sum())
     index = np.full(grid.void.shape, -1, dtype=np.int64)
     index[solid] = np.arange(n)
+    n_ch = len(grid.channels)
+    stations = grid.nx + 1
+    spacing = (grid.dx, grid.dy, grid.dz)
+    face_area = (grid.dy * grid.dz, grid.dx * grid.dz, grid.dx * grid.dy)
 
+    # channel-wall faces per axis: (solid cell, channel, sink); the
+    # station is the x index of the solid cell owning the face
+    xidx = np.broadcast_to(np.arange(grid.nx)[:, None, None],
+                           grid.void.shape)
+    walls = []
+    voxel_area = np.zeros(n_ch)
+    for axis in range(3):
+        blocks = []
+        for solid_sl, void_sl in (_shifted(axis), _shifted(axis)[::-1]):
+            m = solid[solid_sl] & grid.void[void_sl]
+            ids = grid.channel_id[void_sl][m]
+            np.add.at(voxel_area, ids, face_area[axis])
+            blocks.append((index[solid_sl][m], ids,
+                           ids * stations + xidx[solid_sl][m]))
+        walls.append(blocks)
+
+    # rescale h so h * (voxel wetted area) equals h * (analytic area)
+    analytic = np.array([ch.perimeter * grid.nx * grid.dx
+                         for ch in grid.channels])
+    h_corr = h * analytic / voxel_area
+
+    # per axis, conduction then that axis's wall faces; the order in which
+    # the diagonal accumulates is part of the byte-stable output
     rows_l, cols_l, data_l = [], [], []
     diag = np.zeros(n)
-    rhs_fixed = np.zeros(n)
-    conv_cell, conv_ua, conv_channel, conv_station = [], [], [], []
-
-    face_area = {
-        0: grid.dy * grid.dz,
-        1: grid.dx * grid.dz,
-        2: grid.dx * grid.dy,
-    }
-    spacing = {0: grid.dx, 1: grid.dy, 2: grid.dz}
-
-    # per-channel voxel wetted area for the h correction
-    voxel_area = np.zeros(max(len(grid.channels), 1))
+    face_cell, face_ua, face_sink = [], [], []
     for axis in range(3):
-        sl_a = [slice(None)] * 3
-        sl_b = [slice(None)] * 3
-        sl_a[axis] = slice(None, -1)
-        sl_b[axis] = slice(1, None)
-        area = face_area[axis]
-        for solid_sl, void_sl in ((sl_a, sl_b), (sl_b, sl_a)):
-            m = ~grid.void[tuple(solid_sl)] & grid.void[tuple(void_sl)]
-            ids = grid.channel_id[tuple(void_sl)][m]
-            np.add.at(voxel_area, ids, area)
-
-    h_corr = np.zeros(max(len(grid.channels), 1))
-    for ch in grid.channels:
-        analytic = ch.perimeter * grid.nx * grid.dx
-        h_corr[ch.index] = h_by_channel[ch.index] * analytic / voxel_area[ch.index]
-
-    for axis in range(3):
-        sl_a = [slice(None)] * 3
-        sl_b = [slice(None)] * 3
-        sl_a[axis] = slice(None, -1)
-        sl_b[axis] = slice(1, None)
-        area = face_area[axis]
-        d = spacing[axis]
-        g = k * area / d
-
-        a_solid = solid[tuple(sl_a)]
-        b_solid = solid[tuple(sl_b)]
-
-        # solid-solid conduction
-        both = a_solid & b_solid
-        ia = index[tuple(sl_a)][both]
-        ib = index[tuple(sl_b)][both]
+        lo, hi = _shifted(axis)
+        g = k * face_area[axis] / spacing[axis]
+        both = solid[lo] & solid[hi]
+        ia, ib = index[lo][both], index[hi][both]
         rows_l.extend((ia, ib))
         cols_l.extend((ib, ia))
         data_l.extend((np.full(ia.size, -g), np.full(ia.size, -g)))
         np.add.at(diag, ia, g)
         np.add.at(diag, ib, g)
-
-        # solid face against a channel void: Robin coupling
-        for solid_sl, void_sl in ((sl_a, sl_b), (sl_b, sl_a)):
-            m = solid[tuple(solid_sl)] & grid.void[tuple(void_sl)]
-            if not m.any():
-                continue
-            cells = index[tuple(solid_sl)][m]
-            ids = grid.channel_id[tuple(void_sl)][m]
-            # station = global x index of the solid cell owning the face
-            xidx = np.broadcast_to(
-                np.arange(grid.void.shape[0])[:, None, None],
-                grid.void.shape)
-            xs = xidx[tuple(solid_sl)][m]
-            u = 1.0 / (d / (2.0 * k) + 1.0 / h_corr[ids])
-            ua = u * area
+        for cells, ids, sink in walls[axis]:
+            ua = _film(spacing[axis], k, h_corr[ids]) * face_area[axis]
             np.add.at(diag, cells, ua)
-            conv_cell.append(cells)
-            conv_ua.append(ua)
-            conv_channel.append(ids)
-            conv_station.append(xs)
+            face_cell.append(cells)
+            face_ua.append(ua)
+            face_sink.append(sink)
 
-    # exterior top/bottom heat flux
-    area_z = face_area[2]
-    for layer, flux in ((grid.nz - 1, grid.flux_top), (0, grid.flux_bottom)):
-        m = solid[:, :, layer] & (flux != 0.0)
-        cells = index[:, :, layer][m]
-        rhs_fixed[cells] += flux[m] * area_z
-
-    # optional exterior convective face (slab cases)
+    # optional exterior convective face (slab cases), last sink row
     if grid.exterior_convection is not None:
         face, h_ext = grid.exterior_convection
         layer = 0 if face == "bottom" else grid.nz - 1
-        u = 1.0 / (grid.dz / (2.0 * k) + 1.0 / h_ext)
-        m = solid[:, :, layer]
-        cells = index[:, :, layer][m]
-        np.add.at(diag, cells, u * area_z)
-        rhs_fixed[cells] += u * area_z * inlet
-
-    if diag.size and not (len(conv_cell) or grid.exterior_convection):
+        cells = index[:, :, layer][solid[:, :, layer]]
+        ua = np.full(cells.size, _film(grid.dz, k, h_ext) * face_area[2])
+        np.add.at(diag, cells, ua)
+        face_cell.append(cells)
+        face_ua.append(ua)
+        face_sink.append(np.full(cells.size, n_ch * stations))
+    face_cell = np.concatenate(face_cell)
+    if n and not face_cell.size:
         raise ValueError("grid has no convective faces; the steady problem "
                          "is singular")
 
-    rows = np.concatenate(rows_l) if rows_l else np.array([], dtype=np.int64)
-    cols = np.concatenate(cols_l) if cols_l else np.array([], dtype=np.int64)
-    data = np.concatenate(data_l) if data_l else np.array([])
-    rows = np.concatenate([rows, np.arange(n)])
-    cols = np.concatenate([cols, np.arange(n)])
-    data = np.concatenate([data, diag])
-    matrix = coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    # exterior top/bottom heat flux
+    rhs_fixed = np.zeros(n)
+    for layer, flux in ((grid.nz - 1, grid.flux_top), (0, grid.flux_bottom)):
+        m = solid[:, :, layer] & (flux != 0.0)
+        rhs_fixed[index[:, :, layer][m]] += flux[m] * face_area[2]
 
-    cat = (lambda parts, dtype=None: np.concatenate(parts)
-           if parts else np.array([], dtype=dtype or float))
-    return _System(
-        matrix=matrix, diag=diag, rhs_fixed=rhs_fixed,
-        conv_cell=cat(conv_cell, np.int64),
-        conv_ua=cat(conv_ua),
-        conv_channel=cat(conv_channel, np.int64),
-        conv_station=cat(conv_station, np.int64),
-        n_unknowns=n, index=index)
+    rows = np.concatenate(rows_l + [np.arange(n)])
+    cols = np.concatenate(cols_l + [np.arange(n)])
+    data = np.concatenate(data_l + [diag])
+    matrix = coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    return _System(matrix=matrix, diag=diag, rhs_fixed=rhs_fixed,
+                   face_cell=face_cell, face_ua=np.concatenate(face_ua),
+                   face_sink=np.concatenate(face_sink), n_unknowns=n,
+                   index=index)
 
 
 def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
@@ -404,21 +392,16 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
     n_ch = len(grid.channels)
     if n_ch and flow.inlet_velocity <= 0:
         raise ValueError("inlet velocity must be > 0 with channels present")
+    h = (thermal.heat_transfer_coefficient(coolant, grid.shape,
+                                           flow.inlet_velocity)
+         if n_ch else 0.0)
+    m_dot = coolant.density * flow.inlet_velocity * np.array(
+        [ch.area for ch in grid.channels])
 
-    h_by_channel = np.zeros(max(n_ch, 1))
-    m_dot_ch = np.zeros(max(n_ch, 1))
-    if n_ch:
-        h = thermal.heat_transfer_coefficient(coolant, grid.shape,
-                                              flow.inlet_velocity)
-        for ch in grid.channels:
-            h_by_channel[ch.index] = h
-            m_dot_ch[ch.index] = (coolant.density * flow.inlet_velocity
-                                  * ch.area)
-
-    system = _assemble(grid, material, h_by_channel, flow.inlet_temperature)
-
-    t_fluid = np.full((max(n_ch, 1), grid.nx + 1), flow.inlet_temperature)
-    temp = np.full(system.n_unknowns, flow.inlet_temperature)
+    system = _assemble(grid, material, h)
+    inlet = flow.inlet_temperature
+    t_sink = np.full((n_ch + 1, grid.nx + 1), inlet)
+    temp = np.full(system.n_unknowns, inlet)
     precond = diags(1.0 / system.diag)
 
     residuals: list[float] = []
@@ -426,10 +409,8 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
     while True:
         outer += 1
         rhs = system.rhs_fixed.copy()
-        if system.conv_cell.size:
-            np.add.at(rhs, system.conv_cell,
-                      system.conv_ua
-                      * t_fluid[system.conv_channel, system.conv_station])
+        np.add.at(rhs, system.face_cell,
+                  system.face_ua * t_sink.flat[system.face_sink])
         temp, info = cg(system.matrix, rhs, x0=temp, rtol=tol, atol=0.0,
                         M=precond, maxiter=max_iters)
         rnorm = float(np.linalg.norm(system.matrix @ temp - rhs))
@@ -443,18 +424,15 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
 
         if not n_ch:
             break
-        # wall heat per channel and station, then re-march the coolant
-        q = system.conv_ua * (temp[system.conv_cell]
-                              - t_fluid[system.conv_channel,
-                                        system.conv_station])
-        q_station = np.zeros((n_ch, grid.nx))
-        np.add.at(q_station, (system.conv_channel, system.conv_station), q)
-        t_new = np.empty_like(t_fluid)
-        t_new[:, 0] = flow.inlet_temperature
-        rise = q_station / (m_dot_ch[:, None] * coolant.specific_heat)
-        t_new[:, 1:] = flow.inlet_temperature + np.cumsum(rise, axis=1)
-        change = float(np.max(np.abs(t_new - t_fluid)))
-        t_fluid = t_new
+        # wall heat per sink, then re-march the channel rows
+        q_sink = np.bincount(system.face_sink,
+                             system.face_heat(temp, t_sink),
+                             minlength=t_sink.size).reshape(t_sink.shape)
+        rise = q_sink[:n_ch, :-1] / (m_dot[:, None] * coolant.specific_heat)
+        t_new = t_sink.copy()
+        t_new[:n_ch, 1:] = inlet + np.cumsum(rise, axis=1)
+        change = float(np.max(np.abs(t_new - t_sink)))
+        t_sink = t_new
         if change < fluid_tol:
             break
         if outer >= max_outer:
@@ -462,39 +440,21 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
                 f"coolant march did not converge in {max_outer} outer "
                 f"iterations (last change {change:.3e} K)", residuals)
 
-    # heat removed through Robin faces (channels and exterior convection)
-    q_conv = 0.0
-    if system.conv_cell.size:
-        q_conv += float(np.sum(
-            system.conv_ua * (temp[system.conv_cell]
-                              - t_fluid[system.conv_channel,
-                                        system.conv_station])))
-    if grid.exterior_convection is not None:
-        face, h_ext = grid.exterior_convection
-        layer = 0 if face == "bottom" else grid.nz - 1
-        k = material.thermal_conductivity
-        u = 1.0 / (grid.dz / (2.0 * k) + 1.0 / h_ext)
-        solid = ~grid.void
-        m = solid[:, :, layer]
-        cells = system.index[:, :, layer][m]
-        q_conv += float(np.sum(u * grid.dx * grid.dy
-                               * (temp[cells] - flow.inlet_temperature)))
-    imbalance = grid.total_power - q_conv
+    imbalance = grid.total_power - float(np.sum(
+        system.face_heat(temp, t_sink)))
 
-    # field with coolant temperatures in void cells
-    field3d = np.full(grid.void.shape, flow.inlet_temperature)
-    field3d[~grid.void] = temp
-    if n_ch:
-        vx = np.broadcast_to(
-            np.arange(grid.nx)[:, None, None], grid.void.shape)[grid.void]
-        vid = grid.channel_id[grid.void]
-        field3d[grid.void] = t_fluid[vid, vx]
+    # field with the sink temperature of each void cell's station
+    solid = ~grid.void
+    field3d = np.empty(grid.void.shape)
+    field3d[solid] = temp
+    field3d[grid.void] = t_sink[grid.channel_id[grid.void],
+                                np.nonzero(grid.void)[0]]
 
     # surface extrapolation under imposed flux
     k = material.thermal_conductivity
     t_max = float(np.max(temp))
     for layer, flux in ((grid.nz - 1, grid.flux_top), (0, grid.flux_bottom)):
-        m = (~grid.void[:, :, layer]) & (flux > 0.0)
+        m = solid[:, :, layer] & (flux > 0.0)
         if m.any():
             cells = system.index[:, :, layer][m]
             surf = temp[cells] + flux[m] * grid.dz / (2.0 * k)
@@ -503,7 +463,7 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
     return FvSolution(
         temperature=field3d,
         t_max=t_max,
-        coolant_profile=t_fluid[:n_ch] if n_ch else np.empty((0, grid.nx + 1)),
+        coolant_profile=t_sink[:n_ch],
         residual=residuals[-1],
         iterations=outer,
         energy_imbalance=imbalance)

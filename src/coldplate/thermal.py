@@ -10,11 +10,11 @@ modules see a warmer fluid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import hydraulics
-from .geometry import (Assembly, ChannelShape, cross_section_area,
-                       hydraulic_diameter, validate, wetted_perimeter)
+from .geometry import (Assembly, ChannelShape, hydraulic_diameter, validate,
+                       wetted_perimeter)
 from .hydraulics import RE_TRANSITION
 from .properties import CoolantProps
 
@@ -221,7 +221,6 @@ def solve_network(assembly: Assembly, coolant: CoolantProps,
             local_coolant_temperature=t_local,
             resistance_breakdown={"stack": r_stack, "spread": r_spread,
                                   "cover": r_cover, "convection": r_conv}))
-        upstream_heat += mod.power
 
     outlet = coolant_outlet(coolant, m_dot, flow.inlet_temperature,
                             assembly.total_power)

@@ -10,10 +10,9 @@ import sys
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 import coldplate as cp
-from coldplate import fv, studies
+from coldplate import fv
 from coldplate.cli import main as cli_main
 from coldplate.studies import (DesignProblem, SweepSpec, optimize, run_sweep,
                                secondary_side_scenario)

@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from coldplate import cli
 from coldplate.cli import ConfigError, main, parse_config
 from coldplate.geometry import assembly_to_json
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import coldplate as cp
-from coldplate import fv
 from coldplate.fv import (ConvergenceError, GridResolutionError, build_grid,
                           make_slab_grid, mesh_study, solve,
                           write_structured_points)
@@ -99,6 +98,15 @@ class TestSolve:
         grid = build_grid(small, 1.5e-3)
         sol = solve(grid, water, FLOW, small.plate.material)
         assert abs(sol.energy_imbalance) <= 1e-6 * grid.total_power
+
+    def test_void_cells_hold_coolant_profile(self, small, water):
+        grid = build_grid(small, 1.5e-3)
+        sol = solve(grid, water, FLOW, small.plate.material)
+        x, y, z = np.nonzero(grid.void)
+        assert x.size
+        expected = sol.coolant_profile[grid.channel_id[x, y, z], x]
+        assert np.array_equal(sol.temperature[x, y, z], expected)
+        assert expected.max() > FLOW.inlet_temperature
 
     def test_coolant_outlet_energy(self, small, water):
         grid = build_grid(small, 1.5e-3)

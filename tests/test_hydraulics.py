@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import coldplate as cp
-from coldplate import hydraulics
 from coldplate.hydraulics import LAMINAR, TURBULENT, classify, report
 
 RECT = cp.Rectangular(width=0.010, height=0.002)

@@ -180,6 +180,18 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimize(problem(primary, v_min=2.0, v_max=1.0))
 
+    def test_velocity_above_v_max_infeasible(self, primary):
+        # the grid keeps a rounded step within 1e-12 of v_max, so a point
+        # just above v_max is evaluated and must be flagged infeasible
+        prob = problem(primary, v_min=0.5, v_step=0.1, v_max=0.5999999999995)
+        assert prob.velocities() == [0.5, 0.6]
+        res = optimize(prob, prune=False)
+        above = [r for r in res.rows if r.v_mps == 0.6]
+        assert above and not any(r.feasible for r in above)
+        # the velocity bound alone rejects them
+        assert any(r.t_max_C <= prob.t_max_limit
+                   and r.dp_Pa <= prob.pressure_budget for r in above)
+
 
 class TestCsv:
     def test_header_and_repr_floats(self):

@@ -2,7 +2,6 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
 
 import coldplate as cp
 from coldplate import thermal
