@@ -16,8 +16,10 @@ temperatures: a row per channel, re-marched each outer iteration from the
 heat its faces remove, plus a last row fixed at the inlet temperature.
 
 The linear system is symmetric positive definite and is solved by
-preconditioned conjugate gradients; the contract is the residual
-tolerance, not the method.
+conjugate gradients with a two-level aggregation preconditioner (Vanek,
+Mandel & Brezina, Computing 1996): damped-Jacobi smoothing around an exact
+coarse solve on aggregates of 2x2 cell columns through the full thickness.
+The contract is the residual tolerance, not the method.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, diags
-from scipy.sparse.linalg import cg
+from scipy.sparse import coo_matrix
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from . import thermal
 from .geometry import (Assembly, ChannelShape, Semicircular, channel_depth,
@@ -384,13 +386,39 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
                    index=index)
 
 
+def _two_level(system: _System, grid: Grid) -> LinearOperator:
+    """Symmetric two-level preconditioner for CG.
+
+    Aggregates are the solid cells of each 2x2 block of (x, y) cell
+    columns, through the full thickness. The Galerkin coarse matrix P^T A P (P the aggregate indicator) is
+    summed straight from the CSR arrays and factored once, which serves
+    every outer pass because A does not change between them.
+    """
+    a = system.matrix
+    ii, jj, _ = np.nonzero(~grid.void)
+    blocks, agg = np.unique((ii // 2) * grid.ny + jj // 2,
+                            return_inverse=True)
+    nc = blocks.size
+    coarse = splu(coo_matrix(
+        (a.data, (np.repeat(agg, np.diff(a.indptr)), agg[a.indices])),
+        shape=(nc, nc)).tocsc())
+    smooth = (2.0 / 3.0) / system.diag  # damped Jacobi, omega = 2/3
+
+    def apply(r):
+        x = smooth * r
+        x += coarse.solve(np.bincount(agg, r - a @ x, minlength=nc))[agg]
+        x += smooth * (r - a @ x)
+        return x
+    return LinearOperator(a.shape, matvec=apply, dtype=float)
+
+
 def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
           material: SolidMaterial, tol: float = 1e-8,
           max_iters: int = 20000, fluid_tol: float = 1e-3,
           max_outer: int = 100) -> FvSolution:
     """Solve the coupled solid-conduction / coolant-march problem."""
     n_ch = len(grid.channels)
-    if n_ch and flow.inlet_velocity <= 0:
+    if n_ch and not flow.inlet_velocity > 0:  # also rejects NaN
         raise ValueError("inlet velocity must be > 0 with channels present")
     h = (thermal.heat_transfer_coefficient(coolant, grid.shape,
                                            flow.inlet_velocity)
@@ -399,10 +427,13 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
         [ch.area for ch in grid.channels])
 
     system = _assemble(grid, material, h)
+    if not np.all(np.isfinite(system.diag)):
+        raise ValueError("non-finite conductance in the FV system; check "
+                         "material, coolant and flow inputs")
     inlet = flow.inlet_temperature
     t_sink = np.full((n_ch + 1, grid.nx + 1), inlet)
     temp = np.full(system.n_unknowns, inlet)
-    precond = diags(1.0 / system.diag)
+    precond = _two_level(system, grid)
 
     residuals: list[float] = []
     outer = 0

@@ -179,6 +179,21 @@ class TestMain:
         field = (out / "field.txt").read_text().splitlines()
         assert field[3] == "DATASET STRUCTURED_POINTS"
 
+    @pytest.mark.parametrize("section, message", [
+        ({"flow": {"v_mps": float("nan")}}, "inlet velocity must be > 0"),
+        ({"coolant": {"thermal_conductivity": float("nan")}}, "non-finite"),
+    ], ids=["nan-velocity", "nan-coolant"])
+    def test_solve_fv_nan_input_is_an_error(self, tmp_path, capsys, section,
+                                            message):
+        # rejected before the solve: no traceback, no 20,000-iteration stall
+        cfg = write_config(tmp_path, small_doc(
+            "solve-fv", solver={"resolution_m": 2.5e-3}, **section))
+        assert main(["solve-fv", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+
     def test_mesh_study_on_inline_assembly(self, tmp_path):
         cfg = write_config(tmp_path, small_doc(
             "mesh-study",

@@ -3,11 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 import coldplate as cp
+from coldplate import fv
 from coldplate.fv import (ConvergenceError, GridResolutionError, build_grid,
                           make_slab_grid, mesh_study, solve,
                           write_structured_points)
+
+from conftest import small_assembly
 
 FLOW = cp.FlowCondition(1.1, 49.0)
 
@@ -146,6 +150,64 @@ class TestSolve:
             solve(grid, water, FLOW, small.plate.material,
                   tol=1e-14, max_iters=3)
         assert len(exc.value.residual_history) >= 1
+
+
+def record_cg(monkeypatch):
+    """Replace fv.cg with a wrapper logging (A, b, x, iterations) per call."""
+    calls = []
+    real_cg = fv.cg
+
+    def recording(A, b, *args, **kwargs):
+        iterations = [0]
+
+        def count(_):
+            iterations[0] += 1
+        x, info = real_cg(A, b, *args, callback=count, **kwargs)
+        calls.append((A, b, x, iterations[0]))
+        return x, info
+    monkeypatch.setattr(fv, "cg", recording)
+    return calls
+
+
+class TestTwoLevel:
+    def test_preconditioner_spd(self, small, water):
+        grid = build_grid(small, 1.5e-3)
+        h = cp.heat_transfer_coefficient(water, grid.shape, 1.1)
+        system = fv._assemble(grid, small.plate.material, h)
+        precond = fv._two_level(system, grid)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            u, v = rng.standard_normal((2, system.n_unknowns))
+            uv, vu = u @ precond.matvec(v), v @ precond.matvec(u)
+            assert abs(uv - vu) <= 1e-12 * max(abs(uv), abs(vu))
+            assert v @ precond.matvec(v) > 0.0
+
+    def test_first_pass_iteration_budget(self, primary, water, monkeypatch):
+        # Jacobi-preconditioned CG takes 459 iterations on this pass; counts
+        # repeat exactly, so this catches a weaker preconditioner without
+        # timing anything
+        calls = record_cg(monkeypatch)
+        with pytest.raises(ConvergenceError):  # stop after the first pass
+            solve(build_grid(primary, 2e-3), water, FLOW,
+                  primary.plate.material, max_outer=1)
+        assert len(calls) == 1 and calls[0][3] <= 60
+
+    @pytest.mark.parametrize("grid", [
+        pytest.param(lambda: build_grid(small_assembly(), 1.5e-3),
+                     id="small"),
+        # ny = 29 leaves a 1-wide aggregate column
+        pytest.param(lambda: build_grid(small_assembly(), 0.06 / 29),
+                     id="small-odd-ny"),
+        # 2x2x2 cells: a single aggregate
+        pytest.param(lambda: make_slab_grid(0.04, 0.04, 0.01, 0.02, 2e5,
+                                            2000.0), id="slab-2x2x2"),
+    ])
+    def test_matches_direct_solve(self, grid, water, monkeypatch):
+        calls = record_cg(monkeypatch)
+        solve(grid(), water, FLOW, cp.get_material("copper"), tol=1e-12)
+        matrix, rhs, temp, _ = calls[-1]
+        direct = spsolve(matrix.tocsc(), rhs)
+        assert np.max(np.abs(temp - direct)) <= 1e-9
 
 
 class TestMeshStudy:

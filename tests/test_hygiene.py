@@ -1,16 +1,21 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and the package
+imports nothing heavier than numpy and scipy.sparse."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "coldplate").glob("*.py"))
 # package __init__ modules import only to re-export
 MODULES = sorted(
-    [p for p in (ROOT / "src" / "coldplate").glob("*.py")
-     if p.name != "__init__.py"]
+    [p for p in PACKAGE if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py")))
+# Start-up time is interpreter start plus imports; every other third-party
+# module (scipy.optimize, say) would add to each CLI run and worker process.
+ALLOWED_THIRD_PARTY = {"numpy", "scipy.sparse", "scipy.sparse.linalg"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,6 +34,22 @@ def unused_imports(source: str) -> list[str]:
         imported.items(), key=lambda item: item[1]) if name not in used]
 
 
+def disallowed_imports(source: str) -> list[str]:
+    """Absolute imports of modules outside the stdlib and the allowed set."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {m}" for m in modules
+                  if m not in ALLOWED_THIRD_PARTY
+                  and m.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
 def test_detects_unused_import():
     source = "import os\nimport sys\nfrom a.b import c, d as e\nprint(sys, e)\n"
     assert unused_imports(source) == ["line 1: os", "line 3: c"]
@@ -38,3 +59,18 @@ def test_detects_unused_import():
                          .as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_detects_disallowed_import():
+    source = ("import os.path\nimport numpy as np\n"
+              "from scipy.sparse.linalg import cg\nfrom . import fv\n"
+              "def f():\n    from scipy import optimize\n"
+              "    import threadpoolctl, scipy.optimize\n")
+    assert disallowed_imports(source) == [
+        "line 6: scipy", "line 7: threadpoolctl", "line 7: scipy.optimize"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.relative_to(ROOT)
+                         .as_posix())
+def test_package_imports_stay_light(path):
+    assert disallowed_imports(path.read_text()) == []
