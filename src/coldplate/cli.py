@@ -1,10 +1,11 @@
 """Command-line surface: `coldplate <action> --config <file> [--out DIR]`.
 
 Actions: report | sweep | optimize | solve-fv | mesh-study. The config is
-a strict JSON document (unknown keys are errors); all lengths carry an
-explicit _m / _mm-free SI suffix in key names. Every action writes
-result.json and result.csv into the output directory; solve-fv
-additionally writes field.txt. Outputs are byte-stable for a given config.
+a strict JSON document checked against `_CONFIG`, which gives every key's
+type, range and default; all violations are reported together. Lengths
+carry an explicit _m suffix in key names. Every action writes result.json
+and result.csv into the output directory; solve-fv additionally writes
+field.txt. Outputs are byte-stable for a given config.
 """
 
 from __future__ import annotations
@@ -12,47 +13,134 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import fv, hydraulics, studies, thermal
 from .geometry import (Assembly, PRESETS, assembly_from_json,
-                       assembly_to_json)
+                       assembly_to_json, plate_mass)
 from .hydraulics import DEFAULT_MINOR_LOSS_K, FlowCondition
 from .properties import (CoolantProps, MaterialLibrary, water_at_reference)
 
 ACTIONS = ("report", "sweep", "optimize", "solve-fv", "mesh-study")
 
-_DEFAULTS = {
-    "inlet_C": thermal.DEFAULT_INLET_C,
-    "minor_loss_K": DEFAULT_MINOR_LOSS_K,
-    "tol": 1e-8,
-    "max_iters": 20000,
-    "resolution_m": 2e-3,
-    "v_mps": 1.1,
-}
-
-_SCHEMA = {
-    "action": None,
-    "preset": None,
-    "assembly": None,
-    "materials_file": None,
-    "coolant": {"name", "density", "dynamic_viscosity", "specific_heat",
-                "thermal_conductivity", "reference_temperature_C"},
-    "flow": {"v_mps", "inlet_C"},
-    "stack": {"layers"},
-    "solver": {"tol", "max_iters", "resolution_m"},
-    "hydraulics": {"minor_loss_K"},
-    "sweep": {"axis", "values", "evaluator"},
-    "optimize": {"materials", "channel_counts", "cover_thicknesses_m",
-                 "v_min", "v_max", "v_step", "t_max_limit_C",
-                 "pressure_budget_Pa", "evaluator"},
-    "mesh_study": {"resolutions_m"},
-}
-
 
 class ConfigError(ValueError):
     """Invalid configuration; message lists every violation found."""
+
+
+# --------------------------------------------------------------------------
+# config table
+#
+# Every key maps to (check, default). A check is (must_be, accept), where
+# accept(value) returns the value to use (numbers as float) or None to
+# reject it; {"a", "b"}, one of these strings; [check], a non-empty list of
+# values passing check; or {key: (check, default)}, an object with only
+# these keys. An absent key takes its default, checked like a given value;
+# a None default leaves it out and _REQUIRED makes its absence an error.
+
+_REQUIRED = object()
+
+
+def _number(must_be: str, in_range, big=sys.float_info.max):
+    """A finite JSON number (bools are not numbers) that is in range."""
+    return must_be, lambda v: (float(v) if type(v) in (int, float)
+                               and -big <= v <= big and in_range(v) else None)
+
+
+_FINITE = _number("a finite number", lambda v: True)
+_NON_NEGATIVE = _number("a finite number >= 0", lambda v: v >= 0)
+_POSITIVE = _number("a finite number > 0", lambda v: v > 0)
+_AT_LEAST_ONE = _number("a finite number >= 1", lambda v: v >= 1)
+_COUNT = "an integer >= 1", lambda v: v if type(v) is int and v >= 1 else None
+_STRING = "a string", lambda v: v if isinstance(v, str) else None
+_OBJECT = "an object", lambda v: v if isinstance(v, dict) else None
+_LIST = "a non-empty list", lambda v: v if isinstance(v, list) and v else None
+
+
+def _resolve(check, value, path: str, errors: list[str]):
+    """`value` as accepted by `check`, or None after appending each
+    violation to `errors`; JSON null is never accepted."""
+    if isinstance(check, tuple):  # (must_be, accept)
+        if (accepted := check[1](value)) is None:
+            errors.append(f"{path} must be {check[0]}, got {value!r}")
+        return accepted
+    if isinstance(check, set):
+        if isinstance(value, str) and value in check:
+            return value
+        errors.append(f"unknown {path} {value!r}; one of {sorted(check)}")
+        return None
+    if isinstance(check, list):
+        if _resolve(_LIST, value, path, errors) is None:
+            return None
+        items = [_resolve(check[0], v, f"{path}[{i}]", errors)
+                 for i, v in enumerate(value)]
+        return None if None in items else items
+    if _resolve(_OBJECT, value, path, errors) is None:
+        return None
+    at = f"{path}." if path else ""
+    errors += [f"unknown key {at + k!r}" for k in value if k not in check]
+    resolved = {}
+    for key, (item, default) in check.items():
+        if key not in value and default is _REQUIRED:
+            errors.append(f"missing key {at + key!r}")
+        elif key in value or default is not None:
+            got = _resolve(item, value.get(key, default), at + key, errors)
+            if got is not None:
+                resolved[key] = got
+    return resolved
+
+
+# check for each item of sweep.values by axis; material names are looked
+# up in the config's own material library instead
+_SWEEP_ITEM = {"velocity": _POSITIVE, "channel_count": _COUNT,
+               "channel_shape": {"rectangular", "semicircular"},
+               "cover_thickness": _POSITIVE}
+_EVALUATOR = ({"network", "fv"}, "network")
+_WATER = water_at_reference()
+
+_CONFIG = {
+    "action": (set(ACTIONS), None),
+    "preset": (set(PRESETS), None),
+    "assembly": (_OBJECT, None),
+    "materials_file": (_STRING, None),
+    "coolant": ({
+        "name": (_STRING, _WATER.name),
+        "density": (_POSITIVE, _WATER.density),
+        "dynamic_viscosity": (_POSITIVE, _WATER.dynamic_viscosity),
+        "specific_heat": (_POSITIVE, _WATER.specific_heat),
+        "thermal_conductivity": (_POSITIVE, _WATER.thermal_conductivity),
+        "reference_temperature_C": (_FINITE, _WATER.reference_temperature),
+    }, {}),
+    "flow": ({"v_mps": (_POSITIVE, 1.1),
+              "inlet_C": (_FINITE, thermal.DEFAULT_INLET_C)}, {}),
+    "stack": ({"layers": ([{
+        "name": (_STRING, _REQUIRED),
+        "thickness_m": (_POSITIVE, _REQUIRED),
+        "conductivity": (_POSITIVE, _REQUIRED),
+        "area_factor": (_AT_LEAST_ONE, 1.0),
+    }], _REQUIRED)}, None),
+    "solver": ({"tol": (_POSITIVE, 1e-8),
+                "max_iters": (_COUNT, 20000),
+                "resolution_m": (_POSITIVE, 2e-3)}, {}),
+    "hydraulics": ({"minor_loss_K": (_NON_NEGATIVE, DEFAULT_MINOR_LOSS_K)},
+                   {}),
+    "sweep": ({"axis": (set(studies.SWEEP_AXES), _REQUIRED),
+               "values": (_LIST, _REQUIRED),
+               "evaluator": _EVALUATOR}, None),
+    "optimize": ({
+        "materials": ([_STRING], ["copper", "aluminum", "stainless-steel"]),
+        "channel_counts": ([_COUNT], [3, 6]),
+        "cover_thicknesses_m": ([_POSITIVE], [1e-3, 0.5e-3]),
+        "v_min": (_POSITIVE, 0.5),
+        "v_max": (_POSITIVE, 2.9),
+        "v_step": (_POSITIVE, studies.DEFAULT_V_STEP),
+        "t_max_limit_C": (_FINITE, studies.DEFAULT_T_MAX_LIMIT_C),
+        "pressure_budget_Pa": (_POSITIVE, studies.DEFAULT_PRESSURE_BUDGET_PA),
+        "evaluator": _EVALUATOR,
+    }, None),
+    "mesh_study": ({"resolutions_m": ([_POSITIVE], _REQUIRED)}, None),
+}
 
 
 @dataclass
@@ -66,22 +154,9 @@ class RunConfig:
     tol: float
     max_iters: int
     resolution: float
-    sweep: dict | None
-    optimize: dict | None
-    mesh_resolutions: list[float] | None
+    sweep: studies.SweepSpec | None
+    optimize: studies.DesignProblem | None
     resolved: dict  # fully-resolved document for --echo-config
-
-
-def _check_keys(doc: dict, errors: list[str]) -> None:
-    for key, value in doc.items():
-        if key not in _SCHEMA:
-            errors.append(f"unknown key {key!r}")
-            continue
-        allowed = _SCHEMA[key]
-        if allowed is not None and isinstance(value, dict):
-            for sub in value:
-                if sub not in allowed:
-                    errors.append(f"unknown key {key!r}.{sub!r}")
 
 
 def parse_config(text: str, action: str | None = None) -> RunConfig:
@@ -95,138 +170,90 @@ def parse_config(text: str, action: str | None = None) -> RunConfig:
         raise ConfigError("config must be a JSON object")
 
     errors: list[str] = []
-    _check_keys(doc, errors)
+    resolved = _resolve(_CONFIG, doc, "", errors)
 
-    cfg_action = doc.get("action", action)
+    cfg_action = resolved.setdefault("action", action)
     if cfg_action is None:
         errors.append("no action given (config key 'action' or CLI argument)")
-    elif cfg_action not in ACTIONS:
-        errors.append(f"unknown action {cfg_action!r}; one of {ACTIONS}")
-    if action is not None and doc.get("action") not in (None, action):
-        errors.append(f"config action {doc['action']!r} conflicts with "
+    elif action is not None and cfg_action != action:
+        errors.append(f"config action {cfg_action!r} conflicts with "
                       f"command-line action {action!r}")
+    needed = (cfg_action or "").replace("-", "_")
+    if needed in ("sweep", "optimize", "mesh_study") and needed not in doc:
+        errors.append(f"action {cfg_action!r} needs a {needed!r} section")
 
     library = MaterialLibrary()
-    if "materials_file" in doc:
+    if "materials_file" in resolved:
         try:
-            library.load_overrides(doc["materials_file"])
-        except (OSError, ValueError) as exc:
+            library.load_overrides(resolved["materials_file"])
+        except (AttributeError, OSError, TypeError, ValueError) as exc:
             errors.append(f"materials_file: {exc}")
 
+    def materials(names, path):
+        """This config's records for a list of material names, or None."""
+        if _resolve([set(library.names())], names, path, errors):
+            return tuple(map(library.get_material, names))
+
     assembly = None
+    if "preset" in resolved:
+        resolved["assembly"] = assembly_to_json(
+            PRESETS[resolved.pop("preset")]())
     if ("preset" in doc) == ("assembly" in doc):
         errors.append("exactly one of 'preset' or 'assembly' is required")
-    elif "preset" in doc:
-        if doc["preset"] in PRESETS:
-            assembly = PRESETS[doc["preset"]]()
-            if "materials_file" in doc:
-                assembly = replace(
-                    assembly,
-                    plate=replace(assembly.plate, material=library.get_material(
-                        assembly.plate.material.name)))
-        else:
-            errors.append(f"unknown preset {doc['preset']!r}; "
-                          f"one of {sorted(PRESETS)}")
-    else:
+    elif "assembly" in resolved:
         try:
-            assembly = assembly_from_json(doc["assembly"],
+            assembly = assembly_from_json(resolved["assembly"],
                                           library.get_material)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             errors.append(f"assembly: {exc}")
 
-    water = water_at_reference()
-    cool = doc.get("coolant", {})
-    coolant = CoolantProps(
-        name=cool.get("name", water.name),
-        density=cool.get("density", water.density),
-        dynamic_viscosity=cool.get("dynamic_viscosity",
-                                   water.dynamic_viscosity),
-        specific_heat=cool.get("specific_heat", water.specific_heat),
-        thermal_conductivity=cool.get("thermal_conductivity",
-                                      water.thermal_conductivity),
-        reference_temperature=cool.get("reference_temperature_C",
-                                       water.reference_temperature))
-
-    flow_doc = doc.get("flow", {})
-    flow = FlowCondition(
-        inlet_velocity=float(flow_doc.get("v_mps", _DEFAULTS["v_mps"])),
-        inlet_temperature=float(flow_doc.get("inlet_C",
-                                             _DEFAULTS["inlet_C"])))
-
-    stack = None
-    if "stack" in doc:
-        try:
-            stack = thermal.DieStack(layers=tuple(
-                thermal.StackLayer(
-                    name=l["name"], thickness=l["thickness_m"],
-                    conductivity=l["conductivity"],
-                    area_factor=l.get("area_factor", 1.0))
-                for l in doc["stack"]["layers"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            errors.append(f"stack: {exc}")
-
-    solver = doc.get("solver", {})
-    hydr = doc.get("hydraulics", {})
-
-    sweep = doc.get("sweep")
-    if cfg_action == "sweep" and sweep is None:
-        errors.append("action 'sweep' needs a 'sweep' section")
-    opt = doc.get("optimize")
-    if cfg_action == "optimize" and opt is None:
-        errors.append("action 'optimize' needs an 'optimize' section")
-    mesh = doc.get("mesh_study")
-    if cfg_action == "mesh-study":
-        if mesh is None or "resolutions_m" not in mesh:
-            errors.append("action 'mesh-study' needs "
-                          "'mesh_study.resolutions_m'")
+    # material names become this config's records; other sweep values stay
+    # as given, because the row descriptors print them
+    sweep, opt = resolved.get("sweep", {}), resolved.get("optimize", {})
+    sweep_values = sweep.get("values")
+    if "axis" in sweep and sweep_values:
+        if sweep["axis"] == "material":
+            sweep_values = materials(sweep_values, "sweep.values")
+        else:
+            _resolve([_SWEEP_ITEM[sweep["axis"]]], sweep_values,
+                     "sweep.values", errors)
+    opt_materials = (materials(opt["materials"], "optimize.materials")
+                     if "materials" in opt else None)
 
     if errors:
         raise ConfigError("invalid config: " + "; ".join(errors))
 
-    resolved = {
-        "action": cfg_action,
-        "assembly": assembly_to_json(assembly),
-        "coolant": {
-            "name": coolant.name,
-            "density": coolant.density,
-            "dynamic_viscosity": coolant.dynamic_viscosity,
-            "specific_heat": coolant.specific_heat,
-            "thermal_conductivity": coolant.thermal_conductivity,
-            "reference_temperature_C": coolant.reference_temperature,
-        },
-        "flow": {"v_mps": flow.inlet_velocity,
-                 "inlet_C": flow.inlet_temperature},
-        "solver": {"tol": solver.get("tol", _DEFAULTS["tol"]),
-                   "max_iters": solver.get("max_iters",
-                                           _DEFAULTS["max_iters"]),
-                   "resolution_m": solver.get("resolution_m",
-                                              _DEFAULTS["resolution_m"])},
-        "hydraulics": {"minor_loss_K": hydr.get("minor_loss_K",
-                                                _DEFAULTS["minor_loss_K"])},
-    }
-    if stack is not None:
-        resolved["stack"] = doc["stack"]
-    if sweep is not None:
-        resolved["sweep"] = sweep
-    if opt is not None:
-        resolved["optimize"] = opt
-    if mesh is not None:
-        resolved["mesh_study"] = mesh
-
+    resolved["assembly"] = assembly_to_json(assembly)
+    solver = resolved["solver"]
+    # coolant keys are the field names, the temperature with a _C suffix
+    coolant = CoolantProps(**{key.removesuffix("_C"): value
+                              for key, value in resolved["coolant"].items()})
+    flow = FlowCondition(inlet_velocity=resolved["flow"]["v_mps"],
+                         inlet_temperature=resolved["flow"]["inlet_C"])
+    stack = None
+    if "stack" in resolved:
+        stack = thermal.DieStack(layers=tuple(thermal.StackLayer(
+            l["name"], l["thickness_m"], l["conductivity"], l["area_factor"])
+            for l in resolved["stack"]["layers"]))
+    common = dict(base=assembly, coolant=coolant, stack=stack,
+                  minor_loss_K=resolved["hydraulics"]["minor_loss_K"],
+                  fv_resolution=solver["resolution_m"])
     return RunConfig(
-        action=cfg_action,
-        assembly=assembly,
-        coolant=coolant,
-        flow=flow,
-        stack=stack,
-        minor_loss_K=float(resolved["hydraulics"]["minor_loss_K"]),
-        tol=float(resolved["solver"]["tol"]),
-        max_iters=int(resolved["solver"]["max_iters"]),
-        resolution=float(resolved["solver"]["resolution_m"]),
-        sweep=sweep,
-        optimize=opt,
-        mesh_resolutions=(list(map(float, mesh["resolutions_m"]))
-                          if mesh else None),
+        action=cfg_action, assembly=assembly, coolant=coolant, flow=flow,
+        stack=stack, minor_loss_K=common["minor_loss_K"], tol=solver["tol"],
+        max_iters=solver["max_iters"], resolution=solver["resolution_m"],
+        sweep=studies.SweepSpec(
+            axis=sweep["axis"], values=tuple(sweep_values), flow=flow,
+            evaluator=sweep["evaluator"], **common) if sweep else None,
+        optimize=studies.DesignProblem(
+            materials=opt_materials,
+            channel_counts=tuple(opt["channel_counts"]),
+            cover_thicknesses=tuple(opt["cover_thicknesses_m"]),
+            v_min=opt["v_min"], v_max=opt["v_max"], v_step=opt["v_step"],
+            t_max_limit=opt["t_max_limit_C"],
+            pressure_budget=opt["pressure_budget_Pa"],
+            inlet_temperature=flow.inlet_temperature,
+            **common) if opt else None,
         resolved=resolved)
 
 
@@ -245,7 +272,6 @@ def _run_report(config: RunConfig):
                             config.flow.inlet_velocity, config.minor_loss_K)
     th = thermal.solve_network(config.assembly, config.coolant, config.flow,
                                config.stack)
-    from .geometry import plate_mass
     mass = plate_mass(config.assembly)
     result = {"hydraulics": hyd.to_json(), "thermal": th.to_json(),
               "mass_kg": mass}
@@ -260,45 +286,16 @@ def _run_report(config: RunConfig):
 
 
 def _run_sweep(config: RunConfig):
-    spec = studies.SweepSpec(
-        base=config.assembly,
-        axis=config.sweep["axis"],
-        values=tuple(config.sweep["values"]),
-        coolant=config.coolant,
-        flow=config.flow,
-        stack=config.stack,
-        evaluator=config.sweep.get("evaluator", "network"),
-        minor_loss_K=config.minor_loss_K,
-        fv_resolution=config.resolution)
-    result = studies.run_sweep(spec)
-    summary = (f"sweep over {spec.axis}: {len(result.rows)} points, "
+    result = studies.run_sweep(config.sweep)
+    summary = (f"sweep over {config.sweep.axis}: {len(result.rows)} points, "
                f"t_max {min(r.t_max_C for r in result.rows):.2f}.."
                f"{max(r.t_max_C for r in result.rows):.2f} C")
     return result.to_json(), result.to_csv(), None, summary
 
 
 def _run_optimize(config: RunConfig):
-    opt = config.optimize
-    problem = studies.DesignProblem(
-        base=config.assembly,
-        materials=tuple(opt.get("materials",
-                                ("copper", "aluminum", "stainless-steel"))),
-        channel_counts=tuple(opt.get("channel_counts", (3, 6))),
-        cover_thicknesses=tuple(opt.get("cover_thicknesses_m",
-                                        (1e-3, 0.5e-3))),
-        v_min=float(opt.get("v_min", 0.5)),
-        v_max=float(opt.get("v_max", 2.9)),
-        v_step=float(opt.get("v_step", studies.DEFAULT_V_STEP)),
-        t_max_limit=float(opt.get("t_max_limit_C",
-                                  studies.DEFAULT_T_MAX_LIMIT_C)),
-        pressure_budget=float(opt.get("pressure_budget_Pa",
-                                      studies.DEFAULT_PRESSURE_BUDGET_PA)),
-        coolant=config.coolant,
-        inlet_temperature=config.flow.inlet_temperature,
-        stack=config.stack,
-        minor_loss_K=config.minor_loss_K,
-        fv_resolution=config.resolution)
-    result = studies.optimize(problem, opt.get("evaluator", "network"))
+    result = studies.optimize(config.optimize,
+                              config.resolved["optimize"]["evaluator"])
     if result.best:
         summary = (f"best: {result.best.descriptor} | mass = "
                    f"{result.best.mass_kg:.3f} kg | t_max = "
@@ -327,7 +324,8 @@ def _run_solve_fv(config: RunConfig):
 
 def _run_mesh_study(config: RunConfig):
     result = fv.mesh_study(config.assembly, config.coolant, config.flow,
-                           config.mesh_resolutions, tol=config.tol)
+                           config.resolved["mesh_study"]["resolutions_m"],
+                           tol=config.tol)
     lines = ["cells,t_max_C,delta_K"]
     for row in result.rows:
         delta = "" if row.delta is None else repr(row.delta)
@@ -352,10 +350,11 @@ def run(config: RunConfig, out_dir: Path, echo_config: bool = False) -> int:
     if echo_config:
         print(json.dumps(config.resolved, indent=2, sort_keys=True))
     result, csv, field_data, summary = _RUNNERS[config.action](config)
+    # strict JSON: a non-finite result is an error, not a NaN in the file
+    text = json.dumps(result, indent=2, sort_keys=True, allow_nan=False)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "result.json").write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n")
+    (out_dir / "result.json").write_text(text + "\n")
     (out_dir / "result.csv").write_text(csv)
     if field_data is not None:
         solution, grid = field_data

@@ -8,6 +8,7 @@ above it; the discontinuity at the branch point is deliberate and tested.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 from .geometry import (ChannelLayout, ChannelShape, cross_section_area,
@@ -27,8 +28,10 @@ class FlowCondition:
     inlet_temperature: float  # deg C
 
     def __post_init__(self):
-        if self.inlet_velocity < 0:
-            raise ValueError("inlet velocity must be >= 0")
+        if not 0 <= self.inlet_velocity < math.inf:
+            raise ValueError("inlet velocity must be finite and >= 0")
+        if not math.isfinite(self.inlet_temperature):
+            raise ValueError("inlet temperature must be finite")
 
 
 @dataclass(frozen=True)

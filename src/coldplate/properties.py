@@ -9,6 +9,7 @@ dependence is modeled, and water is evaluated at the 20 C reference state.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 
@@ -33,8 +34,8 @@ class SolidMaterial:
 
     def __post_init__(self):
         for field in ("thermal_conductivity", "density", "specific_heat"):
-            if getattr(self, field) <= 0.0:
-                raise ValueError(f"{self.name}: {field} must be > 0")
+            if not 0.0 < getattr(self, field) < math.inf:
+                raise ValueError(f"{self.name}: {field} must be in (0, inf)")
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,10 @@ class CoolantProps:
     def __post_init__(self):
         for field in ("density", "dynamic_viscosity", "specific_heat",
                       "thermal_conductivity"):
-            if getattr(self, field) <= 0.0:
-                raise ValueError(f"{self.name}: {field} must be > 0")
+            if not 0.0 < getattr(self, field) < math.inf:
+                raise ValueError(f"{self.name}: {field} must be in (0, inf)")
+        if not math.isfinite(self.reference_temperature):
+            raise ValueError(f"{self.name}: non-finite reference_temperature")
 
     @property
     def prandtl(self) -> float:

@@ -8,6 +8,7 @@ pruning and must select the same design as brute-force enumeration.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -16,7 +17,8 @@ from . import hydraulics, thermal
 from .geometry import (Assembly, ChannelLayout, Rectangular, Semicircular,
                        equal_area_radius, plate_mass, secondary_side)
 from .hydraulics import DEFAULT_MINOR_LOSS_K, FlowCondition
-from .properties import CoolantProps, get_material, water_at_reference
+from .properties import (CoolantProps, SolidMaterial, get_material,
+                         water_at_reference)
 
 SWEEP_AXES = ("velocity", "material", "channel_shape", "channel_count",
               "cover_thickness")
@@ -86,7 +88,7 @@ class SweepSpec:
 @dataclass(frozen=True)
 class DesignProblem:
     base: Assembly
-    materials: tuple[str, ...]
+    materials: tuple[str | SolidMaterial, ...]
     channel_counts: tuple[int, ...]
     cover_thicknesses: tuple[float, ...]  # m
     v_min: float
@@ -99,6 +101,12 @@ class DesignProblem:
     stack: thermal.DieStack | None = None
     minor_loss_K: float = DEFAULT_MINOR_LOSS_K
     fv_resolution: float = 2e-3
+
+    def __post_init__(self):
+        # a zero or non-finite step never leaves the velocities() loop
+        if not (math.isfinite(self.v_min) and math.isfinite(self.v_max)
+                and 0 < self.v_step < math.inf):
+            raise ValueError("v_min, v_max must be finite, v_step in (0, inf)")
 
     def velocities(self) -> list[float]:
         vs = []
@@ -279,8 +287,8 @@ def optimize(problem: DesignProblem, evaluator: str = "network",
     rows: list[StudyRow] = []
     best: StudyRow | None = None
 
-    for mat_name in problem.materials:
-        material = get_material(mat_name)
+    for mat in problem.materials:
+        material = get_material(mat) if isinstance(mat, str) else mat
         for count in problem.channel_counts:
             for cover in problem.cover_thicknesses:
                 variant = with_channel_count(problem.base, count)
@@ -300,7 +308,7 @@ def optimize(problem: DesignProblem, evaluator: str = "network",
                     feasible = (t_max <= problem.t_max_limit
                                 and dp <= problem.pressure_budget
                                 and v <= problem.v_max)
-                    descriptor = (f"material={mat_name},"
+                    descriptor = (f"material={material.name},"
                                   f"channels_per_row={count},"
                                   f"cover_mm={cover * 1e3:g},v={v:g}")
                     row = StudyRow(descriptor=descriptor, v_mps=v,

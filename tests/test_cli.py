@@ -1,8 +1,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coldplate.cli import ConfigError, main, parse_config
+from coldplate.cli import _CONFIG, ACTIONS, ConfigError, main, parse_config
 from coldplate.geometry import assembly_to_json
 
 from conftest import small_assembly
@@ -114,20 +115,32 @@ class TestMain:
         assert resolved["hydraulics"]["minor_loss_K"] == 2.0
 
     def test_echoed_config_round_trips(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"preset": "primary_side"})
-        out1 = tmp_path / "o1"
-        main(["report", "--config", str(cfg), "--out", str(out1),
-              "--echo-config"])
-        stdout = capsys.readouterr().out
-        resolved = stdout[:stdout.rindex("}") + 1]
-        cfg2 = write_config(tmp_path, json.loads(resolved), "resolved.json")
-        out2 = tmp_path / "o2"
-        assert main(["report", "--config", str(cfg2),
-                     "--out", str(out2)]) == 0
-        assert ((out1 / "result.json").read_bytes()
-                == (out2 / "result.json").read_bytes())
-        assert ((out1 / "result.csv").read_bytes()
-                == (out2 / "result.csv").read_bytes())
+        sweep = {"axis": "velocity", "values": [1.1, 2.9]}
+        optimize = {"materials": ["aluminum"], "channel_counts": [3],
+                    "cover_thicknesses_m": [1e-3], "v_min": 1.1,
+                    "v_max": 2.9, "v_step": 1.8}
+        for action, extra in (("report", {}), ("sweep", {"sweep": sweep}),
+                              ("optimize", {"optimize": optimize})):
+            cfg = write_config(tmp_path, {"preset": "primary_side", **extra})
+            out1 = tmp_path / action / "o1"
+            assert main([action, "--config", str(cfg), "--out", str(out1),
+                         "--echo-config"]) == 0
+            stdout = capsys.readouterr().out
+            resolved = json.loads(stdout[:stdout.rindex("}") + 1])
+            # the echo lists the section defaults too
+            if action != "report":
+                assert resolved[action]["evaluator"] == "network"
+            if action == "optimize":
+                assert resolved["optimize"]["t_max_limit_C"] == 135.0
+            cfg2 = write_config(tmp_path, resolved, "resolved.json")
+            out2 = tmp_path / action / "o2"
+            assert main([action, "--config", str(cfg2),
+                         "--out", str(out2)]) == 0
+            capsys.readouterr()
+            assert ((out1 / "result.json").read_bytes()
+                    == (out2 / "result.json").read_bytes())
+            assert ((out1 / "result.csv").read_bytes()
+                    == (out2 / "result.csv").read_bytes())
 
     def test_invalid_config_writes_nothing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"preset": "primary_side",
@@ -180,8 +193,10 @@ class TestMain:
         assert field[3] == "DATASET STRUCTURED_POINTS"
 
     @pytest.mark.parametrize("section, message", [
-        ({"flow": {"v_mps": float("nan")}}, "inlet velocity must be > 0"),
-        ({"coolant": {"thermal_conductivity": float("nan")}}, "non-finite"),
+        ({"flow": {"v_mps": float("nan")}},
+         "flow.v_mps must be a finite number > 0"),
+        ({"coolant": {"thermal_conductivity": float("nan")}},
+         "coolant.thermal_conductivity must be a finite number > 0"),
     ], ids=["nan-velocity", "nan-coolant"])
     def test_solve_fv_nan_input_is_an_error(self, tmp_path, capsys, section,
                                             message):
@@ -217,3 +232,179 @@ class TestMain:
         # doubled viscosity halves the Reynolds number
         assert result["hydraulics"]["reynolds"] == pytest.approx(
             6244.6 / 2, rel=1e-3)
+
+
+NAN = float("nan")
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("action, section, message", [
+        ("report", {"coolant": {"density": "x"}},
+         "coolant.density must be a finite number > 0, got 'x'"),
+        ("report", {"flow": "fast"}, "flow must be an object"),
+        ("report", {"flow": {"v_mps": NAN}},
+         "flow.v_mps must be a finite number > 0, got nan"),
+        ("report", {"flow": {"v_mps": True}},
+         "flow.v_mps must be a finite number > 0, got True"),
+        ("report", {"sweep": 5}, "sweep must be an object"),
+        ("report", {"materials_file": 0}, "materials_file must be a string"),
+        ("report", {"materials_file": True},
+         "materials_file must be a string"),
+        ("report", {"materials_file": ["m.json"]},
+         "materials_file must be a string"),
+        ("solve-fv", {"solver": {"max_iters": 1.5}},
+         "solver.max_iters must be an integer >= 1, got 1.5"),
+        ("sweep", {"sweep": {"values": [1.0]}}, "missing key 'sweep.axis'"),
+        ("sweep", {"sweep": {"axis": "velocity", "values": 5}},
+         "sweep.values must be a non-empty list"),
+        ("sweep", {"sweep": {"axis": "velocity", "values": [1.0, "a"]}},
+         "sweep.values[1] must be a finite number > 0, got 'a'"),
+        ("sweep", {"sweep": {"axis": "channel_shape",
+                             "values": ["hexagonal"]}},
+         "unknown sweep.values[0] 'hexagonal'"),
+        ("sweep", {"sweep": {"axis": "velocity", "values": [1.0],
+                             "evaluator": "cfd"}},
+         "unknown sweep.evaluator 'cfd'"),
+        ("optimize", {"optimize": {"channel_counts": 3}},
+         "optimize.channel_counts must be a non-empty list"),
+        ("optimize", {"optimize": {"v_step": 0}},
+         "optimize.v_step must be a finite number > 0, got 0"),
+        ("optimize", {"optimize": {"materials": ["copper", "unobtainium"]}},
+         "unknown optimize.materials[1] 'unobtainium'"),
+    ], ids=["coolant-string", "flow-string", "nan-velocity", "bool-velocity",
+            "sweep-on-report", "materials-file-int", "materials-file-bool",
+            "materials-file-list", "fractional-max-iters", "sweep-no-axis",
+            "sweep-values-number", "sweep-values-mixed", "sweep-bad-shape",
+            "sweep-bad-evaluator", "channel-counts-number", "zero-v-step",
+            "unknown-material"])
+    def test_is_an_error(self, tmp_path, capsys, action, section, message):
+        cfg = write_config(tmp_path, {"preset": "primary_side", **section})
+        out = tmp_path / "out"
+        assert main([action, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+        assert not (out / "result.json").exists()
+
+    def test_non_finite_result_is_an_error(self, tmp_path, capsys):
+        # inline geometry is checked by the library; a NaN die power gets
+        # through to the result, which strict JSON refuses to write
+        doc = small_doc("report")
+        doc["assembly"]["modules"][0]["dies"][0]["power_W"] = NAN
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "result.json").exists()
+
+    def test_violations_listed_together(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps({
+                "preset": "primary_side", "solver": {"tol": -1},
+                "optimize": {"materials": ["unobtainium"], "v_step": 0}}),
+                action="optimize")
+        message = str(exc.value)
+        for fragment in ("solver.tol", "unobtainium", "optimize.v_step"):
+            assert fragment in message
+
+
+class TestMaterialsFile:
+    @pytest.fixture
+    def materials_file(self, tmp_path):
+        path = tmp_path / "materials.json"
+        path.write_text(json.dumps({
+            "copper": {"thermal_conductivity": 200.0},
+            "brass": {"thermal_conductivity": 109.0, "density": 8530.0,
+                      "specific_heat": 380.0}}))
+        return str(path)
+
+    def test_sweep_and_optimize_use_the_file(self, materials_file):
+        cfg = parse_config(json.dumps({
+            "preset": "secondary_side", "materials_file": materials_file,
+            "sweep": {"axis": "material", "values": ["copper", "brass"]},
+            "optimize": {"materials": ["brass", "copper"]}}), action="sweep")
+        assert [m.thermal_conductivity
+                for m in cfg.sweep.values] == [200.0, 109.0]
+        assert [m.thermal_conductivity
+                for m in cfg.optimize.materials] == [109.0, 200.0]
+        assert cfg.resolved["sweep"]["values"] == ["copper", "brass"]
+        assert cfg.resolved["optimize"]["materials"] == ["brass", "copper"]
+
+    def test_material_sweep_matches_report(self, tmp_path, materials_file):
+        base = {"preset": "secondary_side", "materials_file": materials_file}
+        report = write_config(tmp_path, base, "report.json")
+        sweep = write_config(tmp_path, {**base, "sweep": {
+            "axis": "material", "values": ["copper", "brass"]}}, "sweep.json")
+        assert main(["report", "--config", str(report),
+                     "--out", str(tmp_path / "r")]) == 0
+        assert main(["sweep", "--config", str(sweep),
+                     "--out", str(tmp_path / "s")]) == 0
+        t_report = json.loads(
+            (tmp_path / "r" / "result.json").read_text())["thermal"]["t_max_C"]
+        rows = json.loads((tmp_path / "s" / "result.json").read_text())["rows"]
+        assert [r["descriptor"] for r in rows] == ["material=copper",
+                                                   "material=brass"]
+        assert rows[0]["t_max_C"] == t_report
+
+    def test_optimize_over_a_file_only_material(self, tmp_path,
+                                                materials_file):
+        cfg = write_config(tmp_path, {
+            "preset": "secondary_side", "materials_file": materials_file,
+            "optimize": {"materials": ["brass"], "channel_counts": [12],
+                         "cover_thicknesses_m": [1e-3], "v_min": 1.1,
+                         "v_max": 1.1}})
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        rows = json.loads((out / "result.json").read_text())["rows"]
+        assert [r["descriptor"] for r in rows] == [
+            "material=brass,channels_per_row=12,cover_mm=1,v=1.1"]
+
+
+def _json_values():
+    leaves = (st.none() | st.booleans() | st.integers() | st.floats()
+              | st.text(max_size=6))
+    return st.recursive(leaves, lambda inner: (
+        st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+        max_leaves=6)
+
+
+def _documents(table):
+    """Objects with up to three keys from a config table or a junk key;
+    each value is arbitrary JSON or a value of the kind the table expects."""
+    def kind(check):
+        if isinstance(check, set):
+            return st.sampled_from(sorted(check))
+        if isinstance(check, list):
+            return st.lists(kind(check[0]), min_size=1, max_size=2)
+        if isinstance(check, dict):
+            return _documents(check)
+        return st.integers(-1, 3) | st.floats() | st.text(max_size=6)
+    values = {key: kind(check) | _json_values()
+              for key, (check, _) in table.items()}
+    values["junk"] = _json_values()
+    return st.lists(st.sampled_from(sorted(values)), max_size=3,
+                    unique=True).flatmap(lambda keys: st.fixed_dictionaries(
+                        {key: values[key] for key in keys}))
+
+
+# valid on its own; the fuzz overwrites some of its keys
+_BASE = {"preset": "primary_side",
+         "sweep": {"axis": "velocity", "values": [1.1]}, "optimize": {},
+         "mesh_study": {"resolutions_m": [2e-3]},
+         "stack": {"layers": [{"name": "die", "thickness_m": 1e-4,
+                               "conductivity": 100.0}]}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(overlay=_documents(_CONFIG),
+       action=st.sampled_from(ACTIONS + (None,)))
+def test_parse_config_fuzz(overlay, action):
+    # any document either parses or is a ConfigError, never another error;
+    # what parses echoes as strict JSON
+    try:
+        config = parse_config(json.dumps({**_BASE, **overlay}), action=action)
+    except ConfigError:
+        return
+    json.dumps(config.resolved, allow_nan=False)

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -134,9 +135,21 @@ class TestSolve:
 
     def test_zero_velocity_rejected(self, small, water):
         grid = build_grid(small, 1.5e-3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="inlet velocity must be > 0"):
             solve(grid, water, cp.FlowCondition(0.0, 49.0),
                   small.plate.material)
+
+    def test_non_finite_inputs_rejected(self, small, water):
+        # the input dataclasses refuse NaN, so stand-ins reach the solver's
+        # own checks, which run before the preconditioner is built
+        grid = build_grid(small, 2.5e-3)
+        nan_flow = SimpleNamespace(inlet_velocity=math.nan,
+                                   inlet_temperature=49.0)
+        with pytest.raises(ValueError, match="inlet velocity must be > 0"):
+            solve(grid, water, nan_flow, small.plate.material)
+        nan_solid = SimpleNamespace(thermal_conductivity=math.nan)
+        with pytest.raises(ValueError, match="non-finite conductance"):
+            solve(grid, water, FLOW, nan_solid)
 
     def test_no_convective_faces_singular(self, water):
         grid = make_slab_grid(0.04, 0.04, 0.01, 0.005, 1e5, 1000.0)

@@ -158,3 +158,15 @@ def test_report_summary(water):
     assert set(doc) == {"reynolds", "regime", "friction_factor",
                         "pressure_drop", "mass_flow_total",
                         "transition_velocity"}
+
+
+class TestFlowCondition:
+    @pytest.mark.parametrize("v, t", [
+        (-1.0, 49.0), (math.nan, 49.0), (math.inf, 49.0),
+        (1.1, math.nan), (1.1, -math.inf)])
+    def test_rejects_negative_or_non_finite(self, v, t):
+        with pytest.raises(ValueError):
+            cp.FlowCondition(v, t)
+
+    def test_zero_velocity_allowed(self):
+        assert cp.FlowCondition(0.0, 49.0).inlet_velocity == 0.0

@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
@@ -67,6 +69,17 @@ def test_coolant_positivity():
         CoolantProps("bad", density=-1.0, dynamic_viscosity=1e-3,
                      specific_heat=4000.0, thermal_conductivity=0.6,
                      reference_temperature=20.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_properties_rejected(value):
+    with pytest.raises(ValueError):
+        SolidMaterial("bad", thermal_conductivity=value, density=1000.0,
+                      specific_heat=500.0)
+    with pytest.raises(ValueError):
+        replace(water_at_reference(), dynamic_viscosity=value)
+    with pytest.raises(ValueError):
+        replace(water_at_reference(), reference_temperature=value)
 
 
 def test_library_overrides(tmp_path):

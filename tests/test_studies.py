@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -175,6 +176,24 @@ class TestOptimize:
             expected = (row.t_max_C <= prob.t_max_limit
                         and row.dp_Pa <= prob.pressure_budget)
             assert row.feasible == expected
+
+    @pytest.mark.parametrize("bad", [
+        {"v_step": 0.0}, {"v_step": -0.1}, {"v_step": math.nan},
+        {"v_step": math.inf}, {"v_min": math.nan}, {"v_max": math.inf}],
+        ids=["zero-step", "negative-step", "nan-step", "inf-step",
+             "nan-v-min", "inf-v-max"])
+    def test_bad_velocity_grid_rejected(self, primary, bad):
+        # a zero step used to loop forever in velocities()
+        with pytest.raises(ValueError):
+            problem(primary, **bad)
+
+    def test_material_records_match_names(self, primary):
+        names = ("copper", "aluminum")
+        grid = dict(channel_counts=(3,), cover_thicknesses=(1e-3,))
+        by_name = optimize(problem(primary, materials=names, **grid))
+        by_record = optimize(problem(
+            primary, materials=tuple(map(cp.get_material, names)), **grid))
+        assert by_record == by_name
 
     def test_empty_velocity_grid_rejected(self, primary):
         with pytest.raises(ValueError):
