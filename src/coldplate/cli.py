@@ -237,7 +237,20 @@ def parse_config(text: str, action: str | None = None) -> RunConfig:
             for l in resolved["stack"]["layers"]))
     common = dict(base=assembly, coolant=coolant, stack=stack,
                   minor_loss_K=resolved["hydraulics"]["minor_loss_K"],
-                  fv_resolution=solver["resolution_m"])
+                  fv_resolution=solver["resolution_m"], fv_tol=solver["tol"])
+    problem = None
+    if opt:
+        try:
+            problem = studies.DesignProblem(
+                materials=opt_materials,
+                channel_counts=tuple(opt["channel_counts"]),
+                cover_thicknesses=tuple(opt["cover_thicknesses_m"]),
+                v_min=opt["v_min"], v_max=opt["v_max"], v_step=opt["v_step"],
+                t_max_limit=opt["t_max_limit_C"],
+                pressure_budget=opt["pressure_budget_Pa"],
+                inlet_temperature=flow.inlet_temperature, **common)
+        except ValueError as exc:  # a velocity grid too fine to enumerate
+            raise ConfigError(f"invalid config: optimize: {exc}") from None
     return RunConfig(
         action=cfg_action, assembly=assembly, coolant=coolant, flow=flow,
         stack=stack, minor_loss_K=common["minor_loss_K"], tol=solver["tol"],
@@ -245,16 +258,7 @@ def parse_config(text: str, action: str | None = None) -> RunConfig:
         sweep=studies.SweepSpec(
             axis=sweep["axis"], values=tuple(sweep_values), flow=flow,
             evaluator=sweep["evaluator"], **common) if sweep else None,
-        optimize=studies.DesignProblem(
-            materials=opt_materials,
-            channel_counts=tuple(opt["channel_counts"]),
-            cover_thicknesses=tuple(opt["cover_thicknesses_m"]),
-            v_min=opt["v_min"], v_max=opt["v_max"], v_step=opt["v_step"],
-            t_max_limit=opt["t_max_limit_C"],
-            pressure_budget=opt["pressure_budget_Pa"],
-            inlet_temperature=flow.inlet_temperature,
-            **common) if opt else None,
-        resolved=resolved)
+        optimize=problem, resolved=resolved)
 
 
 # --------------------------------------------------------------------------

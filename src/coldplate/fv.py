@@ -20,15 +20,22 @@ conjugate gradients with a two-level aggregation preconditioner (Vanek,
 Mandel & Brezina, Computing 1996): damped-Jacobi smoothing around an exact
 coarse solve on aggregates of 2x2 cell columns through the full thickness.
 The contract is the residual tolerance, not the method.
+
+The CG loop is this module's own (`cg`), with scipy's algorithm and
+stopping rule. Its dot products and norms avoid BLAS: on vectors of a few
+hundred thousand entries a threaded BLAS `ddot` spins every core for each
+call, which doubled the CPU time of a solve and left nothing for the
+sweep thread pool.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import LinearOperator, cg, splu
+from scipy.sparse.linalg import splu
 
 from . import thermal
 from .geometry import (Assembly, ChannelShape, Semicircular, channel_depth,
@@ -386,13 +393,60 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
                    index=index)
 
 
-def _two_level(system: _System, grid: Grid) -> LinearOperator:
-    """Symmetric two-level preconditioner for CG.
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product by numpy's own summation loop; np.dot and
+    np.linalg.norm call the BLAS ddot, which may spin a thread per core."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(a: np.ndarray) -> float:
+    return math.sqrt(_dot(a, a))
+
+
+def cg(A, b, *, x0, rtol, atol, M, maxiter, callback=None):
+    """Preconditioned conjugate gradients for a symmetric positive definite
+    A, with M(r) applying the preconditioner.
+
+    Same algorithm and stopping rule as scipy.sparse.linalg.cg: stop when
+    the recurrence residual norm is below max(rtol * |b|, atol). Returns
+    (x, 0) on convergence and (x, maxiter) otherwise; callback(x) runs
+    after every iteration.
+    """
+    bnorm = _norm(b)
+    if bnorm == 0:
+        return b, 0
+    stop = max(atol, rtol * bnorm)
+    x = np.array(x0, dtype=float)
+    r = b - A @ x if x.any() else b.copy()
+    p = rho_prev = None
+    for _ in range(maxiter):
+        if _norm(r) < stop:
+            return x, 0
+        z = M(r)
+        rho = _dot(r, z)
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = A @ p
+        alpha = rho / _dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        if callback is not None:
+            callback(x)
+    return x, maxiter
+
+
+def _two_level(system: _System, grid: Grid):
+    """Symmetric two-level preconditioner for CG, as a function r -> M r.
 
     Aggregates are the solid cells of each 2x2 block of (x, y) cell
-    columns, through the full thickness. The Galerkin coarse matrix P^T A P (P the aggregate indicator) is
-    summed straight from the CSR arrays and factored once, which serves
-    every outer pass because A does not change between them.
+    columns, through the full thickness. The Galerkin coarse matrix
+    P^T A P (P the aggregate indicator) is summed straight from the CSR
+    arrays and factored once, which serves every outer pass because A does
+    not change between them.
     """
     a = system.matrix
     ii, jj, _ = np.nonzero(~grid.void)
@@ -409,7 +463,7 @@ def _two_level(system: _System, grid: Grid) -> LinearOperator:
         x += coarse.solve(np.bincount(agg, r - a @ x, minlength=nc))[agg]
         x += smooth * (r - a @ x)
         return x
-    return LinearOperator(a.shape, matvec=apply, dtype=float)
+    return apply
 
 
 def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
@@ -444,8 +498,8 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
                   system.face_ua * t_sink.flat[system.face_sink])
         temp, info = cg(system.matrix, rhs, x0=temp, rtol=tol, atol=0.0,
                         M=precond, maxiter=max_iters)
-        rnorm = float(np.linalg.norm(system.matrix @ temp - rhs))
-        bnorm = float(np.linalg.norm(rhs))
+        rnorm = _norm(system.matrix @ temp - rhs)
+        bnorm = _norm(rhs)
         rel = rnorm / bnorm if bnorm > 0 else 0.0
         residuals.append(rel)
         if info != 0:

@@ -19,6 +19,15 @@ from dataclasses import dataclass, field, replace
 from .properties import SolidMaterial, get_material
 
 
+def _positive(*values) -> bool:
+    """Every value is a finite number > 0 (NaN fails the comparison)."""
+    return all(0 < v < math.inf for v in values)
+
+
+def _finite(*values) -> bool:
+    return all(map(math.isfinite, values))
+
+
 # --------------------------------------------------------------------------
 # channel cross sections
 
@@ -28,8 +37,9 @@ class Rectangular:
     height: float  # m, into the plate (channel depth)
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("rectangular channel dimensions must be > 0")
+        if not _positive(self.width, self.height):
+            raise ValueError("rectangular channel dimensions must be finite "
+                             "and > 0")
 
 
 @dataclass(frozen=True)
@@ -37,8 +47,9 @@ class Semicircular:
     radius: float  # m
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("semicircular channel radius must be > 0")
+        if not _positive(self.radius):
+            raise ValueError("semicircular channel radius must be finite "
+                             "and > 0")
 
 
 ChannelShape = Rectangular | Semicircular
@@ -86,16 +97,13 @@ class ChannelLayout:
     lateral_pitch: float      # m, channel center spacing across the width
 
     def __post_init__(self):
-        if self.rows < 1:
+        if not self.rows >= 1:
             raise ValueError("rows must be >= 1")
-        if self.channels_per_row < 1:
+        if not self.channels_per_row >= 1:
             raise ValueError("channels_per_row must be >= 1")
-        if self.channel_length <= 0:
-            raise ValueError("channel_length must be > 0")
-        if self.cover_thickness <= 0:
-            raise ValueError("cover_thickness must be > 0")
-        if self.lateral_pitch <= 0:
-            raise ValueError("lateral_pitch must be > 0")
+        for name in ("channel_length", "cover_thickness", "lateral_pitch"):
+            if not _positive(getattr(self, name)):
+                raise ValueError(f"{name} must be finite and > 0")
 
     @property
     def channel_count(self) -> int:
@@ -110,8 +118,8 @@ class PlateGeometry:
     material: SolidMaterial
 
     def __post_init__(self):
-        if min(self.length, self.width, self.thickness) <= 0:
-            raise ValueError("plate dimensions must be > 0")
+        if not _positive(self.length, self.width, self.thickness):
+            raise ValueError("plate dimensions must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -121,10 +129,12 @@ class DieSource:
     power: float                    # W
 
     def __post_init__(self):
-        if self.power < 0:
-            raise ValueError("die power must be >= 0")
-        if min(self.footprint) <= 0:
-            raise ValueError("die footprint must be > 0")
+        if not 0 <= self.power < math.inf:
+            raise ValueError("die power must be finite and >= 0")
+        if not _positive(*self.footprint):
+            raise ValueError("die footprint must be finite and > 0")
+        if not _finite(*self.center):
+            raise ValueError("die center must be finite")
 
 
 @dataclass(frozen=True)
@@ -138,6 +148,9 @@ class ModulePlacement:
     def __post_init__(self):
         if self.face not in ("top", "bottom"):
             raise ValueError(f"face must be 'top' or 'bottom', got {self.face!r}")
+        if not (_finite(*self.origin) and _positive(*self.footprint)):
+            raise ValueError(f"module {self.id}: origin must be finite and "
+                             "footprint finite and > 0")
 
     @property
     def power(self) -> float:

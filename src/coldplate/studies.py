@@ -26,6 +26,7 @@ SWEEP_AXES = ("velocity", "material", "channel_shape", "channel_count",
 DEFAULT_T_MAX_LIMIT_C = 135.0
 DEFAULT_PRESSURE_BUDGET_PA = 50e3
 DEFAULT_V_STEP = 0.1
+_MAX_VELOCITY_POINTS = 10**6
 
 # reference CFD maxima for the secondary-side design iteration; comparison
 # only, never asserted
@@ -75,6 +76,7 @@ class SweepSpec:
     evaluator: str = "network"
     minor_loss_K: float = DEFAULT_MINOR_LOSS_K
     fv_resolution: float = 2e-3
+    fv_tol: float = 1e-8
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
@@ -101,12 +103,20 @@ class DesignProblem:
     stack: thermal.DieStack | None = None
     minor_loss_K: float = DEFAULT_MINOR_LOSS_K
     fv_resolution: float = 2e-3
+    fv_tol: float = 1e-8
 
     def __post_init__(self):
-        # a zero or non-finite step never leaves the velocities() loop
+        # a zero or non-finite step never leaves the velocities() loop,
+        # nor does one that v_min absorbs in floating point
         if not (math.isfinite(self.v_min) and math.isfinite(self.v_max)
                 and 0 < self.v_step < math.inf):
             raise ValueError("v_min, v_max must be finite, v_step in (0, inf)")
+        if self.v_min + self.v_step == self.v_min:
+            raise ValueError(f"v_step {self.v_step!r} is below the float "
+                             f"spacing of v_min {self.v_min!r}")
+        if (self.v_max - self.v_min) / self.v_step + 1 > _MAX_VELOCITY_POINTS:
+            raise ValueError(f"velocity grid has more than "
+                             f"{_MAX_VELOCITY_POINTS} points")
 
     def velocities(self) -> list[float]:
         vs = []
@@ -216,7 +226,7 @@ def run_sweep(spec: SweepSpec) -> StudyResult:
         assembly, flow, descriptor = point
         t_max, dp, mass = evaluate_design(
             assembly, spec.coolant, flow, spec.stack, spec.minor_loss_K,
-            spec.evaluator, spec.fv_resolution)
+            spec.evaluator, spec.fv_resolution, spec.fv_tol)
         return StudyRow(descriptor=descriptor, v_mps=flow.inlet_velocity,
                         t_max_C=t_max, dp_Pa=dp, mass_kg=mass, feasible=True)
 
@@ -304,7 +314,7 @@ def optimize(problem: DesignProblem, evaluator: str = "network",
                     t_max, dp, mass = evaluate_design(
                         variant, problem.coolant, flow, problem.stack,
                         problem.minor_loss_K, evaluator,
-                        problem.fv_resolution)
+                        problem.fv_resolution, problem.fv_tol)
                     feasible = (t_max <= problem.t_max_limit
                                 and dp <= problem.pressure_budget
                                 and v <= problem.v_max)

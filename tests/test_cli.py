@@ -1,8 +1,10 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coldplate import fv
 from coldplate.cli import _CONFIG, ACTIONS, ConfigError, main, parse_config
 from coldplate.geometry import assembly_to_json
 
@@ -79,6 +81,16 @@ class TestParseConfig:
         message = str(exc.value)
         assert "bogus" in message and "velocty" in message
         assert "exactly one" in message
+
+    @pytest.mark.parametrize("grid", [
+        {"v_min": 1e20, "v_max": 1e21, "v_step": 1},
+        {"v_min": 0.5, "v_max": 1e300},
+    ], ids=["step-below-spacing", "too-many-points"])
+    def test_unenumerable_velocity_grid_is_config_error(self, grid):
+        # the config table passes each value; the grid as a whole fails
+        with pytest.raises(ConfigError, match="optimize: "):
+            parse_config(json.dumps({"preset": "primary_side",
+                                     "optimize": grid}), action="optimize")
 
 
 class TestMain:
@@ -209,6 +221,29 @@ class TestMain:
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("section", [
+        {"sweep": {"axis": "velocity", "values": [1.1, 2.9],
+                   "evaluator": "fv"}},
+        {"optimize": {"materials": ["copper"], "channel_counts": [3],
+                      "cover_thicknesses_m": [1e-3], "v_min": 1.1,
+                      "v_max": 1.1, "evaluator": "fv"}},
+    ], ids=["sweep", "optimize"])
+    def test_solver_tol_reaches_fv_points(self, tmp_path, monkeypatch,
+                                          section):
+        tols = []
+
+        def solve(*args, tol, **kwargs):
+            tols.append(tol)
+            return SimpleNamespace(t_max=60.0)
+        monkeypatch.setattr(fv, "solve", solve)
+        action = next(iter(section))
+        cfg = write_config(tmp_path, {
+            "preset": "primary_side",
+            "solver": {"tol": 1e-6, "resolution_m": 2.5e-3}, **section})
+        assert main([action, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert tols and set(tols) == {1e-6}
+
     def test_mesh_study_on_inline_assembly(self, tmp_path):
         cfg = write_config(tmp_path, small_doc(
             "mesh-study",
@@ -271,12 +306,15 @@ class TestMalformedConfig:
          "optimize.v_step must be a finite number > 0, got 0"),
         ("optimize", {"optimize": {"materials": ["copper", "unobtainium"]}},
          "unknown optimize.materials[1] 'unobtainium'"),
+        ("optimize", {"optimize": {"v_min": 1e20, "v_max": 1e21,
+                                   "v_step": 1}},
+         "v_step 1.0 is below the float spacing of v_min 1e+20"),
     ], ids=["coolant-string", "flow-string", "nan-velocity", "bool-velocity",
             "sweep-on-report", "materials-file-int", "materials-file-bool",
             "materials-file-list", "fractional-max-iters", "sweep-no-axis",
             "sweep-values-number", "sweep-values-mixed", "sweep-bad-shape",
             "sweep-bad-evaluator", "channel-counts-number", "zero-v-step",
-            "unknown-material"])
+            "unknown-material", "v-step-below-spacing"])
     def test_is_an_error(self, tmp_path, capsys, action, section, message):
         cfg = write_config(tmp_path, {"preset": "primary_side", **section})
         out = tmp_path / "out"
@@ -287,14 +325,28 @@ class TestMalformedConfig:
         assert not (out / "result.json").exists()
 
     def test_non_finite_result_is_an_error(self, tmp_path, capsys):
-        # inline geometry is checked by the library; a NaN die power gets
-        # through to the result, which strict JSON refuses to write
+        # every input is finite, but the die powers sum to inf; strict JSON
+        # refuses to write the result
         doc = small_doc("report")
-        doc["assembly"]["modules"][0]["dies"][0]["power_W"] = NAN
+        for die in doc["assembly"]["modules"][0]["dies"]:
+            die["power_W"] = 1e308
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
         assert main(["report", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "result.json").exists()
+
+    def test_nan_die_power_is_an_error(self, tmp_path, capsys):
+        # rejected where the die is built, not after max_iters CG steps
+        doc = small_doc("solve-fv", solver={"resolution_m": 2.5e-3})
+        doc["assembly"]["modules"][0]["dies"][0]["power_W"] = NAN
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["solve-fv", "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "die power must be finite" in err
+        assert "Traceback" not in err
         assert not (out / "result.json").exists()
 
     def test_violations_listed_together(self):

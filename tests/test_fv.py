@@ -4,7 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import LinearOperator, spsolve
+from scipy.sparse.linalg import cg as scipy_cg
 
 import coldplate as cp
 from coldplate import fv
@@ -191,9 +192,9 @@ class TestTwoLevel:
         rng = np.random.default_rng(0)
         for _ in range(5):
             u, v = rng.standard_normal((2, system.n_unknowns))
-            uv, vu = u @ precond.matvec(v), v @ precond.matvec(u)
+            uv, vu = u @ precond(v), v @ precond(u)
             assert abs(uv - vu) <= 1e-12 * max(abs(uv), abs(vu))
-            assert v @ precond.matvec(v) > 0.0
+            assert v @ precond(v) > 0.0
 
     def test_first_pass_iteration_budget(self, primary, water, monkeypatch):
         # Jacobi-preconditioned CG takes 459 iterations on this pass; counts
@@ -221,6 +222,60 @@ class TestTwoLevel:
         matrix, rhs, temp, _ = calls[-1]
         direct = spsolve(matrix.tocsc(), rhs)
         assert np.max(np.abs(temp - direct)) <= 1e-9
+
+
+class TestCg:
+    @staticmethod
+    def small_system(water):
+        grid = build_grid(small_assembly(), 1.5e-3)
+        h = cp.heat_transfer_coefficient(water, grid.shape, 1.1)
+        system = fv._assemble(grid, cp.get_material("copper"), h)
+        rhs = system.rhs_fixed.copy()
+        np.add.at(rhs, system.face_cell, system.face_ua * 49.0)
+        x0 = np.full(system.n_unknowns, 49.0)
+        return system, fv._two_level(system, grid), rhs, x0
+
+    def test_matches_scipy(self, water):
+        system, precond, rhs, x0 = self.small_system(water)
+        runs = []
+        for cg, M in ((fv.cg, precond),
+                      (scipy_cg, LinearOperator(system.matrix.shape,
+                                                matvec=precond))):
+            count = []
+            x, info = cg(system.matrix, rhs, x0=x0, rtol=1e-10, atol=0.0,
+                         M=M, maxiter=1000, callback=count.append)
+            assert info == 0
+            runs.append((x, len(count)))
+        (ours, n_ours), (theirs, n_theirs) = runs
+        assert n_ours == n_theirs > 0
+        assert np.max(np.abs(ours - theirs)) <= 1e-10
+
+    def test_zero_rhs_returns_it(self, water):
+        system, precond, rhs, x0 = self.small_system(water)
+        zero = np.zeros_like(rhs)
+        x, info = fv.cg(system.matrix, zero, x0=x0, rtol=1e-10, atol=0.0,
+                        M=precond, maxiter=10)
+        assert x is zero and info == 0
+
+    def test_maxiter_reported(self, water):
+        system, precond, rhs, x0 = self.small_system(water)
+        count = []
+        _, info = fv.cg(system.matrix, rhs, x0=x0, rtol=1e-10, atol=0.0,
+                        M=precond, maxiter=3, callback=count.append)
+        assert info == 3 and len(count) == 3
+
+    def test_solve_calls_no_blas_reduction(self, small, water, monkeypatch):
+        # threaded BLAS reductions spin every core on FV-sized vectors;
+        # none may run inside a solve
+        grid = build_grid(small, 1.5e-3)
+
+        def blas(*args, **kwargs):
+            raise AssertionError("BLAS reduction called")
+        for name in ("dot", "vdot", "inner"):
+            monkeypatch.setattr(np, name, blas)
+        monkeypatch.setattr(np.linalg, "norm", blas)
+        sol = solve(grid, water, FLOW, small.plate.material)
+        assert abs(sol.energy_imbalance) <= 1e-6 * grid.total_power
 
 
 class TestMeshStudy:

@@ -228,3 +228,40 @@ def test_secondary_preset(secondary):
     assert secondary.plate.thickness == 0.0076
     assert secondary.layout.channels_per_row == 6
     assert all(m.face == "top" for m in secondary.modules)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cp.Rectangular(NAN, 0.002),
+    lambda: cp.Rectangular(0.01, INF),
+    lambda: cp.Semicircular(NAN),
+    lambda: cp.Semicircular(INF),
+    lambda: layout(RECT, rows=NAN),
+    lambda: layout(RECT, n=NAN),
+    lambda: layout(RECT, length=NAN),
+    lambda: layout(RECT, cover=INF),
+    lambda: layout(RECT, pitch=NAN),
+    lambda: cp.PlateGeometry(0.48, NAN, 0.018, cp.get_material("copper")),
+    lambda: cp.PlateGeometry(0.48, 0.19, INF, cp.get_material("copper")),
+    lambda: cp.DieSource(center=(0.1, 0.1), footprint=(0.01, 0.01),
+                         power=NAN),
+    lambda: cp.DieSource(center=(0.1, 0.1), footprint=(0.01, 0.01),
+                         power=INF),
+    lambda: cp.DieSource(center=(0.1, 0.1), footprint=(NAN, 0.01),
+                         power=10.0),
+    lambda: cp.DieSource(center=(NAN, 0.1), footprint=(0.01, 0.01),
+                         power=10.0),
+    lambda: cp.ModulePlacement(id="M", face="top", origin=(NAN, 0.0),
+                               footprint=(0.1, 0.1), dies=()),
+    lambda: cp.ModulePlacement(id="M", face="top", origin=(0.0, 0.0),
+                               footprint=(0.1, INF), dies=()),
+], ids=["rect-width", "rect-height", "semi-nan", "semi-inf", "rows",
+        "channels-per-row", "channel-length", "cover", "pitch",
+        "plate-width", "plate-thickness", "die-power-nan", "die-power-inf",
+        "die-footprint", "die-center", "module-origin", "module-footprint"])
+def test_non_finite_rejected(build):
+    # NaN passes `<= 0` and `< 1` checks; it must be refused where built
+    with pytest.raises(ValueError, match="finite|>= 1"):
+        build()

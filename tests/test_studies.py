@@ -179,11 +179,16 @@ class TestOptimize:
 
     @pytest.mark.parametrize("bad", [
         {"v_step": 0.0}, {"v_step": -0.1}, {"v_step": math.nan},
-        {"v_step": math.inf}, {"v_min": math.nan}, {"v_max": math.inf}],
+        {"v_step": math.inf}, {"v_min": math.nan}, {"v_max": math.inf},
+        {"v_min": 1e20, "v_max": 1e21, "v_step": 1.0},
+        {"v_min": 1.0, "v_max": 1.0, "v_step": 1e-17},
+        {"v_max": 2e5, "v_step": 0.1}],
         ids=["zero-step", "negative-step", "nan-step", "inf-step",
-             "nan-v-min", "inf-v-max"])
+             "nan-v-min", "inf-v-max", "huge-v-min", "step-below-spacing",
+             "too-many-points"])
     def test_bad_velocity_grid_rejected(self, primary, bad):
-        # a zero step used to loop forever in velocities()
+        # each of these used to loop forever, or for minutes, in
+        # velocities()
         with pytest.raises(ValueError):
             problem(primary, **bad)
 
