@@ -98,6 +98,7 @@ _SWEEP_ITEM = {"velocity": _POSITIVE, "channel_count": _COUNT,
                "cover_thickness": _POSITIVE}
 _EVALUATOR = ({"network", "fv"}, "network")
 _WATER = water_at_reference()
+_SOLVER = fv.SolverSettings()
 
 _CONFIG = {
     "action": (set(ACTIONS), None),
@@ -120,9 +121,9 @@ _CONFIG = {
         "conductivity": (_POSITIVE, _REQUIRED),
         "area_factor": (_AT_LEAST_ONE, 1.0),
     }], _REQUIRED)}, None),
-    "solver": ({"tol": (_POSITIVE, 1e-8),
-                "max_iters": (_COUNT, 20000),
-                "resolution_m": (_POSITIVE, 2e-3)}, {}),
+    "solver": ({"tol": (_POSITIVE, _SOLVER.tol),
+                "max_iters": (_COUNT, _SOLVER.max_iters),
+                "resolution_m": (_POSITIVE, _SOLVER.resolution)}, {}),
     "hydraulics": ({"minor_loss_K": (_NON_NEGATIVE, DEFAULT_MINOR_LOSS_K)},
                    {}),
     "sweep": ({"axis": (set(studies.SWEEP_AXES), _REQUIRED),
@@ -151,9 +152,7 @@ class RunConfig:
     flow: FlowCondition
     stack: thermal.DieStack | None
     minor_loss_K: float
-    tol: float
-    max_iters: int
-    resolution: float
+    solver: fv.SolverSettings
     sweep: studies.SweepSpec | None
     optimize: studies.DesignProblem | None
     resolved: dict  # fully-resolved document for --echo-config
@@ -224,10 +223,11 @@ def parse_config(text: str, action: str | None = None) -> RunConfig:
         raise ConfigError("invalid config: " + "; ".join(errors))
 
     resolved["assembly"] = assembly_to_json(assembly)
-    solver = resolved["solver"]
-    # coolant keys are the field names, the temperature with a _C suffix
+    # coolant and solver keys are the field names, with a unit suffix
     coolant = CoolantProps(**{key.removesuffix("_C"): value
                               for key, value in resolved["coolant"].items()})
+    solver = fv.SolverSettings(**{key.removesuffix("_m"): v
+                                  for key, v in resolved["solver"].items()})
     flow = FlowCondition(inlet_velocity=resolved["flow"]["v_mps"],
                          inlet_temperature=resolved["flow"]["inlet_C"])
     stack = None
@@ -237,7 +237,7 @@ def parse_config(text: str, action: str | None = None) -> RunConfig:
             for l in resolved["stack"]["layers"]))
     common = dict(base=assembly, coolant=coolant, stack=stack,
                   minor_loss_K=resolved["hydraulics"]["minor_loss_K"],
-                  fv_resolution=solver["resolution_m"], fv_tol=solver["tol"])
+                  solver=solver)
     problem = None
     if opt:
         try:
@@ -253,8 +253,7 @@ def parse_config(text: str, action: str | None = None) -> RunConfig:
             raise ConfigError(f"invalid config: optimize: {exc}") from None
     return RunConfig(
         action=cfg_action, assembly=assembly, coolant=coolant, flow=flow,
-        stack=stack, minor_loss_K=common["minor_loss_K"], tol=solver["tol"],
-        max_iters=solver["max_iters"], resolution=solver["resolution_m"],
+        stack=stack, minor_loss_K=common["minor_loss_K"], solver=solver,
         sweep=studies.SweepSpec(
             axis=sweep["axis"], values=tuple(sweep_values), flow=flow,
             evaluator=sweep["evaluator"], **common) if sweep else None,
@@ -310,10 +309,10 @@ def _run_optimize(config: RunConfig):
 
 
 def _run_solve_fv(config: RunConfig):
-    grid = fv.build_grid(config.assembly, config.resolution)
+    grid = fv.build_grid(config.assembly, config.solver.resolution)
     solution = fv.solve(grid, config.coolant, config.flow,
-                        config.assembly.plate.material, tol=config.tol,
-                        max_iters=config.max_iters)
+                        config.assembly.plate.material, tol=config.solver.tol,
+                        max_iters=config.solver.max_iters)
     result = solution.to_json()
     csv = _single_row_csv({
         "t_max_C": solution.t_max, "residual": solution.residual,
@@ -327,9 +326,11 @@ def _run_solve_fv(config: RunConfig):
 
 
 def _run_mesh_study(config: RunConfig):
-    result = fv.mesh_study(config.assembly, config.coolant, config.flow,
+    result = fv.mesh_study(lambda r: fv.build_grid(config.assembly, r),
+                           config.coolant, config.flow,
+                           config.assembly.plate.material,
                            config.resolved["mesh_study"]["resolutions_m"],
-                           tol=config.tol)
+                           config.solver)
     lines = ["cells,t_max_C,delta_K"]
     for row in result.rows:
         delta = "" if row.delta is None else repr(row.delta)

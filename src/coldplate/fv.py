@@ -58,6 +58,14 @@ class ConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class SolverSettings:
+    """Settings of every FV solve of a run: the config's `solver` section."""
+    resolution: float = 2e-3   # m, target cell size
+    tol: float = 1e-8          # relative residual of each linear solve
+    max_iters: int = 20000     # CG iterations per linear solve
+
+
+@dataclass(frozen=True)
 class ChannelInfo:
     index: int
     y_center: float  # m
@@ -409,8 +417,9 @@ def cg(A, b, *, x0, rtol, atol, M, maxiter, callback=None):
 
     Same algorithm and stopping rule as scipy.sparse.linalg.cg: stop when
     the recurrence residual norm is below max(rtol * |b|, atol). Returns
-    (x, 0) on convergence and (x, maxiter) otherwise; callback(x) runs
-    after every iteration.
+    (x, 0) on convergence, (x, -1) as soon as |b| or the residual norm is
+    not finite (an overflow no later iterate recovers from), and
+    (x, maxiter) otherwise; callback(x) runs after every iteration.
     """
     bnorm = _norm(b)
     if bnorm == 0:
@@ -420,7 +429,9 @@ def cg(A, b, *, x0, rtol, atol, M, maxiter, callback=None):
     r = b - A @ x if x.any() else b.copy()
     p = rho_prev = None
     for _ in range(maxiter):
-        if _norm(r) < stop:
+        if not math.isfinite(rnorm := _norm(r)):  # or |b| is not finite
+            return x, -1
+        if rnorm < stop:
             return x, 0
         z = M(r)
         rho = _dot(r, z)
@@ -467,8 +478,8 @@ def _two_level(system: _System, grid: Grid):
 
 
 def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
-          material: SolidMaterial, tol: float = 1e-8,
-          max_iters: int = 20000, fluid_tol: float = 1e-3,
+          material: SolidMaterial, tol: float = SolverSettings.tol,
+          max_iters: int = SolverSettings.max_iters, fluid_tol: float = 1e-3,
           max_outer: int = 100) -> FvSolution:
     """Solve the coupled solid-conduction / coolant-march problem."""
     n_ch = len(grid.channels)
@@ -504,7 +515,8 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
         residuals.append(rel)
         if info != 0:
             raise ConvergenceError(
-                f"linear solve did not reach tol {tol} in {max_iters} "
+                "linear solve stopped: the residual is not finite" if info < 0
+                else f"linear solve did not reach tol {tol} in {max_iters} "
                 f"iterations (residual {rel:.3e})", residuals)
 
         if not n_ch:
@@ -580,39 +592,29 @@ class MeshStudyResult:
 MESH_CONVERGENCE_DELTA_K = 0.5
 
 
-def mesh_study(assembly: Assembly | None, coolant: CoolantProps,
-               flow: FlowCondition, resolutions: list[float],
-               material: SolidMaterial | None = None, tol: float = 1e-8,
-               grid_builder=None) -> MeshStudyResult:
+def mesh_study(grid_builder, coolant: CoolantProps, flow: FlowCondition,
+               material: SolidMaterial, resolutions: list[float],
+               solver: SolverSettings = SolverSettings()) -> MeshStudyResult:
     """Solve at a descending list of cell sizes and tabulate t_max deltas.
 
-    grid_builder(resolution) -> Grid overrides the default assembly
-    voxelization (used by the slab verification cases).
+    grid_builder(resolution) -> Grid voxelizes the case at each size; the
+    resolutions take the place of solver.resolution.
     """
     if len(resolutions) < 3:
         raise ValueError("mesh study needs at least 3 resolutions")
     if any(b >= a for a, b in zip(resolutions, resolutions[1:])):
         raise ValueError("resolutions must be strictly descending")
-    if grid_builder is None:
-        if assembly is None:
-            raise ValueError("mesh study needs an assembly or a grid_builder")
-        grid_builder = lambda res: build_grid(assembly, res)
-    if material is None:
-        if assembly is None:
-            raise ValueError("mesh study needs a material")
-        material = assembly.plate.material
 
     rows = []
-    previous = None
     for res in resolutions:
         grid = grid_builder(res)
-        solution = solve(grid, coolant, flow, material, tol=tol)
-        delta = None if previous is None else abs(solution.t_max - previous)
-        rows.append(MeshStudyRow(cells=grid.cell_count,
-                                 t_max=solution.t_max, delta=delta))
-        previous = solution.t_max
-    converged = rows[-1].delta is not None and rows[-1].delta < MESH_CONVERGENCE_DELTA_K
-    return MeshStudyResult(rows=tuple(rows), converged=converged)
+        t_max = solve(grid, coolant, flow, material, tol=solver.tol,
+                      max_iters=solver.max_iters).t_max
+        delta = abs(t_max - rows[-1].t_max) if rows else None
+        rows.append(MeshStudyRow(cells=grid.cell_count, t_max=t_max,
+                                 delta=delta))
+    return MeshStudyResult(rows=tuple(rows),
+                           converged=rows[-1].delta < MESH_CONVERGENCE_DELTA_K)
 
 
 # --------------------------------------------------------------------------

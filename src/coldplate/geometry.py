@@ -97,10 +97,12 @@ class ChannelLayout:
     lateral_pitch: float      # m, channel center spacing across the width
 
     def __post_init__(self):
-        if not self.rows >= 1:
-            raise ValueError("rows must be >= 1")
-        if not self.channels_per_row >= 1:
-            raise ValueError("channels_per_row must be >= 1")
+        if type(self.rows) is not int or self.rows not in (1, 2):
+            raise ValueError(f"rows must be an integer >= 1 and <= 2 (a row "
+                             f"per cooled face), got {self.rows!r}")
+        if type(self.channels_per_row) is not int or self.channels_per_row < 1:
+            raise ValueError(f"channels_per_row must be an integer >= 1, got "
+                             f"{self.channels_per_row!r}")
         for name in ("channel_length", "cover_thickness", "lateral_pitch"):
             if not _positive(getattr(self, name)):
                 raise ValueError(f"{name} must be finite and > 0")
@@ -155,10 +157,6 @@ class ModulePlacement:
     @property
     def power(self) -> float:
         return sum(d.power for d in self.dies)
-
-    @property
-    def x_span(self) -> tuple[float, float]:
-        return (self.origin[0], self.origin[0] + self.footprint[0])
 
 
 @dataclass(frozen=True)
@@ -280,11 +278,22 @@ def _shape_to_json(shape: ChannelShape) -> dict:
     return {"kind": "semicircular", "radius_m": shape.radius}
 
 
+def _only(data, path: str, *keys: str) -> dict:
+    """data, checked to be an object whose every key is one of keys."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must be an object, got {data!r}")
+    if unknown := [repr(f"{path}.{k}") for k in data if k not in keys]:
+        raise ValueError("unknown key " + ", ".join(unknown))
+    return data
+
+
 def shape_from_json(data: dict) -> ChannelShape:
     kind = data.get("kind")
     if kind == "rectangular":
+        _only(data, "assembly.layout.shape", "kind", "width_m", "height_m")
         return Rectangular(width=data["width_m"], height=data["height_m"])
     if kind == "semicircular":
+        _only(data, "assembly.layout.shape", "kind", "radius_m")
         return Semicircular(radius=data["radius_m"])
     raise ValueError(f"unknown channel shape kind {kind!r}")
 
@@ -326,8 +335,14 @@ def assembly_to_json(assembly: Assembly) -> dict:
 
 
 def assembly_from_json(data: dict, material_lookup=get_material) -> Assembly:
-    p = data["plate"]
-    lay = data["layout"]
+    """The assembly a document describes. A key this does not read is an
+    error naming its path, such as assembly.modules[0].dies[1].powr_W."""
+    _only(data, "assembly", "plate", "layout", "modules")
+    p = _only(data["plate"], "assembly.plate",
+              "length_m", "width_m", "thickness_m", "material")
+    lay = _only(data["layout"], "assembly.layout", "rows", "channels_per_row",
+                "channel_length_m", "shape", "cover_thickness_m",
+                "lateral_pitch_m")
     plate = PlateGeometry(
         length=p["length_m"], width=p["width_m"], thickness=p["thickness_m"],
         material=material_lookup(p["material"]))
@@ -338,17 +353,19 @@ def assembly_from_json(data: dict, material_lookup=get_material) -> Assembly:
         shape=shape_from_json(lay["shape"]),
         cover_thickness=lay["cover_thickness_m"],
         lateral_pitch=lay["lateral_pitch_m"])
-    modules = tuple(
-        ModulePlacement(
+    modules = []
+    for i, m in enumerate(data.get("modules", [])):
+        path = f"assembly.modules[{i}]"
+        _only(m, path, "id", "face", "origin_m", "footprint_m", "dies")
+        dies = [_only(d, f"{path}.dies[{j}]", "center_m", "footprint_m",
+                      "power_W") for j, d in enumerate(m["dies"])]
+        modules.append(ModulePlacement(
             id=m["id"], face=m["face"],
             origin=tuple(m["origin_m"]), footprint=tuple(m["footprint_m"]),
-            dies=tuple(
-                DieSource(center=tuple(d["center_m"]),
-                          footprint=tuple(d["footprint_m"]),
-                          power=d["power_W"])
-                for d in m["dies"]))
-        for m in data.get("modules", []))
-    return Assembly(plate=plate, layout=layout, modules=modules)
+            dies=tuple(DieSource(center=tuple(d["center_m"]),
+                                 footprint=tuple(d["footprint_m"]),
+                                 power=d["power_W"]) for d in dies)))
+    return Assembly(plate=plate, layout=layout, modules=tuple(modules))
 
 
 def dumps_assembly(assembly: Assembly) -> str:
@@ -439,7 +456,7 @@ def secondary_side() -> Assembly:
     modules = tuple(
         _make_module(name, "top", x, 0.1025, SECONDARY_MODULE_LOSSES[name])
         for name, x in zip(SECONDARY_MODULE_LOSSES, (0.10, 0.23)))
-    return Assembly(plate=plate, layout=layout, modules=modules)
+    return Assembly(plate=plate, layout=layout, modules=tuple(modules))
 
 
 PRESETS = {

@@ -79,8 +79,8 @@ _WATER_20C = CoolantProps(
 class MaterialLibrary:
     """Registry of solid materials, seeded with the three built-ins.
 
-    User entries (register or a JSON property file) are merged over the
-    built-ins; records are immutable once stored.
+    User entries from a JSON property file are merged over the built-ins;
+    records are immutable once stored.
     """
 
     def __init__(self):
@@ -91,9 +91,6 @@ class MaterialLibrary:
             return self._solids[name]
         except KeyError:
             raise UnknownMaterialError(name, sorted(self._solids)) from None
-
-    def register(self, material: SolidMaterial) -> None:
-        self._solids[material.name] = material
 
     def names(self) -> list[str]:
         return sorted(self._solids)

@@ -13,9 +13,10 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-from . import hydraulics, thermal
-from .geometry import (Assembly, ChannelLayout, Rectangular, Semicircular,
-                       equal_area_radius, plate_mass, secondary_side)
+from . import fv, hydraulics, thermal
+from .geometry import (REFERENCE_RECT, Assembly, ChannelLayout, Rectangular,
+                       Semicircular, equal_area_radius, plate_mass,
+                       secondary_side)
 from .hydraulics import DEFAULT_MINOR_LOSS_K, FlowCondition
 from .properties import (CoolantProps, SolidMaterial, get_material,
                          water_at_reference)
@@ -75,8 +76,7 @@ class SweepSpec:
     stack: thermal.DieStack | None = None
     evaluator: str = "network"
     minor_loss_K: float = DEFAULT_MINOR_LOSS_K
-    fv_resolution: float = 2e-3
-    fv_tol: float = 1e-8
+    solver: fv.SolverSettings = fv.SolverSettings()
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
@@ -102,8 +102,7 @@ class DesignProblem:
     inlet_temperature: float = thermal.DEFAULT_INLET_C
     stack: thermal.DieStack | None = None
     minor_loss_K: float = DEFAULT_MINOR_LOSS_K
-    fv_resolution: float = 2e-3
-    fv_tol: float = 1e-8
+    solver: fv.SolverSettings = fv.SolverSettings()
 
     def __post_init__(self):
         # a zero or non-finite step never leaves the velocities() loop,
@@ -140,7 +139,6 @@ def _reference_rect_layout(base: Assembly) -> ChannelLayout:
     if isinstance(layout.shape, Rectangular):
         return layout
     # reconstruct the 2 x 10 mm reference at the base channel count
-    from .geometry import REFERENCE_RECT
     return replace(layout, shape=REFERENCE_RECT)
 
 
@@ -159,20 +157,19 @@ def evaluate_design(assembly: Assembly, coolant: CoolantProps,
                     stack: thermal.DieStack | None = None,
                     minor_loss_K: float = DEFAULT_MINOR_LOSS_K,
                     evaluator: str = "network",
-                    fv_resolution: float = 2e-3,
-                    fv_tol: float = 1e-8) -> tuple[float, float, float]:
-    """Returns (t_max deg C, pressure drop Pa, plate mass kg)."""
+                    solver: fv.SolverSettings = fv.SolverSettings(),
+                    ) -> tuple[float, float, float]:
+    """Returns (t_max deg C, pressure drop Pa, plate mass kg); solver
+    applies to the "fv" evaluator."""
     dp = hydraulics.pressure_drop(coolant, assembly.layout,
                                   flow.inlet_velocity, minor_loss_K)
     mass = plate_mass(assembly)
     if evaluator == "network":
-        report = thermal.solve_network(assembly, coolant, flow, stack)
-        t_max = report.t_max
+        t_max = thermal.solve_network(assembly, coolant, flow, stack).t_max
     elif evaluator == "fv":
-        from . import fv
-        grid = fv.build_grid(assembly, fv_resolution)
+        grid = fv.build_grid(assembly, solver.resolution)
         t_max = fv.solve(grid, coolant, flow, assembly.plate.material,
-                         tol=fv_tol).t_max
+                         tol=solver.tol, max_iters=solver.max_iters).t_max
     else:
         raise ValueError(f"unknown evaluator {evaluator!r}")
     return t_max, dp, mass
@@ -198,17 +195,12 @@ def _apply_axis(spec: SweepSpec, value) -> tuple[Assembly, FlowCondition, str]:
         assembly = replace(base, plate=replace(base.plate, material=mat))
         return assembly, flow, f"material={mat.name}"
     if spec.axis == "channel_shape":
-        if value == "rectangular":
-            shape = _reference_rect_layout(base).shape
-        elif value == "semicircular":
-            ref = _reference_rect_layout(base)
-            shape = Semicircular(
-                radius=equal_area_radius(ref, base.layout.channels_per_row))
-        else:
-            shape = value
+        ref = _reference_rect_layout(base)
+        count = base.layout.channels_per_row
+        shape = {"rectangular": ref.shape, "semicircular": Semicircular(
+            radius=equal_area_radius(ref, count))}[value]
         assembly = replace(base, layout=replace(base.layout, shape=shape))
-        label = value if isinstance(value, str) else type(value).__name__.lower()
-        return assembly, flow, f"shape={label}"
+        return assembly, flow, f"shape={value}"
     if spec.axis == "channel_count":
         return (with_channel_count(base, int(value)), flow,
                 f"channels_per_row={int(value)}")
@@ -226,34 +218,24 @@ def run_sweep(spec: SweepSpec) -> StudyResult:
         assembly, flow, descriptor = point
         t_max, dp, mass = evaluate_design(
             assembly, spec.coolant, flow, spec.stack, spec.minor_loss_K,
-            spec.evaluator, spec.fv_resolution, spec.fv_tol)
+            spec.evaluator, spec.solver)
         return StudyRow(descriptor=descriptor, v_mps=flow.inlet_velocity,
                         t_max_C=t_max, dp_Pa=dp, mass_kg=mass, feasible=True)
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(eval_point, points))
-    else:
-        rows = tuple(eval_point(p) for p in points)
-    return StudyResult(rows=rows)
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+        return StudyResult(rows=tuple(pool.map(eval_point, points)))
 
 
 # --------------------------------------------------------------------------
 # secondary-side iteration replay
 
-def secondary_side_scenario(assembly: Assembly | None = None,
-                            coolant: CoolantProps | None = None,
+def secondary_side_scenario(assembly: Assembly = secondary_side(),
+                            coolant: CoolantProps = water_at_reference(),
                             stack: thermal.DieStack | None = None,
                             inlet_temperature: float = thermal.DEFAULT_INLET_C,
                             ) -> StudyResult:
     """Replays the single-sided plate design iteration: raise velocity,
     halve the cover, raise velocity again. t_max must fall at every step."""
-    if assembly is None:
-        assembly = secondary_side()
-    if coolant is None:
-        coolant = water_at_reference()
-
     steps = [
         (1.1, 1.0e-3),
         (1.4, 1.0e-3),
@@ -313,8 +295,7 @@ def optimize(problem: DesignProblem, evaluator: str = "network",
                     flow = FlowCondition(v, problem.inlet_temperature)
                     t_max, dp, mass = evaluate_design(
                         variant, problem.coolant, flow, problem.stack,
-                        problem.minor_loss_K, evaluator,
-                        problem.fv_resolution, problem.fv_tol)
+                        problem.minor_loss_K, evaluator, problem.solver)
                     feasible = (t_max <= problem.t_max_limit
                                 and dp <= problem.pressure_budget
                                 and v <= problem.v_max)

@@ -105,9 +105,9 @@ def test_c6_fv_verification(small, water):
 
     # grid refinement on a spreading problem
     study = fv.mesh_study(
-        None, water, flow, [0.008, 0.004, 0.002, 0.001], material=copper,
-        grid_builder=lambda r: fv.make_slab_grid(
-            0.08, 0.08, 0.01, r, 2e5, 2000.0, patch=(0.04, 0.04, 0.01, 0.01)))
+        lambda r: fv.make_slab_grid(0.08, 0.08, 0.01, r, 2e5, 2000.0,
+                                    patch=(0.04, 0.04, 0.01, 0.01)),
+        water, flow, copper, [0.008, 0.004, 0.002, 0.001])
     deltas = [row.delta for row in study.rows[1:]]
     mesh_ok = (all(a > b for a, b in zip(deltas, deltas[1:]))
                and deltas[-1] < 0.5 and study.converged)

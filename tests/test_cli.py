@@ -30,8 +30,8 @@ class TestParseConfig:
         assert cfg.flow.inlet_velocity == 1.1
         assert cfg.flow.inlet_temperature == 49.0
         assert cfg.minor_loss_K == 2.0
-        assert cfg.tol == 1e-8
-        assert cfg.resolution == 2e-3
+        assert cfg.solver == fv.SolverSettings(resolution=2e-3, tol=1e-8,
+                                               max_iters=20000)
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError) as exc:
@@ -221,28 +221,34 @@ class TestMain:
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("section", [
-        {"sweep": {"axis": "velocity", "values": [1.1, 2.9],
-                   "evaluator": "fv"}},
-        {"optimize": {"materials": ["copper"], "channel_counts": [3],
-                      "cover_thicknesses_m": [1e-3], "v_min": 1.1,
-                      "v_max": 1.1, "evaluator": "fv"}},
-    ], ids=["sweep", "optimize"])
+    @pytest.mark.parametrize("action, section", [
+        ("sweep", {"sweep": {"axis": "velocity", "values": [1.1, 2.9],
+                             "evaluator": "fv"}}),
+        ("optimize", {"optimize": {
+            "materials": ["copper"], "channel_counts": [3],
+            "cover_thicknesses_m": [1e-3], "v_min": 1.1, "v_max": 1.1,
+            "evaluator": "fv"}}),
+        ("mesh-study", {"mesh_study": {
+            "resolutions_m": [2.5e-3, 2.2e-3, 2e-3]}}),
+        ("solve-fv", {}),
+    ], ids=["sweep", "optimize", "mesh-study", "solve-fv"])
     def test_solver_tol_reaches_fv_points(self, tmp_path, monkeypatch,
-                                          section):
-        tols = []
+                                          action, section):
+        settings = []
 
-        def solve(*args, tol, **kwargs):
-            tols.append(tol)
-            return SimpleNamespace(t_max=60.0)
+        def solve(*args, tol, max_iters, **kwargs):
+            settings.append((tol, max_iters))
+            return SimpleNamespace(t_max=60.0, residual=0.0, iterations=1,
+                                   energy_imbalance=0.0, to_json=dict)
         monkeypatch.setattr(fv, "solve", solve)
-        action = next(iter(section))
+        monkeypatch.setattr(fv, "write_structured_points", lambda *a: None)
         cfg = write_config(tmp_path, {
             "preset": "primary_side",
-            "solver": {"tol": 1e-6, "resolution_m": 2.5e-3}, **section})
+            "solver": {"tol": 1e-6, "max_iters": 77, "resolution_m": 2.5e-3},
+            **section})
         assert main([action, "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 0
-        assert tols and set(tols) == {1e-6}
+        assert settings and set(settings) == {(1e-6, 77)}
 
     def test_mesh_study_on_inline_assembly(self, tmp_path):
         cfg = write_config(tmp_path, small_doc(
@@ -348,6 +354,51 @@ class TestMalformedConfig:
         assert err.startswith("error:") and "die power must be finite" in err
         assert "Traceback" not in err
         assert not (out / "result.json").exists()
+
+    @pytest.mark.parametrize("action, key, value, message", [
+        ("report", "rows", 3,
+         "rows must be an integer >= 1 and <= 2 (a row per cooled face), "
+         "got 3"),
+        ("report", "rows", True, "got True"),
+        ("report", "channels_per_row", 1.5,
+         "channels_per_row must be an integer >= 1, got 1.5"),
+        ("solve-fv", "channels_per_row", 1.5, "got 1.5"),
+    ], ids=["three-rows", "bool-rows", "fractional-channels-report",
+            "fractional-channels-solve-fv"])
+    def test_unbuildable_channel_count_is_an_error(self, tmp_path, capsys,
+                                                   action, key, value,
+                                                   message):
+        doc = small_doc(action, solver={"resolution_m": 2.5e-3})
+        doc["assembly"]["layout"][key] = value
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main([action, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: assembly:")
+        assert message in err and "Traceback" not in err
+        assert not (out / "result.json").exists()
+
+    def test_unknown_assembly_key_is_an_error(self, tmp_path, capsys):
+        # a misspelt key used to leave its value out silently: "module"
+        # gave a plate with no heat and t_max at the inlet temperature
+        doc = small_doc("report")
+        doc["assembly"]["module"] = doc["assembly"].pop("modules")
+        cfg = write_config(tmp_path, doc)
+        assert main(["report", "--config", str(cfg),
+                     "--out", str(tmp_path / "a")]) == 1
+        assert "unknown key 'assembly.module'" in capsys.readouterr().err
+        doc = small_doc("report", flow={"v_mps": 0})
+        die = doc["assembly"]["modules"][0]["dies"][1]
+        die["powr_W"] = die.pop("power_W")
+        cfg = write_config(tmp_path, doc)
+        assert main(["report", "--config", str(cfg),
+                     "--out", str(tmp_path / "b")]) == 1
+        err = capsys.readouterr().err
+        # joined with the other violations on the one error line
+        assert err.startswith("error: invalid config: ")
+        assert "flow.v_mps must be" in err
+        assert "unknown key 'assembly.modules[0].dies[1].powr_W'" in err
+        assert not (tmp_path / "b" / "result.json").exists()
 
     def test_violations_listed_together(self):
         with pytest.raises(ConfigError) as exc:

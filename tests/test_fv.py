@@ -165,6 +165,16 @@ class TestSolve:
                   tol=1e-14, max_iters=3)
         assert len(exc.value.residual_history) >= 1
 
+    def test_overflow_stops_at_once(self, small, water, monkeypatch):
+        # a finite 1e200 W die overflows |b|; CG must not run to max_iters
+        module = small.modules[0]
+        die = replace(module.dies[0], power=1e200)
+        huge = replace(small, modules=(replace(module, dies=(die,)),))
+        calls = record_cg(monkeypatch)
+        with pytest.raises(ConvergenceError, match="residual is not finite"):
+            solve(build_grid(huge, 2.5e-3), water, FLOW, small.plate.material)
+        assert len(calls) == 1 and calls[0][3] <= 1
+
 
 def record_cg(monkeypatch):
     """Replace fv.cg with a wrapper logging (A, b, x, iterations) per call."""
@@ -281,26 +291,30 @@ class TestCg:
 class TestMeshStudy:
     def test_patch_slab_deltas_shrink(self, water):
         res = mesh_study(
-            None, water, FLOW, [0.008, 0.004, 0.002, 0.001],
-            material=cp.get_material("copper"),
-            grid_builder=lambda r: make_slab_grid(
-                0.08, 0.08, 0.01, r, 2e5, 2000.0,
-                patch=(0.04, 0.04, 0.01, 0.01)))
+            lambda r: make_slab_grid(0.08, 0.08, 0.01, r, 2e5, 2000.0,
+                                     patch=(0.04, 0.04, 0.01, 0.01)),
+            water, FLOW, cp.get_material("copper"),
+            [0.008, 0.004, 0.002, 0.001])
         deltas = [row.delta for row in res.rows[1:]]
         assert all(a > b for a, b in zip(deltas, deltas[1:]))
         assert deltas[-1] < 0.5
         assert res.converged
 
+    @staticmethod
+    def study(assembly, water, resolutions):
+        return mesh_study(lambda r: build_grid(assembly, r), water, FLOW,
+                          assembly.plate.material, resolutions)
+
     def test_requires_three_resolutions(self, small, water):
         with pytest.raises(ValueError):
-            mesh_study(small, water, FLOW, [0.002, 0.001])
+            self.study(small, water, [0.002, 0.001])
 
     def test_requires_descending(self, small, water):
         with pytest.raises(ValueError):
-            mesh_study(small, water, FLOW, [0.001, 0.002, 0.003])
+            self.study(small, water, [0.001, 0.002, 0.003])
 
     def test_assembly_ladder(self, small, water):
-        res = mesh_study(small, water, FLOW, [2.5e-3, 2e-3, 1.5e-3])
+        res = self.study(small, water, [2.5e-3, 2e-3, 1.5e-3])
         assert res.rows[0].delta is None
         assert all(r.delta is not None for r in res.rows[1:])
         cells = [r.cells for r in res.rows]
