@@ -263,11 +263,14 @@ def parse_config(text: str, action: str | None = None) -> RunConfig:
 # --------------------------------------------------------------------------
 # actions
 
-def _single_row_csv(fields: dict) -> str:
-    header = ",".join(fields)
-    values = ",".join(repr(v) if isinstance(v, float) else str(v)
-                      for v in fields.values())
-    return header + "\n" + values + "\n"
+def _csv(rows: list[dict]) -> str:
+    """CSV text with the first row's keys as the header; floats are
+    written with repr and None as an empty field."""
+    def field(v):
+        return "" if v is None else repr(v) if isinstance(v, float) else str(v)
+    lines = [",".join(rows[0])] + [",".join(map(field, row.values()))
+                                   for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _run_report(config: RunConfig):
@@ -278,10 +281,10 @@ def _run_report(config: RunConfig):
     mass = plate_mass(config.assembly)
     result = {"hydraulics": hyd.to_json(), "thermal": th.to_json(),
               "mass_kg": mass}
-    csv = _single_row_csv({
+    csv = _csv([{
         "t_max_C": th.t_max, "dp_Pa": hyd.pressure_drop, "mass_kg": mass,
         "reynolds": hyd.reynolds, "regime": hyd.regime,
-        "coolant_outlet_C": th.coolant_outlet})
+        "coolant_outlet_C": th.coolant_outlet}])
     summary = (f"t_max = {th.t_max:.2f} C | dP = {hyd.pressure_drop:.1f} Pa "
                f"| mass = {mass:.3f} kg | Re = {hyd.reynolds:.0f} "
                f"({hyd.regime})")
@@ -293,7 +296,8 @@ def _run_sweep(config: RunConfig):
     summary = (f"sweep over {config.sweep.axis}: {len(result.rows)} points, "
                f"t_max {min(r.t_max_C for r in result.rows):.2f}.."
                f"{max(r.t_max_C for r in result.rows):.2f} C")
-    return result.to_json(), result.to_csv(), None, summary
+    doc = result.to_json()
+    return doc, _csv(doc["rows"]), None, summary
 
 
 def _run_optimize(config: RunConfig):
@@ -305,7 +309,8 @@ def _run_optimize(config: RunConfig):
                    f"{result.best.t_max_C:.2f} C")
     else:
         summary = "no feasible design"
-    return result.to_json(), result.to_csv(), None, summary
+    doc = result.to_json()
+    return doc, _csv(doc["rows"]), None, summary
 
 
 def _run_solve_fv(config: RunConfig):
@@ -314,11 +319,11 @@ def _run_solve_fv(config: RunConfig):
                         config.assembly.plate.material, tol=config.solver.tol,
                         max_iters=config.solver.max_iters)
     result = solution.to_json()
-    csv = _single_row_csv({
+    csv = _csv([{
         "t_max_C": solution.t_max, "residual": solution.residual,
         "iterations": solution.iterations,
         "energy_imbalance_W": solution.energy_imbalance,
-        "cells": grid.cell_count})
+        "cells": grid.cell_count}])
     summary = (f"FV t_max = {solution.t_max:.2f} C on {grid.cell_count} "
                f"cells | energy imbalance = "
                f"{solution.energy_imbalance:.3e} W")
@@ -331,14 +336,10 @@ def _run_mesh_study(config: RunConfig):
                            config.assembly.plate.material,
                            config.resolved["mesh_study"]["resolutions_m"],
                            config.solver)
-    lines = ["cells,t_max_C,delta_K"]
-    for row in result.rows:
-        delta = "" if row.delta is None else repr(row.delta)
-        lines.append(f"{row.cells},{row.t_max!r},{delta}")
-    csv = "\n".join(lines) + "\n"
     summary = (f"mesh study: {len(result.rows)} levels, converged = "
                f"{result.converged}")
-    return result.to_json(), csv, None, summary
+    doc = result.to_json()
+    return doc, _csv(doc["rows"]), None, summary
 
 
 _RUNNERS = {

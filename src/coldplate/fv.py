@@ -7,7 +7,7 @@ the local coolant bulk temperature. The film coefficient is rescaled per
 channel so that h * (voxelized wetted area) equals h * (analytic wetted
 area), which keeps the total convective conductance independent of the
 rasterization. Exterior faces are adiabatic except where die footprints
-impose heat flux, and except for an optional exterior convective face
+impose heat flux, and except for an optional convective bottom face
 against fluid held at the inlet temperature (slab verification cases).
 
 Every convective face, channel wall or exterior, is one row of a single
@@ -45,6 +45,8 @@ from .properties import CoolantProps, SolidMaterial
 
 _SUBSAMPLE = 4  # per-axis samples for rasterization; even count keeps
                 # samples off the cell midlines
+_FLUID_TOL = 1e-3  # K, largest coolant temperature change of a converged pass
+_MAX_OUTER = 100   # outer fluid-coupling passes before giving up
 
 
 class GridResolutionError(ValueError):
@@ -67,9 +69,6 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class ChannelInfo:
-    index: int
-    y_center: float  # m
-    row: str         # "top" | "bottom"
     area: float      # analytic flow area, m^2
     perimeter: float  # analytic wetted perimeter, m
 
@@ -88,9 +87,9 @@ class Grid:
     flux_top: np.ndarray     # (nx, ny) W/m^2 on the exterior top face
     flux_bottom: np.ndarray  # (nx, ny) W/m^2 on the exterior bottom face
     shape: ChannelShape | None = None
-    # (face, h) for slab-style cases: "top" or "bottom" exterior face
-    # convecting to fluid held at the flow inlet temperature
-    exterior_convection: tuple[str, float] | None = None
+    # film coefficient of the exterior bottom face, W/(m^2*K), convecting
+    # to fluid held at the flow inlet temperature (slab cases)
+    h_bottom: float | None = None
 
     @property
     def cell_count(self) -> int:
@@ -150,6 +149,33 @@ def _channel_cross_section(shape: ChannelShape, row: str, y_center: float,
     return inside
 
 
+def _cells(extent: tuple[float, float, float], resolution: float):
+    """Cell counts (at least 2 per axis) and cell sizes of a box gridded at
+    a target cell size."""
+    if not resolution > 0:
+        raise ValueError("resolution must be > 0")
+    counts = [max(2, round(e / resolution)) for e in extent]
+    return counts, [e / n for e, n in zip(extent, counts)]
+
+
+def _deposit(flux: np.ndarray, dx: float, dy: float,
+             center: tuple[float, float], footprint: tuple[float, float],
+             power: float) -> None:
+    """Add a footprint's power to an exterior flux map, spread evenly over
+    the faces whose cell centers it covers, or on the nearest face when it
+    covers no cell center, so the imposed power is resolution-independent."""
+    xc = (np.arange(flux.shape[0]) + 0.5) * dx
+    yc = (np.arange(flux.shape[1]) + 0.5) * dy
+    (cx, cy), (fx, fy) = center, footprint
+    cells = np.outer(np.abs(xc - cx) <= fx / 2.0 + 1e-12,
+                     np.abs(yc - cy) <= fy / 2.0 + 1e-12)
+    n = int(cells.sum())
+    if n == 0:
+        cells[np.argmin(np.abs(xc - cx)), np.argmin(np.abs(yc - cy))] = True
+        n = 1
+    flux[cells] += power / (n * (dx * dy))
+
+
 def build_grid(assembly: Assembly, resolution: float) -> Grid:
     """Voxelize the assembly at a target cell size.
 
@@ -157,17 +183,12 @@ def build_grid(assembly: Assembly, resolution: float) -> Grid:
     cross-section lies inside the channel. Die powers are renormalized over
     the exterior faces they cover so the imposed power is conserved exactly.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be > 0")
+    plate, layout = assembly.plate, assembly.layout
+    (nx, ny, nz), (dx, dy, dz) = _cells(
+        (plate.length, plate.width, plate.thickness), resolution)
     violations = validate(assembly)
     if violations:
         raise ValueError("invalid assembly: " + "; ".join(violations))
-
-    plate, layout = assembly.plate, assembly.layout
-    nx = max(2, round(plate.length / resolution))
-    ny = max(2, round(plate.width / resolution))
-    nz = max(2, round(plate.thickness / resolution))
-    dx, dy, dz = plate.length / nx, plate.width / ny, plate.thickness / nz
 
     void = np.zeros((nx, ny, nz), dtype=bool)
     channel_id = np.full((nx, ny, nz), -1, dtype=np.int32)
@@ -184,7 +205,6 @@ def build_grid(assembly: Assembly, resolution: float) -> Grid:
     ys = (yc_cell[:, None, None, None] + offs[None, None, :, None] * dy)
     zs = (zc_cell[None, :, None, None] + offs[None, None, None, :] * dz)
 
-    index = 0
     for row in rows:
         for y_center in y_centers:
             inside = _channel_cross_section(shape, row, y_center,
@@ -199,12 +219,9 @@ def build_grid(assembly: Assembly, resolution: float) -> Grid:
                     f"resolution {resolution} m cannot resolve channel at "
                     f"y = {y_center * 1e3:.2f} mm")
             void[:, mask] = True
-            channel_id[:, mask] = index
-            channels.append(ChannelInfo(
-                index=index, y_center=y_center, row=row,
-                area=cross_section_area(shape),
-                perimeter=wetted_perimeter(shape)))
-            index += 1
+            channel_id[:, mask] = len(channels)
+            channels.append(ChannelInfo(area=cross_section_area(shape),
+                                        perimeter=wetted_perimeter(shape)))
 
     if void[:, :, 0].any() or void[:, :, -1].any():
         raise GridResolutionError(
@@ -213,28 +230,10 @@ def build_grid(assembly: Assembly, resolution: float) -> Grid:
 
     flux_top = np.zeros((nx, ny))
     flux_bottom = np.zeros((nx, ny))
-    xc = (np.arange(nx) + 0.5) * dx
-    yc = (np.arange(ny) + 0.5) * dy
-    face_area = dx * dy
     for mod in assembly.modules:
         target = flux_top if mod.face == "top" else flux_bottom
         for die in mod.dies:
-            if die.power == 0:
-                continue
-            cx, cy = die.center
-            fx, fy = die.footprint
-            in_x = np.abs(xc - cx) <= fx / 2.0 + 1e-12
-            in_y = np.abs(yc - cy) <= fy / 2.0 + 1e-12
-            cells = np.outer(in_x, in_y)
-            n = int(cells.sum())
-            if n == 0:
-                # die smaller than a cell: deposit on the nearest face
-                i = int(np.argmin(np.abs(xc - cx)))
-                j = int(np.argmin(np.abs(yc - cy)))
-                cells = np.zeros((nx, ny), dtype=bool)
-                cells[i, j] = True
-                n = 1
-            target[cells] += die.power / (n * face_area)
+            _deposit(target, dx, dy, die.center, die.footprint, die.power)
 
     return Grid(nx=nx, ny=ny, nz=nz, dx=dx, dy=dy, dz=dz, void=void,
                 channel_id=channel_id, channels=tuple(channels),
@@ -252,32 +251,16 @@ def make_slab_grid(length: float, width: float, thickness: float,
     (flux_top then being the total power over the patch area), which
     introduces real spreading and therefore real discretization error.
     """
-    nx = max(2, round(length / resolution))
-    ny = max(2, round(width / resolution))
-    nz = max(2, round(thickness / resolution))
-    dx, dy = length / nx, width / ny
-    if patch is None:
-        top = np.full((nx, ny), flux_top)
-    else:
-        cx, cy, pdx, pdy = patch
-        xc = (np.arange(nx) + 0.5) * dx
-        yc = (np.arange(ny) + 0.5) * dy
-        cells = np.outer(np.abs(xc - cx) <= pdx / 2.0 + 1e-12,
-                         np.abs(yc - cy) <= pdy / 2.0 + 1e-12)
-        top = np.zeros((nx, ny))
-        # renormalize so the imposed power is resolution-independent
-        power = flux_top * pdx * pdy
-        top[cells] = power / (cells.sum() * dx * dy)
-    return Grid(
-        nx=nx, ny=ny, nz=nz,
-        dx=dx, dy=dy, dz=thickness / nz,
-        void=np.zeros((nx, ny, nz), dtype=bool),
-        channel_id=np.full((nx, ny, nz), -1, dtype=np.int32),
-        channels=(),
-        flux_top=top,
-        flux_bottom=np.zeros((nx, ny)),
-        shape=None,
-        exterior_convection=("bottom", h_bottom))
+    (nx, ny, nz), (dx, dy, dz) = _cells((length, width, thickness),
+                                        resolution)
+    cx, cy, pdx, pdy = patch or (length / 2.0, width / 2.0, length, width)
+    top = np.zeros((nx, ny))
+    _deposit(top, dx, dy, (cx, cy), (pdx, pdy), flux_top * pdx * pdy)
+    return Grid(nx=nx, ny=ny, nz=nz, dx=dx, dy=dy, dz=dz,
+                void=np.zeros((nx, ny, nz), dtype=bool),
+                channel_id=np.full((nx, ny, nz), -1, dtype=np.int32),
+                channels=(), flux_top=top, flux_bottom=np.zeros((nx, ny)),
+                h_bottom=h_bottom)
 
 
 # --------------------------------------------------------------------------
@@ -370,12 +353,11 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
             face_ua.append(ua)
             face_sink.append(sink)
 
-    # optional exterior convective face (slab cases), last sink row
-    if grid.exterior_convection is not None:
-        face, h_ext = grid.exterior_convection
-        layer = 0 if face == "bottom" else grid.nz - 1
-        cells = index[:, :, layer][solid[:, :, layer]]
-        ua = np.full(cells.size, _film(grid.dz, k, h_ext) * face_area[2])
+    # optional convective bottom face (slab cases), last sink row
+    if grid.h_bottom is not None:
+        cells = index[:, :, 0][solid[:, :, 0]]
+        ua = np.full(cells.size, _film(grid.dz, k, grid.h_bottom)
+                     * face_area[2])
         np.add.at(diag, cells, ua)
         face_cell.append(cells)
         face_ua.append(ua)
@@ -479,8 +461,7 @@ def _two_level(system: _System, grid: Grid):
 
 def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
           material: SolidMaterial, tol: float = SolverSettings.tol,
-          max_iters: int = SolverSettings.max_iters, fluid_tol: float = 1e-3,
-          max_outer: int = 100) -> FvSolution:
+          max_iters: int = SolverSettings.max_iters) -> FvSolution:
     """Solve the coupled solid-conduction / coolant-march problem."""
     n_ch = len(grid.channels)
     if n_ch and not flow.inlet_velocity > 0:  # also rejects NaN
@@ -519,8 +500,6 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
                 else f"linear solve did not reach tol {tol} in {max_iters} "
                 f"iterations (residual {rel:.3e})", residuals)
 
-        if not n_ch:
-            break
         # wall heat per sink, then re-march the channel rows
         q_sink = np.bincount(system.face_sink,
                              system.face_heat(temp, t_sink),
@@ -530,11 +509,11 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
         t_new[:n_ch, 1:] = inlet + np.cumsum(rise, axis=1)
         change = float(np.max(np.abs(t_new - t_sink)))
         t_sink = t_new
-        if change < fluid_tol:
+        if change < _FLUID_TOL:
             break
-        if outer >= max_outer:
+        if outer >= _MAX_OUTER:
             raise ConvergenceError(
-                f"coolant march did not converge in {max_outer} outer "
+                f"coolant march did not converge in {_MAX_OUTER} outer "
                 f"iterations (last change {change:.3e} K)", residuals)
 
     imbalance = grid.total_power - float(np.sum(

@@ -12,7 +12,6 @@ channels have their flat side toward the nearest plate face.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -366,14 +365,6 @@ def assembly_from_json(data: dict, material_lookup=get_material) -> Assembly:
                                  footprint=tuple(d["footprint_m"]),
                                  power=d["power_W"]) for d in dies)))
     return Assembly(plate=plate, layout=layout, modules=tuple(modules))
-
-
-def dumps_assembly(assembly: Assembly) -> str:
-    return json.dumps(assembly_to_json(assembly), indent=2, sort_keys=True)
-
-
-def loads_assembly(text: str) -> Assembly:
-    return assembly_from_json(json.loads(text))
 
 
 # --------------------------------------------------------------------------

@@ -108,9 +108,8 @@ def report(coolant: CoolantProps, layout: ChannelLayout, v: float,
     return HydraulicsReport(
         reynolds=re,
         regime=classify(re),
-        friction_factor=friction_factor(re) if re > 0 else float("nan"),
-        pressure_drop=pressure_drop(coolant, layout, v, minor_loss_K)
-        if v > 0 else 0.0,
+        friction_factor=friction_factor(re),
+        pressure_drop=pressure_drop(coolant, layout, v, minor_loss_K),
         mass_flow_total=mass_flow_total(coolant, layout, v),
         transition_velocity=transition_velocity(coolant, layout.shape),
     )

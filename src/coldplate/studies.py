@@ -58,13 +58,6 @@ class StudyResult:
         return {"rows": [r.to_json() for r in self.rows],
                 "best": self.best.to_json() if self.best else None}
 
-    def to_csv(self) -> str:
-        lines = ["descriptor,v_mps,t_max_C,dp_Pa,mass_kg,feasible"]
-        for r in self.rows:
-            lines.append(f"{r.descriptor},{r.v_mps!r},{r.t_max_C!r},"
-                         f"{r.dp_Pa!r},{r.mass_kg!r},{r.feasible}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -231,8 +224,6 @@ def run_sweep(spec: SweepSpec) -> StudyResult:
 
 def secondary_side_scenario(assembly: Assembly = secondary_side(),
                             coolant: CoolantProps = water_at_reference(),
-                            stack: thermal.DieStack | None = None,
-                            inlet_temperature: float = thermal.DEFAULT_INLET_C,
                             ) -> StudyResult:
     """Replays the single-sided plate design iteration: raise velocity,
     halve the cover, raise velocity again. t_max must fall at every step."""
@@ -247,8 +238,8 @@ def secondary_side_scenario(assembly: Assembly = secondary_side(),
         variant = replace(assembly,
                           layout=replace(assembly.layout,
                                          cover_thickness=cover))
-        flow = FlowCondition(v, inlet_temperature)
-        t_max, dp, mass = evaluate_design(variant, coolant, flow, stack)
+        flow = FlowCondition(v, thermal.DEFAULT_INLET_C)
+        t_max, dp, mass = evaluate_design(variant, coolant, flow)
         descriptor = (f"v={v},cover_mm={cover * 1e3:g},"
                       f"ref_C={reference},delta_K={t_max - reference:.2f}")
         rows.append(StudyRow(descriptor=descriptor, v_mps=v, t_max_C=t_max,

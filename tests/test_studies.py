@@ -5,11 +5,10 @@ from dataclasses import replace
 import pytest
 
 import coldplate as cp
-from coldplate import studies
-from coldplate.studies import (DesignProblem, StudyResult, StudyRow,
-                               SweepSpec, evaluate_design, optimize,
-                               run_sweep, secondary_side_scenario,
-                               with_channel_count)
+from coldplate import cli, studies
+from coldplate.studies import (DesignProblem, StudyRow, SweepSpec,
+                               evaluate_design, optimize, run_sweep,
+                               secondary_side_scenario, with_channel_count)
 
 
 def problem(base, **kw):
@@ -219,18 +218,20 @@ class TestOptimize:
 
 class TestCsv:
     def test_header_and_repr_floats(self):
-        res = StudyResult(rows=(StudyRow("v=1.1", 1.1, 60.5, 5000.25,
-                                         5.79, True),))
-        text = res.to_csv()
+        row = StudyRow("v=1.1", 1.1, 60.5, 5000.25, 5.79, True)
+        text = cli._csv([row.to_json()])
         lines = text.splitlines()
         assert lines[0] == "descriptor,v_mps,t_max_C,dp_Pa,mass_kg,feasible"
         assert lines[1] == "v=1.1,1.1,60.5,5000.25,5.79,True"
         assert text.endswith("\n")
+        assert (cli._csv([{"cells": 8, "delta_K": None}])
+                == "cells,delta_K\n8,\n")
 
     def test_round_trips_exactly(self, primary):
         res = run_sweep(SweepSpec(base=primary, axis="velocity",
                                   values=(0.7, 1.3)))
-        for line, row in zip(res.to_csv().splitlines()[1:], res.rows):
+        text = cli._csv(res.to_json()["rows"])
+        for line, row in zip(text.splitlines()[1:], res.rows):
             fields = line.split(",")
             assert float(fields[2]) == row.t_max_C
             assert float(fields[3]) == row.dp_Pa
