@@ -45,6 +45,9 @@ from .properties import CoolantProps, SolidMaterial
 
 _SUBSAMPLE = 4  # per-axis samples for rasterization; even count keeps
                 # samples off the cell midlines
+# Largest grid built: at about 240 B per cell in a solve, 1e7 cells take
+# about 2.4 GB.
+_MAX_CELLS = 10**7
 _FLUID_TOL = 1e-3  # K, largest coolant temperature change of a converged pass
 _MAX_OUTER = 100   # outer fluid-coupling passes before giving up
 
@@ -151,10 +154,17 @@ def _channel_cross_section(shape: ChannelShape, row: str, y_center: float,
 
 def _cells(extent: tuple[float, float, float], resolution: float):
     """Cell counts (at least 2 per axis) and cell sizes of a box gridded at
-    a target cell size."""
+    a target cell size. Raises before any array exists when the grid would
+    have more than _MAX_CELLS cells."""
     if not resolution > 0:
         raise ValueError("resolution must be > 0")
-    counts = [max(2, round(e / resolution)) for e in extent]
+    # an axis at or above the bound needs no rounding, which would fail on
+    # the infinite ratio of a subnormal resolution
+    counts = [max(2, round(r)) if r < _MAX_CELLS else r
+              for r in (e / resolution for e in extent)]
+    if (cells := math.prod(counts)) > _MAX_CELLS:
+        raise ValueError(f"resolution {resolution!r} m gives {cells:.3g} "
+                         f"cells; the limit is {_MAX_CELLS:.0e}")
     return counts, [e / n for e, n in zip(extent, counts)]
 
 

@@ -57,6 +57,9 @@ def reynolds(coolant: CoolantProps, v: float, d_h: float) -> float:
 
 
 def classify(re: float) -> str:
+    if not 0 <= re < math.inf:
+        raise ValueError(
+            f"Reynolds number must be finite and >= 0, got {re!r}")
     return LAMINAR if re <= RE_TRANSITION else TURBULENT
 
 
@@ -68,8 +71,8 @@ def transition_velocity(coolant: CoolantProps, shape: ChannelShape) -> float:
 
 def friction_factor(re: float) -> float:
     """Darcy friction factor; laminar 64/Re, turbulent Blasius."""
-    if re <= 0:
-        raise ValueError("Reynolds number must be > 0")
+    if not 0 < re < math.inf:
+        raise ValueError(f"Reynolds number must be finite and > 0, got {re!r}")
     if re <= RE_TRANSITION:
         return 64.0 / re
     return 0.316 * re**-0.25

@@ -1,4 +1,8 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -315,19 +319,25 @@ class TestMalformedConfig:
         ("optimize", {"optimize": {"v_min": 1e20, "v_max": 1e21,
                                    "v_step": 1}},
          "v_step 1.0 is below the float spacing of v_min 1e+20"),
+        # about 1.6e12 cells: refused before any array is allocated
+        ("solve-fv", {"solver": {"resolution_m": 1e-5}},
+         "resolution 1e-05 m gives 1.64e+12 cells; the limit is 1e+07"),
+        ("mesh-study", {"mesh_study": {"resolutions_m": [1e-5, 9e-6, 8e-6]}},
+         "resolution 1e-05 m gives 1.64e+12 cells"),
     ], ids=["coolant-string", "flow-string", "nan-velocity", "bool-velocity",
             "sweep-on-report", "materials-file-int", "materials-file-bool",
             "materials-file-list", "fractional-max-iters", "sweep-no-axis",
             "sweep-values-number", "sweep-values-mixed", "sweep-bad-shape",
             "sweep-bad-evaluator", "channel-counts-number", "zero-v-step",
-            "unknown-material", "v-step-below-spacing"])
+            "unknown-material", "v-step-below-spacing", "fv-grid-too-fine",
+            "mesh-grid-too-fine"])
     def test_is_an_error(self, tmp_path, capsys, action, section, message):
         cfg = write_config(tmp_path, {"preset": "primary_side", **section})
         out = tmp_path / "out"
         assert main([action, "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
-        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert not (out / "result.json").exists()
 
     def test_non_finite_result_is_an_error(self, tmp_path, capsys):
@@ -511,3 +521,30 @@ def test_parse_config_fuzz(overlay, action):
     except ConfigError:
         return
     json.dumps(config.resolved, allow_nan=False)
+
+
+# solve-fv examples run the small plate at 2.5 mm (5,760 cells): neither
+# preset builds a grid coarser than 2.5 mm, where a primary_side solve
+# takes 0.4 s
+_FV_BASE = {**{k: v for k, v in _BASE.items() if k != "preset"},
+            "assembly": assembly_to_json(small_assembly())}
+
+
+@settings(max_examples=100, deadline=None)
+@given(overlay=_documents(_CONFIG))
+@pytest.mark.parametrize("action, base, pinned", [
+    ("report", _BASE, {}),
+    ("solve-fv", _FV_BASE, {"solver": {"resolution_m": 2.5e-3}}),
+], ids=["report", "solve-fv"])
+def test_main_fuzz(action, base, pinned, overlay):
+    # any document runs, or fails with exit 1 and one error line; no
+    # exception escapes main
+    with tempfile.TemporaryDirectory() as out:
+        config = Path(out) / "config.json"
+        config.write_text(json.dumps({**base, **overlay, **pinned}))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([action, "--config", str(config), "--out", out])
+    lines = err.getvalue().splitlines()
+    assert code == 0 or (code == 1 and len(lines) == 1
+                         and lines[0].startswith("error:")), (code, lines)

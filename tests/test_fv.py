@@ -66,6 +66,31 @@ class TestBuildGrid:
         for ch in grid.channels:
             assert ch.area == pytest.approx(math.pi * 0.003**2 / 2, rel=1e-12)
 
+    def test_rectangular_channels_on_cell_faces(self, small, water):
+        # at 1.5 mm every edge of a 6 x 3 mm channel lies on a cell face,
+        # so the void is exactly the analytic cross-section
+        rect = replace(small, layout=replace(
+            small.layout, shape=cp.Rectangular(width=0.006, height=0.003)))
+        grid = build_grid(rect, 1.5e-3)
+        assert (grid.nx, grid.ny, grid.nz) == (80, 40, 8)
+        voxel = grid.void.sum() * grid.dx * grid.dy * grid.dz
+        assert voxel == pytest.approx(2 * 0.006 * 0.003 * 0.12, rel=1e-12)
+        for channel, z_cells in ((0, {1, 2}), (1, {5, 6})):  # bottom, top
+            _, y, z = np.nonzero(grid.channel_id == channel)
+            assert set(y) == {18, 19, 20, 21} and set(z) == z_cells
+        sol = solve(grid, water, FLOW, rect.plate.material)
+        assert abs(sol.energy_imbalance) <= 1e-6 * grid.total_power
+
+    @pytest.mark.parametrize("build", [
+        lambda r: build_grid(small_assembly(), r),
+        lambda r: make_slab_grid(0.08, 0.08, 0.01, r, 2e5, 2000.0),
+    ], ids=["assembly", "slab"])
+    @pytest.mark.parametrize("resolution", [1e-6, 5e-324])
+    def test_grid_size_bounded(self, build, resolution):
+        # 1e-6 m gives over 1e13 cells; 5e-324 m makes every count infinite
+        with pytest.raises(ValueError, match=r"cells; the limit is 1e\+07"):
+            build(resolution)
+
     def test_cover_thinner_than_cell_errors(self):
         # 0.5 mm cover under 1.9 mm cells: the surface layer is mostly void
         thin = replace(cp.secondary_side(),

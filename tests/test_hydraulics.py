@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import coldplate as cp
 from coldplate.hydraulics import LAMINAR, TURBULENT, classify, report
@@ -82,17 +82,33 @@ class TestFrictionFactor:
         with pytest.raises(ValueError):
             cp.friction_factor(0.0)
 
+    # Non-increasing for every pair; strictly decreasing once the pair is
+    # far enough apart for floating point to separate the two values.
     @given(st.tuples(st.floats(1.0, 2500.0), st.floats(1.0, 2500.0)))
     def test_decreasing_laminar(self, pair):
         a, b = sorted(pair)
         if a < b:
+            assert cp.friction_factor(a) >= cp.friction_factor(b)
+        if b > a * (1 + 1e-12):
             assert cp.friction_factor(a) > cp.friction_factor(b)
 
     @given(st.tuples(st.floats(2500.01, 1e6), st.floats(2500.01, 1e6)))
+    @example((999999.9999999999, 1e6))  # both give 0.009992797406132079
     def test_decreasing_turbulent(self, pair):
         a, b = sorted(pair)
         if a < b:
+            assert cp.friction_factor(a) >= cp.friction_factor(b)
+        if b > a * (1 + 1e-12):
             assert cp.friction_factor(a) > cp.friction_factor(b)
+
+
+@pytest.mark.parametrize("function, re", [
+    (classify, math.nan), (classify, -5.0), (classify, math.inf),
+    (cp.friction_factor, math.nan), (cp.friction_factor, -5.0),
+    (cp.friction_factor, math.inf)])
+def test_reynolds_outside_domain_rejected(function, re):
+    with pytest.raises(ValueError, match="Reynolds number must be finite"):
+        function(re)
 
 
 class TestPressureDrop:
