@@ -105,7 +105,7 @@ def mass_flow_total(coolant: CoolantProps, layout: ChannelLayout,
 
 def report(coolant: CoolantProps, layout: ChannelLayout, v: float,
            minor_loss_K: float = DEFAULT_MINOR_LOSS_K) -> HydraulicsReport:
-    """Full hydraulic summary for one flow condition."""
+    """Full hydraulic summary for one flow condition, v > 0."""
     d_h = hydraulic_diameter(layout.shape)
     re = reynolds(coolant, v, d_h)
     return HydraulicsReport(
