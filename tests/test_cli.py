@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coldplate import fv
-from coldplate.cli import _CONFIG, ACTIONS, ConfigError, main, parse_config
+from coldplate.cli import (_CONFIG, _LIST, _REQUIRED, _STRING, ACTIONS,
+                           ConfigError, main, parse_config)
 from coldplate.geometry import assembly_to_json
 
 from conftest import small_assembly
@@ -483,7 +484,7 @@ def _json_values():
         max_leaves=6)
 
 
-def _documents(table):
+def _arbitrary_documents(table):
     """Objects with up to three keys from a config table or a junk key;
     each value is arbitrary JSON or a value of the kind the table expects."""
     def kind(check):
@@ -492,7 +493,7 @@ def _documents(table):
         if isinstance(check, list):
             return st.lists(kind(check[0]), min_size=1, max_size=2)
         if isinstance(check, dict):
-            return _documents(check)
+            return _arbitrary_documents(check)
         return st.integers(-1, 3) | st.floats() | st.text(max_size=6)
     values = {key: kind(check) | _json_values()
               for key, (check, _) in table.items()}
@@ -500,6 +501,63 @@ def _documents(table):
     return st.lists(st.sampled_from(sorted(values)), max_size=3,
                     unique=True).flatmap(lambda keys: st.fixed_dictionaries(
                         {key: values[key] for key in keys}))
+
+
+# keys whose values are checked against the rest of the document: the
+# action against the command line, preset against assembly, and the
+# materials file on disk
+_CROSS_KEYS = {"action", "preset", "assembly", "materials_file"}
+
+
+# sweep values of the two axes that take names, not small counts
+_SWEEP_NAMES = {"material": ["aluminum", "copper"],
+                "channel_shape": ["rectangular", "semicircular"]}
+
+
+def _valid(check, default):
+    """Values `check` accepts on its own. A number lies within a factor of
+    two of a numeric default, a string names a material, and a free list
+    holds small counts."""
+    if isinstance(check, set):
+        return st.sampled_from(sorted(check))
+    if isinstance(check, list):
+        item = default[0] if isinstance(default, list) else None
+        return st.lists(_valid(check[0], item), min_size=1, max_size=2)
+    if isinstance(check, dict):
+        return _valid_documents(check)
+    if check is _STRING:
+        return st.sampled_from(["aluminum", "copper"])
+    if check is _LIST:
+        return st.lists(st.integers(1, 3), min_size=1, max_size=2)
+    if type(default) is int:
+        return st.integers(1, 2 * default)
+    base = default if type(default) is float else 1.0
+    return st.floats(-1.0, 1.0).map(
+        lambda u: v if check[1](v := base * 2.0**u) is not None else base)
+
+
+def _valid_documents(table):
+    """Objects with a table's required keys and some of its others, each
+    value one the table accepts on its own."""
+    values = {key: _valid(check, default)
+              for key, (check, default) in table.items()
+              if key not in _CROSS_KEYS}
+    required = {key for key, (_, default) in table.items()
+                if default is _REQUIRED}
+    documents = st.fixed_dictionaries(
+        {key: values[key] for key in required},
+        optional={key: values[key] for key in values.keys() - required})
+    if "axis" in table:  # sweep values must suit the axis
+        documents = documents.map(lambda doc: {
+            **doc, "values": _SWEEP_NAMES.get(doc["axis"], doc["values"])})
+    return documents
+
+
+def _documents(table):
+    """Config overlays: three in four hold only values the table accepts,
+    so most parse and reach an action; the rest are arbitrary."""
+    valid = _valid_documents(table)
+    return st.one_of(valid, valid, valid, _arbitrary_documents(table))
 
 
 # valid on its own; the fuzz overwrites some of its keys
