@@ -2,10 +2,12 @@
 
 Actions: report | sweep | optimize | solve-fv | mesh-study. The config is
 a strict JSON document checked against `_CONFIG`, which gives every key's
-type, range and default; all violations are reported together. Lengths
-carry an explicit _m suffix in key names. Every action writes result.json
-and result.csv into the output directory; solve-fv additionally writes
-field.txt. Outputs are byte-stable for a given config.
+type, range and default, the inline assembly's too; all violations are
+reported together, with those `geometry.validate` finds in the assembly.
+Lengths carry an explicit _m suffix in key names. The assembly's document
+format lives here alone. Every action writes result.json and result.csv
+into the output directory; solve-fv additionally writes field.txt.
+Outputs are byte-stable for a given config.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import fv, hydraulics, studies, thermal
-from .geometry import (Assembly, PRESETS, assembly_from_json,
-                       assembly_to_json, plate_mass)
+from .geometry import (PRESETS, Assembly, ChannelLayout, DieSource,
+                       ModulePlacement, PlateGeometry, Rectangular,
+                       Semicircular, plate_mass, validate)
 from .hydraulics import DEFAULT_MINOR_LOSS_K, FlowCondition
-from .properties import (CoolantProps, MaterialLibrary, water_at_reference)
+from .properties import (CoolantProps, MaterialLibrary, SolidMaterial,
+                         water_at_reference)
 
 ACTIONS = ("report", "sweep", "optimize", "solve-fv", "mesh-study")
 
@@ -35,11 +39,16 @@ class ConfigError(ValueError):
 # Every key maps to (check, default). A check is (must_be, accept), where
 # accept(value) returns the value to use (numbers as float) or None to
 # reject it; {"a", "b"}, one of these strings; [check], a non-empty list of
-# values passing check; or {key: (check, default)}, an object with only
-# these keys. An absent key takes its default, checked like a given value;
-# a None default leaves it out and _REQUIRED makes its absence an error.
+# values passing check; {key: (check, default)}, an object with only these
+# keys; or _Kind(name=table, ...), an object whose "kind" names its table.
+# An absent key takes its default, checked like a given value; a None
+# default leaves it out and _REQUIRED makes its absence an error.
 
 _REQUIRED = object()
+
+
+class _Kind(dict):
+    """Check of an object whose "kind" key names the table of its keys."""
 
 
 def _number(must_be: str, in_range, big=sys.float_info.max):
@@ -56,6 +65,22 @@ _COUNT = "an integer >= 1", lambda v: v if type(v) is int and v >= 1 else None
 _STRING = "a string", lambda v: v if isinstance(v, str) else None
 _OBJECT = "an object", lambda v: v if isinstance(v, dict) else None
 _LIST = "a non-empty list", lambda v: v if isinstance(v, list) and v else None
+
+
+def _pair(item):
+    """A list of two values, each accepted by the check `item`."""
+    return f"two values, each {item[0]}", lambda v: (
+        pair if isinstance(v, list) and len(v) == 2
+        and None not in (pair := [item[1](x) for x in v]) else None)
+
+
+_POINT = _pair(_FINITE)     # (x, y) m
+_EXTENT = _pair(_POSITIVE)  # (dx, dy) m
+
+
+def _required(**checks) -> dict:
+    """An object table whose every key is required."""
+    return {key: (check, _REQUIRED) for key, check in checks.items()}
 
 
 def _resolve(check, value, path: str, errors: list[str]):
@@ -78,6 +103,11 @@ def _resolve(check, value, path: str, errors: list[str]):
         return None if None in items else items
     if _resolve(_OBJECT, value, path, errors) is None:
         return None
+    if isinstance(check, _Kind):
+        kind = _resolve(set(check), value.get("kind"), f"{path}.kind", errors)
+        if kind is None:
+            return None
+        check = {"kind": ({kind}, _REQUIRED), **check[kind]}
     at = f"{path}." if path else ""
     errors += [f"unknown key {at + k!r}" for k in value if k not in check]
     resolved = {}
@@ -103,7 +133,26 @@ _SOLVER = fv.SolverSettings()
 _CONFIG = {
     "action": (set(ACTIONS), None),
     "preset": (set(PRESETS), None),
-    "assembly": (_OBJECT, None),
+    # the plate material is looked up in the config's own material library
+    "assembly": ({
+        "plate": (_required(length_m=_POSITIVE, width_m=_POSITIVE,
+                            thickness_m=_POSITIVE, material=_STRING),
+                  _REQUIRED),
+        "layout": (_required(
+            rows=("1 or 2", lambda v: v if type(v) is int and v in (1, 2)
+                  else None),
+            channels_per_row=_COUNT, channel_length_m=_POSITIVE,
+            shape=_Kind(rectangular=_required(width_m=_POSITIVE,
+                                              height_m=_POSITIVE),
+                        semicircular=_required(radius_m=_POSITIVE)),
+            cover_thickness_m=_POSITIVE, lateral_pitch_m=_POSITIVE),
+            _REQUIRED),
+        "modules": ([_required(
+            id=_STRING, face={"top", "bottom"}, origin_m=_POINT,
+            footprint_m=_EXTENT, dies=[_required(
+                center_m=_POINT, footprint_m=_EXTENT,
+                power_W=_NON_NEGATIVE)])], None),
+    }, None),
     "materials_file": (_STRING, None),
     "coolant": ({
         "name": (_STRING, _WATER.name),
@@ -115,19 +164,16 @@ _CONFIG = {
     }, {}),
     "flow": ({"v_mps": (_POSITIVE, 1.1),
               "inlet_C": (_FINITE, thermal.DEFAULT_INLET_C)}, {}),
-    "stack": ({"layers": ([{
-        "name": (_STRING, _REQUIRED),
-        "thickness_m": (_POSITIVE, _REQUIRED),
-        "conductivity": (_POSITIVE, _REQUIRED),
-        "area_factor": (_AT_LEAST_ONE, 1.0),
-    }], _REQUIRED)}, None),
+    "stack": (_required(layers=[{
+        **_required(name=_STRING, thickness_m=_POSITIVE,
+                    conductivity=_POSITIVE),
+        "area_factor": (_AT_LEAST_ONE, 1.0)}]), None),
     "solver": ({"tol": (_POSITIVE, _SOLVER.tol),
                 "max_iters": (_COUNT, _SOLVER.max_iters),
                 "resolution_m": (_POSITIVE, _SOLVER.resolution)}, {}),
     "hydraulics": ({"minor_loss_K": (_NON_NEGATIVE, DEFAULT_MINOR_LOSS_K)},
                    {}),
-    "sweep": ({"axis": (set(studies.SWEEP_AXES), _REQUIRED),
-               "values": (_LIST, _REQUIRED),
+    "sweep": ({**_required(axis=set(studies.SWEEP_AXES), values=_LIST),
                "evaluator": _EVALUATOR}, None),
     "optimize": ({
         "materials": ([_STRING], ["copper", "aluminum", "stainless-steel"]),
@@ -140,8 +186,62 @@ _CONFIG = {
         "pressure_budget_Pa": (_POSITIVE, studies.DEFAULT_PRESSURE_BUDGET_PA),
         "evaluator": _EVALUATOR,
     }, None),
-    "mesh_study": ({"resolutions_m": ([_POSITIVE], _REQUIRED)}, None),
+    "mesh_study": (_required(resolutions_m=[_POSITIVE]), None),
 }
+
+
+def _field(key: str) -> str:
+    """The record field a config key names: the key less its unit suffix."""
+    name, _, unit = key.rpartition("_")
+    return name if unit in ("m", "C", "W", "Pa") else key
+
+
+def _record(cls, section: dict, **fields):
+    """The `cls` record of a resolved config section: each key's value is
+    its field's, lists as tuples, and `fields` give the other fields."""
+    for key, value in section.items():
+        fields.setdefault(_field(key),
+                          tuple(value) if isinstance(value, list) else value)
+    return cls(**fields)
+
+
+_SHAPES = {"rectangular": Rectangular, "semicircular": Semicircular}
+
+
+def _assembly(doc: dict, material) -> Assembly:
+    """The Assembly of a resolved assembly section; material(name) gives
+    the plate's material record."""
+    plate, layout = doc["plate"], doc["layout"]
+    shape = {k: v for k, v in layout["shape"].items() if k != "kind"}
+    return Assembly(
+        plate=_record(PlateGeometry, plate,
+                      material=material(plate["material"])),
+        layout=_record(ChannelLayout, layout, shape=_record(
+            _SHAPES[layout["shape"]["kind"]], shape)),
+        modules=tuple(_record(ModulePlacement, m, dies=tuple(
+            _record(DieSource, d) for d in m["dies"]))
+            for m in doc.get("modules", ())))
+
+
+def _document(check, value):
+    """The document `check` reads as `value`, a record or one of its
+    fields: the reverse of `_record`."""
+    if isinstance(check, list):
+        return [_document(check[0], item) for item in value]
+    if isinstance(check, _Kind):
+        kind = {cls: k for k, cls in _SHAPES.items()}[type(value)]
+        return {"kind": kind, **_document(check[kind], value)}
+    if isinstance(check, dict):
+        return {key: _document(item, getattr(value, _field(key)))
+                for key, (item, _) in check.items()}
+    if isinstance(value, SolidMaterial):
+        return value.name
+    return list(value) if isinstance(value, tuple) else value
+
+
+def assembly_to_json(assembly: Assembly) -> dict:
+    """The config document of an assembly."""
+    return _document(_CONFIG["assembly"][0], assembly)
 
 
 @dataclass
@@ -193,18 +293,16 @@ def parse_config(text: str, action: str | None = None) -> RunConfig:
         if _resolve([set(library.names())], names, path, errors):
             return tuple(map(library.get_material, names))
 
-    assembly = None
+    # a preset resolves through the same builder as an inline assembly
     if "preset" in resolved:
         resolved["assembly"] = assembly_to_json(
             PRESETS[resolved.pop("preset")]())
     if ("preset" in doc) == ("assembly" in doc):
         errors.append("exactly one of 'preset' or 'assembly' is required")
-    elif "assembly" in resolved:
-        try:
-            assembly = assembly_from_json(resolved["assembly"],
-                                          library.get_material)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            errors.append(f"assembly: {exc}")
+    plate = resolved.get("assembly", {}).get("plate", {})
+    if "material" in plate:
+        _resolve(set(library.names()), plate["material"],
+                 "assembly.plate.material", errors)
 
     # material names become this config's records; other sweep values stay
     # as given, because the row descriptors print them
@@ -219,44 +317,39 @@ def parse_config(text: str, action: str | None = None) -> RunConfig:
     opt_materials = (materials(opt["materials"], "optimize.materials")
                      if "materials" in opt else None)
 
+    if not errors:  # the table accepts the assembly, so its records build
+        assembly = _assembly(resolved["assembly"], library.get_material)
+        errors += [f"assembly: {v}" for v in validate(assembly)]
     if errors:
         raise ConfigError("invalid config: " + "; ".join(errors))
 
-    resolved["assembly"] = assembly_to_json(assembly)
-    # coolant and solver keys are the field names, with a unit suffix
-    coolant = CoolantProps(**{key.removesuffix("_C"): value
-                              for key, value in resolved["coolant"].items()})
-    solver = fv.SolverSettings(**{key.removesuffix("_m"): v
-                                  for key, v in resolved["solver"].items()})
+    coolant = _record(CoolantProps, resolved["coolant"])
+    solver = _record(fv.SolverSettings, resolved["solver"])
     flow = FlowCondition(inlet_velocity=resolved["flow"]["v_mps"],
                          inlet_temperature=resolved["flow"]["inlet_C"])
     stack = None
     if "stack" in resolved:
-        stack = thermal.DieStack(layers=tuple(thermal.StackLayer(
-            l["name"], l["thickness_m"], l["conductivity"], l["area_factor"])
-            for l in resolved["stack"]["layers"]))
+        stack = thermal.DieStack(layers=tuple(
+            _record(thermal.StackLayer, layer)
+            for layer in resolved["stack"]["layers"]))
     common = dict(base=assembly, coolant=coolant, stack=stack,
                   minor_loss_K=resolved["hydraulics"]["minor_loss_K"],
                   solver=solver)
     problem = None
     if opt:
-        try:
-            problem = studies.DesignProblem(
+        try:  # the evaluator is not part of the problem
+            problem = _record(
+                studies.DesignProblem,
+                {k: v for k, v in opt.items() if k != "evaluator"},
                 materials=opt_materials,
-                channel_counts=tuple(opt["channel_counts"]),
-                cover_thicknesses=tuple(opt["cover_thicknesses_m"]),
-                v_min=opt["v_min"], v_max=opt["v_max"], v_step=opt["v_step"],
-                t_max_limit=opt["t_max_limit_C"],
-                pressure_budget=opt["pressure_budget_Pa"],
                 inlet_temperature=flow.inlet_temperature, **common)
         except ValueError as exc:  # a velocity grid too fine to enumerate
             raise ConfigError(f"invalid config: optimize: {exc}") from None
     return RunConfig(
         action=cfg_action, assembly=assembly, coolant=coolant, flow=flow,
         stack=stack, minor_loss_K=common["minor_loss_K"], solver=solver,
-        sweep=studies.SweepSpec(
-            axis=sweep["axis"], values=tuple(sweep_values), flow=flow,
-            evaluator=sweep["evaluator"], **common) if sweep else None,
+        sweep=_record(studies.SweepSpec, sweep, values=tuple(sweep_values),
+                      flow=flow, **common) if sweep else None,
         optimize=problem, resolved=resolved)
 
 

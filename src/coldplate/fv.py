@@ -491,6 +491,9 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
           material: SolidMaterial, tol: float = SolverSettings.tol,
           max_iters: int = SolverSettings.max_iters) -> FvSolution:
     """Solve the coupled solid-conduction / coolant-march problem."""
+    if not (max_iters >= 1 and 0 < tol < math.inf):  # NaN fails both
+        raise ValueError(f"need max_iters >= 1 and 0 < tol < inf, got "
+                         f"max_iters={max_iters!r}, tol={tol!r}")
     n_ch = len(grid.channels)
     if n_ch and not flow.inlet_velocity > 0:  # also rejects NaN
         raise ValueError("inlet velocity must be > 0 with channels present")

@@ -8,6 +8,9 @@ Channels are straight and parallel, run the full channel_length, and are
 arranged in one or two rows (a row per cooled face). Rectangular channels
 are width x height with height measured into the plate; semicircular
 channels have their flat side toward the nearest plate face.
+
+This module holds no serialization: the config document of an assembly
+is read, checked and written by `cli` alone.
 """
 
 from __future__ import annotations
@@ -265,106 +268,6 @@ def validate(assembly: Assembly) -> list[str]:
                     violations.append(
                         f"modules {a.id} and {b.id} overlap on face {face}")
     return violations
-
-
-# --------------------------------------------------------------------------
-# JSON serialization
-
-def _shape_to_json(shape: ChannelShape) -> dict:
-    if isinstance(shape, Rectangular):
-        return {"kind": "rectangular", "width_m": shape.width,
-                "height_m": shape.height}
-    return {"kind": "semicircular", "radius_m": shape.radius}
-
-
-def _only(data, path: str, *keys: str) -> dict:
-    """data, checked to be an object whose every key is one of keys."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{path} must be an object, got {data!r}")
-    if unknown := [repr(f"{path}.{k}") for k in data if k not in keys]:
-        raise ValueError("unknown key " + ", ".join(unknown))
-    return data
-
-
-def shape_from_json(data: dict) -> ChannelShape:
-    kind = data.get("kind")
-    if kind == "rectangular":
-        _only(data, "assembly.layout.shape", "kind", "width_m", "height_m")
-        return Rectangular(width=data["width_m"], height=data["height_m"])
-    if kind == "semicircular":
-        _only(data, "assembly.layout.shape", "kind", "radius_m")
-        return Semicircular(radius=data["radius_m"])
-    raise ValueError(f"unknown channel shape kind {kind!r}")
-
-
-def assembly_to_json(assembly: Assembly) -> dict:
-    plate = assembly.plate
-    layout = assembly.layout
-    return {
-        "plate": {
-            "length_m": plate.length,
-            "width_m": plate.width,
-            "thickness_m": plate.thickness,
-            "material": plate.material.name,
-        },
-        "layout": {
-            "rows": layout.rows,
-            "channels_per_row": layout.channels_per_row,
-            "channel_length_m": layout.channel_length,
-            "shape": _shape_to_json(layout.shape),
-            "cover_thickness_m": layout.cover_thickness,
-            "lateral_pitch_m": layout.lateral_pitch,
-        },
-        "modules": [
-            {
-                "id": m.id,
-                "face": m.face,
-                "origin_m": list(m.origin),
-                "footprint_m": list(m.footprint),
-                "dies": [
-                    {"center_m": list(d.center),
-                     "footprint_m": list(d.footprint),
-                     "power_W": d.power}
-                    for d in m.dies
-                ],
-            }
-            for m in assembly.modules
-        ],
-    }
-
-
-def assembly_from_json(data: dict, material_lookup=get_material) -> Assembly:
-    """The assembly a document describes. A key this does not read is an
-    error naming its path, such as assembly.modules[0].dies[1].powr_W."""
-    _only(data, "assembly", "plate", "layout", "modules")
-    p = _only(data["plate"], "assembly.plate",
-              "length_m", "width_m", "thickness_m", "material")
-    lay = _only(data["layout"], "assembly.layout", "rows", "channels_per_row",
-                "channel_length_m", "shape", "cover_thickness_m",
-                "lateral_pitch_m")
-    plate = PlateGeometry(
-        length=p["length_m"], width=p["width_m"], thickness=p["thickness_m"],
-        material=material_lookup(p["material"]))
-    layout = ChannelLayout(
-        rows=lay["rows"],
-        channels_per_row=lay["channels_per_row"],
-        channel_length=lay["channel_length_m"],
-        shape=shape_from_json(lay["shape"]),
-        cover_thickness=lay["cover_thickness_m"],
-        lateral_pitch=lay["lateral_pitch_m"])
-    modules = []
-    for i, m in enumerate(data.get("modules", [])):
-        path = f"assembly.modules[{i}]"
-        _only(m, path, "id", "face", "origin_m", "footprint_m", "dies")
-        dies = [_only(d, f"{path}.dies[{j}]", "center_m", "footprint_m",
-                      "power_W") for j, d in enumerate(m["dies"])]
-        modules.append(ModulePlacement(
-            id=m["id"], face=m["face"],
-            origin=tuple(m["origin_m"]), footprint=tuple(m["footprint_m"]),
-            dies=tuple(DieSource(center=tuple(d["center_m"]),
-                                 footprint=tuple(d["footprint_m"]),
-                                 power=d["power_W"]) for d in dies)))
-    return Assembly(plate=plate, layout=layout, modules=tuple(modules))
 
 
 # --------------------------------------------------------------------------

@@ -31,11 +31,11 @@ class StackLayer:
     area_factor: float = 1.0  # cumulative area growth relative to the die
 
     def __post_init__(self):
-        if self.thickness <= 0 or self.conductivity <= 0:
+        if not (0 < self.thickness < math.inf
+                and 0 < self.conductivity < math.inf
+                and 1.0 <= self.area_factor < math.inf):
             raise ValueError(f"layer {self.name}: thickness and conductivity "
-                             "must be > 0")
-        if self.area_factor < 1.0:
-            raise ValueError(f"layer {self.name}: area_factor must be >= 1")
+                             "must be in (0, inf), area_factor in [1, inf)")
 
 
 @dataclass(frozen=True)

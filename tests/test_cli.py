@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coldplate import fv
-from coldplate.cli import (_CONFIG, _LIST, _REQUIRED, _STRING, ACTIONS,
-                           ConfigError, main, parse_config)
-from coldplate.geometry import assembly_to_json
+from coldplate.cli import (_CONFIG, _EXTENT, _FINITE, _LIST, _POINT,
+                           _REQUIRED, _STRING, ACTIONS, ConfigError, _Kind,
+                           assembly_to_json, main, parse_config)
 
+from coldplate.geometry import PRESETS
 from conftest import small_assembly
 
 
@@ -86,6 +87,18 @@ class TestParseConfig:
         message = str(exc.value)
         assert "bogus" in message and "velocty" in message
         assert "exactly one" in message
+
+    @pytest.mark.parametrize("name", ["primary_side", "secondary_side",
+                                      "small"])
+    def test_assembly_round_trip(self, name):
+        # the written document reads back, through the table, as the same
+        # records; a preset name builds them through the same builder
+        assembly = PRESETS.get(name, small_assembly)()
+        doc = json.dumps({"assembly": assembly_to_json(assembly)})
+        assert parse_config(doc, action="report").assembly == assembly
+        if name in PRESETS:
+            assert parse_config(json.dumps({"preset": name}),
+                                action="report").assembly == assembly
 
     @pytest.mark.parametrize("grid", [
         {"v_min": 1e20, "v_max": 1e21, "v_step": 1},
@@ -354,7 +367,7 @@ class TestMalformedConfig:
         assert not (out / "result.json").exists()
 
     def test_nan_die_power_is_an_error(self, tmp_path, capsys):
-        # rejected where the die is built, not after max_iters CG steps
+        # rejected when the config is parsed, not after max_iters CG steps
         doc = small_doc("solve-fv", solver={"resolution_m": 2.5e-3})
         doc["assembly"]["modules"][0]["dies"][0]["power_W"] = NAN
         cfg = write_config(tmp_path, doc)
@@ -362,18 +375,23 @@ class TestMalformedConfig:
         assert main(["solve-fv", "--config", str(cfg),
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "die power must be finite" in err
+        assert err.startswith("error:") and (
+            "assembly.modules[0].dies[0].power_W must be a finite number "
+            ">= 0, got nan") in err
+        assert err.count("\n") == 1
         assert "Traceback" not in err
         assert not (out / "result.json").exists()
 
     @pytest.mark.parametrize("action, key, value, message", [
-        ("report", "rows", 3,
-         "rows must be an integer >= 1 and <= 2 (a row per cooled face), "
-         "got 3"),
-        ("report", "rows", True, "got True"),
+        ("report", "rows", 3, "assembly.layout.rows must be 1 or 2, got 3"),
+        ("report", "rows", True,
+         "assembly.layout.rows must be 1 or 2, got True"),
         ("report", "channels_per_row", 1.5,
-         "channels_per_row must be an integer >= 1, got 1.5"),
-        ("solve-fv", "channels_per_row", 1.5, "got 1.5"),
+         "assembly.layout.channels_per_row must be an integer >= 1, "
+         "got 1.5"),
+        ("solve-fv", "channels_per_row", 1.5,
+         "assembly.layout.channels_per_row must be an integer >= 1, "
+         "got 1.5"),
     ], ids=["three-rows", "bool-rows", "fractional-channels-report",
             "fractional-channels-solve-fv"])
     def test_unbuildable_channel_count_is_an_error(self, tmp_path, capsys,
@@ -385,9 +403,77 @@ class TestMalformedConfig:
         out = tmp_path / "out"
         assert main([action, "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: invalid config: assembly:")
-        assert message in err and "Traceback" not in err
+        assert err == f"error: invalid config: {message}\n"
         assert not (out / "result.json").exists()
+
+    @pytest.mark.parametrize("action, changes, messages", [
+        ("report", {("plate", "length_m"): True},
+         ["assembly.plate.length_m must be a finite number > 0, got True"]),
+        ("report", {("modules", 0, "dies", 0, "power_W"): True},
+         ["assembly.modules[0].dies[0].power_W must be a finite number "
+          ">= 0, got True"]),
+        ("report", {("modules", 0, "origin_m"): 5},
+         ["assembly.modules[0].origin_m must be two values, each a finite "
+          "number, got 5"]),
+        ("report", {("modules", 0, "origin_m"): [0.0, 0.0, 0.0]},
+         ["assembly.modules[0].origin_m must be two values, each a finite "
+          "number, got [0.0, 0.0, 0.0]"]),
+        ("report", {("plate",): ...}, ["missing key 'assembly.plate'"]),
+        ("report", {("layout", "shape", "radius_m"): None},
+         ["assembly.layout.shape.radius_m must be a finite number > 0, "
+          "got None"]),
+        ("report", {("modules", 0, "origin_m"): 5,
+                    ("layout", "shape", "radius_m"): None},
+         ["assembly.modules[0].origin_m must be two values",
+          "assembly.layout.shape.radius_m must be a finite number > 0"]),
+        ("report", {("layout", "shape", "radius_m"): 1e200},
+         ["assembly: channels do not fit through thickness"]),
+        ("sweep", {("layout", "shape", "radius_m"): 1e200},
+         ["assembly: channels do not fit through thickness"]),
+        ("optimize", {("layout", "cover_thickness_m"): 0.01},
+         ["assembly: channels do not fit through thickness"]),
+        ("report", {("layout", "shape", "kind"): "hexagonal"},
+         ["unknown assembly.layout.shape.kind 'hexagonal'"]),
+        ("report", {("layout", "shape", "width_m"): 0.01},
+         ["unknown key 'assembly.layout.shape.width_m'"]),
+        ("report", {("plate", "material"): "unobtainium"},
+         ["unknown assembly.plate.material 'unobtainium'"]),
+        ("report", {("modules", 0, "id"): 7},
+         ["assembly.modules[0].id must be a string, got 7"]),
+        ("report", {("modules",): {}},
+         ["assembly.modules must be a non-empty list, got {}"]),
+        ("report", {("modules",): []},
+         ["assembly.modules must be a non-empty list, got []"]),
+        ("report", {("modules", 0, "dies"): []},
+         ["assembly.modules[0].dies must be a non-empty list, got []"]),
+    ], ids=["bool-length", "bool-power", "int-origin", "three-origin",
+            "no-plate", "null-radius", "two-violations", "huge-radius-report",
+            "huge-radius-sweep", "base-fails-validate-optimize",
+            "unknown-kind", "key-of-other-kind", "unknown-material",
+            "int-id", "modules-object", "empty-modules", "empty-dies"])
+    def test_malformed_assembly_is_an_error(self, tmp_path, capsys, action,
+                                            changes, messages):
+        # each used to pass, crash with a traceback, stop at its first
+        # violation or name no key; an Ellipsis value deletes the key
+        doc = small_doc(action, sweep={"axis": "velocity", "values": [1.1]},
+                        optimize={"channel_counts": [1], "v_min": 1.1,
+                                  "v_max": 1.1})
+        for path, value in changes.items():
+            parent = doc["assembly"]
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is ...:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main([action, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert all(message in err for message in messages), err
+        assert not out.exists()
 
     def test_unknown_assembly_key_is_an_error(self, tmp_path, capsys):
         # a misspelt key used to leave its value out silently: "module"
@@ -492,8 +578,14 @@ def _arbitrary_documents(table):
             return st.sampled_from(sorted(check))
         if isinstance(check, list):
             return st.lists(kind(check[0]), min_size=1, max_size=2)
+        if isinstance(check, _Kind):  # a kind and keys of its table
+            return st.sampled_from(sorted(check)).flatmap(
+                lambda k: _arbitrary_documents(check[k]).map(
+                    lambda doc: {"kind": k, **doc}))
         if isinstance(check, dict):
             return _arbitrary_documents(check)
+        if check in (_POINT, _EXTENT):  # one to three numbers
+            return st.lists(kind(_FINITE), min_size=1, max_size=3)
         return st.integers(-1, 3) | st.floats() | st.text(max_size=6)
     values = {key: kind(check) | _json_values()
               for key, (check, _) in table.items()}
@@ -514,34 +606,55 @@ _SWEEP_NAMES = {"material": ["aluminum", "copper"],
                 "channel_shape": ["rectangular", "semicircular"]}
 
 
-def _valid(check, default):
-    """Values `check` accepts on its own. A number lies within a factor of
-    two of a numeric default, a string names a material, and a free list
-    holds small counts."""
+def _near(x: float):
+    """Numbers within a factor of two of x."""
+    return st.floats(-1.0, 1.0).map(lambda u: x * 2.0**u)
+
+
+def _valid(check, like):
+    """Values `check` accepts on its own, near the example `like`: a table
+    default or a value of an example document. A number lies within a
+    factor of two of a numeric example (of 1.0 without one), a pair item
+    by item, a string names a material, and a free list holds small
+    counts."""
     if isinstance(check, set):
         return st.sampled_from(sorted(check))
     if isinstance(check, list):
-        item = default[0] if isinstance(default, list) else None
+        item = like[0] if isinstance(like, list) else None
         return st.lists(_valid(check[0], item), min_size=1, max_size=2)
+    if isinstance(check, _Kind):
+        def of_kind(k):
+            example = (like if isinstance(like, dict)
+                       and like.get("kind") == k else {})
+            return _valid_documents(check[k], example).map(
+                lambda doc: {"kind": k, **doc})
+        return st.sampled_from(sorted(check)).flatmap(of_kind)
     if isinstance(check, dict):
-        return _valid_documents(check)
+        return _valid_documents(check, like if isinstance(like, dict)
+                                else {})
     if check is _STRING:
         return st.sampled_from(["aluminum", "copper"])
     if check is _LIST:
         return st.lists(st.integers(1, 3), min_size=1, max_size=2)
-    if type(default) is int:
-        return st.integers(1, 2 * default)
-    base = default if type(default) is float else 1.0
-    return st.floats(-1.0, 1.0).map(
-        lambda u: v if check[1](v := base * 2.0**u) is not None else base)
+    if check in (_POINT, _EXTENT):
+        x, y = like if isinstance(like, list) else (1.0, 1.0)
+        return st.tuples(_near(x), _near(y)).map(list)
+    base = like if type(like) in (int, float) else 1.0
+    values = st.integers(1, 2 * base) if type(base) is int else _near(base)
+    return values.map(lambda v: v if check[1](v) is not None else base)
 
 
-def _valid_documents(table):
+def _valid_documents(table, like):
     """Objects with a table's required keys and some of its others, each
-    value one the table accepts on its own."""
-    values = {key: _valid(check, default)
-              for key, (check, default) in table.items()
-              if key not in _CROSS_KEYS}
+    value one the table accepts on its own: the key's example, from the
+    example document `like` or the table's default, or a value near it."""
+    values = {}
+    for key, (check, default) in table.items():
+        if key not in _CROSS_KEYS:
+            example = like.get(key, default)
+            values[key] = _valid(check, example)
+            if example is not None and example is not _REQUIRED:
+                values[key] |= st.just(example)
     required = {key for key, (_, default) in table.items()
                 if default is _REQUIRED}
     documents = st.fixed_dictionaries(
@@ -556,7 +669,7 @@ def _valid_documents(table):
 def _documents(table):
     """Config overlays: three in four hold only values the table accepts,
     so most parse and reach an action; the rest are arbitrary."""
-    valid = _valid_documents(table)
+    valid = _valid_documents(table, {})
     return st.one_of(valid, valid, valid, _arbitrary_documents(table))
 
 
@@ -568,24 +681,27 @@ _BASE = {"preset": "primary_side",
                                "conductivity": 100.0}]}}
 
 
-@settings(max_examples=100, deadline=None)
-@given(overlay=_documents(_CONFIG),
-       action=st.sampled_from(ACTIONS + (None,)))
-def test_parse_config_fuzz(overlay, action):
-    # any document either parses or is a ConfigError, never another error;
-    # what parses echoes as strict JSON
-    try:
-        config = parse_config(json.dumps({**_BASE, **overlay}), action=action)
-    except ConfigError:
-        return
-    json.dumps(config.resolved, allow_nan=False)
-
-
 # solve-fv examples run the small plate at 2.5 mm (5,760 cells): neither
 # preset builds a grid coarser than 2.5 mm, where a primary_side solve
 # takes 0.4 s
 _FV_BASE = {**{k: v for k, v in _BASE.items() if k != "preset"},
             "assembly": assembly_to_json(small_assembly())}
+
+
+@settings(max_examples=100, deadline=None)
+@given(overlay=_documents(_CONFIG),
+       assembly=_valid(_CONFIG["assembly"][0], _FV_BASE["assembly"]),
+       action=st.sampled_from(ACTIONS + (None,)))
+def test_parse_config_fuzz(overlay, assembly, action):
+    # any document either parses or is a ConfigError, never another error;
+    # what parses echoes as strict JSON. The inline assembly is drawn from
+    # the table near the small plate, so some fit and some fail validate
+    doc = {**_FV_BASE, "assembly": assembly, **overlay}
+    try:
+        config = parse_config(json.dumps(doc), action=action)
+    except ConfigError:
+        return
+    json.dumps(config.resolved, allow_nan=False)
 
 
 @settings(max_examples=100, deadline=None)

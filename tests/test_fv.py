@@ -177,6 +177,17 @@ class TestSolve:
         with pytest.raises(ValueError, match="non-finite conductance"):
             solve(grid, water, FLOW, nan_solid)
 
+    @pytest.mark.parametrize("settings", [
+        {"max_iters": 0}, {"tol": 0.0}, {"tol": math.nan}, {"tol": math.inf},
+    ], ids=["max-iters-0", "tol-0", "tol-nan", "tol-inf"])
+    def test_invalid_solver_settings_rejected(self, small, water, settings):
+        # max_iters=0 used to return the unsolved field as converged, and a
+        # tol of 0 or NaN ran every iteration and then stalled
+        grid = build_grid(small, 2.5e-3)
+        with pytest.raises(ValueError, match="need max_iters >= 1 and "
+                           "0 < tol < inf"):
+            solve(grid, water, FLOW, small.plate.material, **settings)
+
     def test_no_convective_faces_singular(self, water):
         grid = make_slab_grid(0.04, 0.04, 0.01, 0.005, 1e5, 1000.0)
         grid.h_bottom = None

@@ -1,4 +1,3 @@
-import json
 import math
 from dataclasses import replace
 
@@ -6,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import coldplate as cp
-from coldplate.geometry import (REFERENCE_RECT, assembly_from_json,
-                                assembly_to_json, channel_depth)
+from coldplate.geometry import REFERENCE_RECT, channel_depth
 
 RECT = cp.Rectangular(width=0.010, height=0.002)
 
@@ -195,20 +193,6 @@ class TestValidate:
         dup = replace(primary.modules[1], id="dup2")
         asm = replace(primary, modules=(bad1, bad2, dup))
         assert len(cp.validate(asm)) >= 2
-
-
-class TestSerialization:
-    def test_round_trip(self, primary):
-        again = assembly_from_json(json.loads(json.dumps(
-            assembly_to_json(primary))))
-        assert again == primary
-
-    def test_schema_fields(self, secondary):
-        doc = assembly_to_json(secondary)
-        assert doc["plate"]["material"] == "copper"
-        assert doc["layout"]["shape"]["kind"] == "semicircular"
-        assert doc["modules"][0]["face"] == "top"
-        assert assembly_from_json(doc) == secondary
 
 
 def test_reference_rect_is_2_by_10_mm():

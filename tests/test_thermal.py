@@ -116,8 +116,13 @@ class TestDieStack:
             cp.DieStack(layers=())
 
     def test_bad_layer_rejected(self):
-        with pytest.raises(ValueError):
-            thermal.StackLayer("bad", -1e-3, 100.0)
+        # NaN passes `<= 0` and `< 1` checks; a NaN thickness gave a NaN t_max
+        for bad in [(-1e-3, 100.0), (math.nan, 100.0), (math.inf, 100.0),
+                    (1e-3, math.nan), (1e-3, math.inf),
+                    (1e-3, 100.0, 0.5), (1e-3, 100.0, math.nan),
+                    (1e-3, 100.0, math.inf)]:
+            with pytest.raises(ValueError, match="layer bad"):
+                thermal.StackLayer("bad", *bad)
 
 
 class TestSolveNetwork:
