@@ -2,12 +2,14 @@
 
 Actions: report | sweep | optimize | solve-fv | mesh-study. The config is
 a strict JSON document checked against `_CONFIG`, which gives every key's
-type, range and default, the inline assembly's too; all violations are
-reported together, with those `geometry.validate` finds in the assembly.
-Lengths carry an explicit _m suffix in key names. The assembly's document
-format lives here alone. Every action writes result.json and result.csv
-into the output directory; solve-fv additionally writes field.txt.
-Outputs are byte-stable for a given config.
+type, range and default, the inline assembly's too; the entries of the
+materials file are checked against `_OVERRIDE` or `_NEW_MATERIAL`. All
+violations are reported together, with those `geometry.validate` finds in
+the assembly. Lengths carry an explicit _m suffix in key names. The
+assembly's and the materials file's document formats live here alone.
+Every action writes result.json and result.csv into the output
+directory; solve-fv additionally writes field.txt. Outputs are
+byte-stable for a given config.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import fv, hydraulics, studies, thermal
@@ -23,7 +25,7 @@ from .geometry import (PRESETS, Assembly, ChannelLayout, DieSource,
                        ModulePlacement, PlateGeometry, Rectangular,
                        Semicircular, plate_mass, validate)
 from .hydraulics import DEFAULT_MINOR_LOSS_K, FlowCondition
-from .properties import (CoolantProps, MaterialLibrary, SolidMaterial,
+from .properties import (MATERIALS, CoolantProps, SolidMaterial,
                          water_at_reference)
 
 ACTIONS = ("report", "sweep", "optimize", "solve-fv", "mesh-study")
@@ -189,6 +191,35 @@ _CONFIG = {
     "mesh_study": (_required(resolutions_m=[_POSITIVE]), None),
 }
 
+# an entry of the materials file, keyed by material name: a built-in's keys
+# may be left out and keep its values, a new material must give all three
+_MATERIAL_KEYS = ("thermal_conductivity", "density", "specific_heat")
+_OVERRIDE = {key: (_POSITIVE, None) for key in _MATERIAL_KEYS}
+_NEW_MATERIAL = _required(**dict.fromkeys(_MATERIAL_KEYS, _POSITIVE))
+
+
+def _materials(path: str | None,
+               errors: list[str]) -> dict[str, SolidMaterial | None]:
+    """The config's materials by name: the built-ins, with the entries of
+    the materials file at `path` merged over them; an entry in error maps
+    to None, after its violations are appended to `errors`."""
+    materials = dict(MATERIALS)
+    if path is None:
+        return materials
+    try:  # unreadable, not UTF-8, not JSON, or too deep or long to decode
+        entries = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, RecursionError, ValueError) as exc:
+        errors.append(f"materials_file: {exc}")
+        return materials
+    for name, fields in (_resolve(_OBJECT, entries, "materials_file",
+                                  errors) or {}).items():
+        base, seen = MATERIALS.get(name), len(errors)
+        fields = _resolve(_OVERRIDE if base else _NEW_MATERIAL, fields,
+                          f"materials_file.{name}", errors)
+        materials[name] = None if len(errors) > seen else (
+            replace(base, **fields) if base else SolidMaterial(name, **fields))
+    return materials
+
 
 def _field(key: str) -> str:
     """The record field a config key names: the key less its unit suffix."""
@@ -265,6 +296,8 @@ def parse_config(text: str, action: str | None = None) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error: {exc.msg} at line "
                           f"{exc.lineno} column {exc.colno}") from None
+    except (RecursionError, ValueError) as exc:  # too deep, too many digits
+        raise ConfigError(f"config parse error: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
 
@@ -281,17 +314,7 @@ def parse_config(text: str, action: str | None = None) -> RunConfig:
     if needed in ("sweep", "optimize", "mesh_study") and needed not in doc:
         errors.append(f"action {cfg_action!r} needs a {needed!r} section")
 
-    library = MaterialLibrary()
-    if "materials_file" in resolved:
-        try:
-            library.load_overrides(resolved["materials_file"])
-        except (AttributeError, OSError, TypeError, ValueError) as exc:
-            errors.append(f"materials_file: {exc}")
-
-    def materials(names, path):
-        """This config's records for a list of material names, or None."""
-        if _resolve([set(library.names())], names, path, errors):
-            return tuple(map(library.get_material, names))
+    materials = _materials(resolved.get("materials_file"), errors)
 
     # a preset resolves through the same builder as an inline assembly
     if "preset" in resolved:
@@ -301,27 +324,27 @@ def parse_config(text: str, action: str | None = None) -> RunConfig:
         errors.append("exactly one of 'preset' or 'assembly' is required")
     plate = resolved.get("assembly", {}).get("plate", {})
     if "material" in plate:
-        _resolve(set(library.names()), plate["material"],
+        _resolve(set(materials), plate["material"],
                  "assembly.plate.material", errors)
-
-    # material names become this config's records; other sweep values stay
-    # as given, because the row descriptors print them
     sweep, opt = resolved.get("sweep", {}), resolved.get("optimize", {})
-    sweep_values = sweep.get("values")
-    if "axis" in sweep and sweep_values:
-        if sweep["axis"] == "material":
-            sweep_values = materials(sweep_values, "sweep.values")
-        else:
-            _resolve([_SWEEP_ITEM[sweep["axis"]]], sweep_values,
-                     "sweep.values", errors)
-    opt_materials = (materials(opt["materials"], "optimize.materials")
-                     if "materials" in opt else None)
+    if "axis" in sweep and sweep.get("values"):
+        item = {**_SWEEP_ITEM, "material": set(materials)}[sweep["axis"]]
+        _resolve([item], sweep["values"], "sweep.values", errors)
+    if "materials" in opt:
+        _resolve([set(materials)], opt["materials"], "optimize.materials",
+                 errors)
 
     if not errors:  # the table accepts the assembly, so its records build
-        assembly = _assembly(resolved["assembly"], library.get_material)
+        assembly = _assembly(resolved["assembly"], materials.__getitem__)
         errors += [f"assembly: {v}" for v in validate(assembly)]
     if errors:
         raise ConfigError("invalid config: " + "; ".join(errors))
+
+    # material names become this config's records; other sweep values stay
+    # as given, because the row descriptors print them
+    sweep_values = sweep.get("values", ())
+    if sweep.get("axis") == "material":
+        sweep_values = [materials[name] for name in sweep_values]
 
     coolant = _record(CoolantProps, resolved["coolant"])
     solver = _record(fv.SolverSettings, resolved["solver"])
@@ -341,7 +364,7 @@ def parse_config(text: str, action: str | None = None) -> RunConfig:
             problem = _record(
                 studies.DesignProblem,
                 {k: v for k, v in opt.items() if k != "evaluator"},
-                materials=opt_materials,
+                materials=tuple(materials[name] for name in opt["materials"]),
                 inlet_temperature=flow.inlet_temperature, **common)
         except ValueError as exc:  # a velocity grid too fine to enumerate
             raise ConfigError(f"invalid config: optimize: {exc}") from None
@@ -474,17 +497,20 @@ def main(argv: list[str] | None = None) -> int:
                         help="print the fully resolved configuration")
     args = parser.parse_args(argv)
 
+    # exit 2: a file that cannot be read or written; exit 1: a malformed
+    # config (a ConfigError, or text that is not UTF-8) or a failed run
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        text = Path(args.config).read_text(encoding="utf-8")
         config = parse_config(text, action=args.action)
         return run(config, Path(args.out), echo_config=args.echo_config)
-    except (ConfigError, ValueError, fv.ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except OSError as exc:
+        status, message = 2, exc
+    except UnicodeDecodeError as exc:
+        status, message = 1, f"invalid config: not UTF-8 text: {exc}"
+    except (ValueError, fv.ConvergenceError) as exc:
+        status, message = 1, exc
+    print(f"error: {message}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -80,12 +80,6 @@ class SolverSettings:
     max_iters: int = 20000     # CG iterations per linear solve
 
 
-@dataclass(frozen=True)
-class ChannelInfo:
-    area: float      # analytic flow area, m^2
-    perimeter: float  # analytic wetted perimeter, m
-
-
 @dataclass
 class Grid:
     nx: int
@@ -96,7 +90,7 @@ class Grid:
     dz: float
     void: np.ndarray         # bool (nx, ny, nz)
     channel_id: np.ndarray   # int (nx, ny, nz), -1 for solid
-    channels: tuple[ChannelInfo, ...]
+    n_channels: int          # each of cross-section `shape`
     flux_top: np.ndarray     # (nx, ny) W/m^2 on the exterior top face
     flux_bottom: np.ndarray  # (nx, ny) W/m^2 on the exterior bottom face
     shape: ChannelShape | None = None
@@ -216,7 +210,7 @@ def build_grid(assembly: Assembly, resolution: float) -> Grid:
     shape = layout.shape
     rows = ["top"] if layout.rows == 1 else ["bottom", "top"]
     y_centers = assembly.channel_y_centers()
-    channels = []
+    n_channels = 0
 
     # symmetric sample offsets within a cell
     offs = (np.arange(_SUBSAMPLE) + 0.5) / _SUBSAMPLE - 0.5
@@ -239,9 +233,8 @@ def build_grid(assembly: Assembly, resolution: float) -> Grid:
                     f"resolution {resolution} m cannot resolve channel at "
                     f"y = {y_center * 1e3:.2f} mm")
             void[:, mask] = True
-            channel_id[:, mask] = len(channels)
-            channels.append(ChannelInfo(area=cross_section_area(shape),
-                                        perimeter=wetted_perimeter(shape)))
+            channel_id[:, mask] = n_channels
+            n_channels += 1
 
     if void[:, :, 0].any() or void[:, :, -1].any():
         raise GridResolutionError(
@@ -256,7 +249,7 @@ def build_grid(assembly: Assembly, resolution: float) -> Grid:
             _deposit(target, dx, dy, die.center, die.footprint, die.power)
 
     return Grid(nx=nx, ny=ny, nz=nz, dx=dx, dy=dy, dz=dz, void=void,
-                channel_id=channel_id, channels=tuple(channels),
+                channel_id=channel_id, n_channels=n_channels,
                 flux_top=flux_top, flux_bottom=flux_bottom, shape=shape)
 
 
@@ -279,7 +272,7 @@ def make_slab_grid(length: float, width: float, thickness: float,
     return Grid(nx=nx, ny=ny, nz=nz, dx=dx, dy=dy, dz=dz,
                 void=np.zeros((nx, ny, nz), dtype=bool),
                 channel_id=np.full((nx, ny, nz), -1, dtype=np.int32),
-                channels=(), flux_top=top, flux_bottom=np.zeros((nx, ny)),
+                n_channels=0, flux_top=top, flux_bottom=np.zeros((nx, ny)),
                 h_bottom=h_bottom)
 
 
@@ -325,7 +318,7 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
     n = int(solid.sum())
     index = np.full(grid.void.shape, -1, dtype=np.int64)
     index[solid] = np.arange(n)
-    n_ch = len(grid.channels)
+    n_ch = grid.n_channels
     stations = grid.nx + 1
     spacing = (grid.dx, grid.dy, grid.dz)
     face_area = (grid.dy * grid.dz, grid.dx * grid.dz, grid.dx * grid.dy)
@@ -347,8 +340,8 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
         walls.append(blocks)
 
     # rescale h so h * (voxel wetted area) equals h * (analytic area)
-    analytic = np.array([ch.perimeter * grid.nx * grid.dx
-                         for ch in grid.channels])
+    analytic = (wetted_perimeter(grid.shape) * grid.nx * grid.dx
+                if n_ch else 0.0)
     h_corr = h * analytic / voxel_area
 
     # per axis, conduction then that axis's wall faces; the order in which
@@ -494,14 +487,15 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
     if not (max_iters >= 1 and 0 < tol < math.inf):  # NaN fails both
         raise ValueError(f"need max_iters >= 1 and 0 < tol < inf, got "
                          f"max_iters={max_iters!r}, tol={tol!r}")
-    n_ch = len(grid.channels)
+    n_ch = grid.n_channels
     if n_ch and not flow.inlet_velocity > 0:  # also rejects NaN
         raise ValueError("inlet velocity must be > 0 with channels present")
-    h = (thermal.heat_transfer_coefficient(coolant, grid.shape,
-                                           flow.inlet_velocity)
-         if n_ch else 0.0)
-    m_dot = coolant.density * flow.inlet_velocity * np.array(
-        [ch.area for ch in grid.channels])
+    h = m_dot = 0.0  # per channel
+    if n_ch:
+        h = thermal.heat_transfer_coefficient(coolant, grid.shape,
+                                              flow.inlet_velocity)
+        m_dot = (coolant.density * flow.inlet_velocity
+                 * cross_section_area(grid.shape))
 
     system = _assemble(grid, material, h)
     if not np.all(np.isfinite(system.diag)):
@@ -535,7 +529,7 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
         q_sink = np.bincount(system.face_sink,
                              system.face_heat(temp, t_sink),
                              minlength=t_sink.size).reshape(t_sink.shape)
-        rise = q_sink[:n_ch, :-1] / (m_dot[:, None] * coolant.specific_heat)
+        rise = q_sink[:n_ch, :-1] / (m_dot * coolant.specific_heat)
         t_new = t_sink.copy()
         t_new[:n_ch, 1:] = inlet + np.cumsum(rise, axis=1)
         change = float(np.max(np.abs(t_new - t_sink)))

@@ -4,11 +4,12 @@ Built-in solid conductivities/densities follow the default property tables
 shipped with mainstream CFD solvers (copper 387.6, aluminum 202.4,
 stainless steel 16.27 W/m-K). Properties are constant: no temperature
 dependence is modeled, and water is evaluated at the 20 C reference state.
+The module holds records and tables only: reading a materials file, and
+checking its entries, is the config reader's job (`cli`).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -60,7 +61,9 @@ class CoolantProps:
         return self.dynamic_viscosity * self.specific_heat / self.thermal_conductivity
 
 
-_BUILTIN_SOLIDS = {
+# the built-in solids by name; a config's materials file adds to and
+# overrides them for that config alone
+MATERIALS = {
     "copper": SolidMaterial("copper", 387.6, 8978.0, 381.0),
     "aluminum": SolidMaterial("aluminum", 202.4, 2719.0, 871.0),
     "stainless-steel": SolidMaterial("stainless-steel", 16.27, 8030.0, 502.48),
@@ -76,52 +79,12 @@ _WATER_20C = CoolantProps(
 )
 
 
-class MaterialLibrary:
-    """Registry of solid materials, seeded with the three built-ins.
-
-    User entries from a JSON property file are merged over the built-ins;
-    records are immutable once stored.
-    """
-
-    def __init__(self):
-        self._solids = dict(_BUILTIN_SOLIDS)
-
-    def get_material(self, name: str) -> SolidMaterial:
-        try:
-            return self._solids[name]
-        except KeyError:
-            raise UnknownMaterialError(name, sorted(self._solids)) from None
-
-    def names(self) -> list[str]:
-        return sorted(self._solids)
-
-    def load_overrides(self, path) -> None:
-        """Merge a JSON property file (object keyed by material name).
-
-        Each entry holds thermal_conductivity, density and specific_heat;
-        missing fields fall back to the built-in record of the same name.
-        """
-        with open(path) as fh:
-            data = json.load(fh)
-        for name, fields in data.items():
-            base = self._solids.get(name)
-            merged = {}
-            for key in ("thermal_conductivity", "density", "specific_heat"):
-                if key in fields:
-                    merged[key] = float(fields[key])
-                elif base is not None:
-                    merged[key] = getattr(base, key)
-                else:
-                    raise ValueError(f"{name}: new material must define {key}")
-            self._solids[name] = SolidMaterial(name=name, **merged)
-
-
-_DEFAULT_LIBRARY = MaterialLibrary()
-
-
 def get_material(name: str) -> SolidMaterial:
     """Look up a built-in solid material by name."""
-    return _DEFAULT_LIBRARY.get_material(name)
+    try:
+        return MATERIALS[name]
+    except KeyError:
+        raise UnknownMaterialError(name, sorted(MATERIALS)) from None
 
 
 def water_at_reference() -> CoolantProps:

@@ -14,6 +14,7 @@ from coldplate.cli import (_CONFIG, _EXTENT, _FINITE, _LIST, _POINT,
                            assembly_to_json, main, parse_config)
 
 from coldplate.geometry import PRESETS
+from coldplate.properties import MATERIALS, get_material
 from conftest import small_assembly
 
 
@@ -100,6 +101,23 @@ class TestParseConfig:
             assert parse_config(json.dumps({"preset": name}),
                                 action="report").assembly == assembly
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000, '{"flow": {"v_mps": ' + "1" * 5000 + "}}"],
+        ids=["nested-too-deeply", "integer-too-long"])
+    def test_undecodable_json_is_config_error(self, tmp_path, text):
+        # JSON that fails to decode without a JSONDecodeError: a
+        # RecursionError used to escape as a traceback, and the integer's
+        # ValueError escaped parse_config
+        with pytest.raises(ConfigError, match="^config parse error: "):
+            parse_config(text, action="report")
+        path = tmp_path / "materials.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError,
+                           match="^invalid config: materials_file: "):
+            parse_config(json.dumps({"preset": "primary_side",
+                                     "materials_file": str(path)}),
+                         action="report")
+
     @pytest.mark.parametrize("grid", [
         {"v_min": 1e20, "v_max": 1e21, "v_step": 1},
         {"v_min": 0.5, "v_max": 1e300},
@@ -185,6 +203,31 @@ class TestMain:
         assert main(["report", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["file", "file/out"],
+                             ids=["out-is-a-file", "out-under-a-file"])
+    def test_unwritable_out_is_an_error(self, tmp_path, capsys, out):
+        # creating the output directory used to end in a FileExistsError
+        # or NotADirectoryError traceback
+        (tmp_path / "file").write_text("kept")
+        cfg = write_config(tmp_path, {"preset": "primary_side"})
+        assert main(["report", "--config", str(cfg),
+                     "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert (tmp_path / "file").read_text() == "kept"
+
+    def test_non_utf8_config_is_an_error(self, tmp_path, capsys):
+        # used to end in a UnicodeDecodeError traceback
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b"\xff\xfe")
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid config: not UTF-8 text: 'utf-8' codec can't "
+            "decode byte 0xff in position 0: invalid start byte\n")
+        assert not out.exists()
 
     def test_sweep(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -497,6 +540,51 @@ class TestMalformedConfig:
         assert "unknown key 'assembly.modules[0].dies[1].powr_W'" in err
         assert not (tmp_path / "b" / "result.json").exists()
 
+    @pytest.mark.parametrize("body, message", [
+        ('{"copper": {"thermal_conductivty": 200}}',
+         "unknown key 'materials_file.copper.thermal_conductivty'"),
+        ('{"copper": {"density": true}}',
+         "materials_file.copper.density must be a finite number > 0, "
+         "got True"),
+        ('{"copper": {"density": "9000"}}',
+         "materials_file.copper.density must be a finite number > 0, "
+         "got '9000'"),
+        ('{"copper": 5}', "materials_file.copper must be an object, got 5"),
+        ('[{"copper": {}}]',
+         "materials_file must be an object, got [{'copper': {}}]"),
+        ('{"mystery": {"density": 1000.0}}',
+         "missing key 'materials_file.mystery.thermal_conductivity'; "
+         "missing key 'materials_file.mystery.specific_heat'"),
+        ('{"copper": {"density": NaN}}',
+         "materials_file.copper.density must be a finite number > 0, "
+         "got nan"),
+        (b"\xff\xfe", "materials_file: 'utf-8' codec can't decode byte 0xff "
+         "in position 0: invalid start byte"),
+        ('{"copper": {"density": true}, "brass": {"thermal_conductivity": '
+         '109.0, "density": 8530.0, "specific_heat": 380.0, "colour": 1}}',
+         "materials_file.copper.density must be a finite number > 0, "
+         "got True; unknown key 'materials_file.brass.colour'"),
+    ], ids=["misspelt-key", "bool-density", "string-density", "int-entry",
+            "list-file", "incomplete-new-material", "nan-density",
+            "not-utf8", "two-violations"])
+    def test_malformed_materials_file_is_an_error(self, tmp_path, capsys,
+                                                  body, message):
+        # a misspelt key, a bool or a string used to pass (a true density
+        # ran as 1 kg/m^3), a wrong type to end in Python error text, and
+        # only the first violation was reported
+        path = tmp_path / "materials.json"
+        if isinstance(body, bytes):
+            path.write_bytes(body)
+        else:
+            path.write_text(body)
+        cfg = write_config(tmp_path, {"preset": "secondary_side",
+                                      "materials_file": str(path)})
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: invalid config: {message}\n")
+        assert not out.exists()
+
     def test_violations_listed_together(self):
         with pytest.raises(ConfigError) as exc:
             parse_config(json.dumps({
@@ -517,6 +605,28 @@ class TestMaterialsFile:
             "brass": {"thermal_conductivity": 109.0, "density": 8530.0,
                       "specific_heat": 380.0}}))
         return str(path)
+
+    def test_file_overrides_and_adds_materials(self, tmp_path):
+        path = tmp_path / "materials.json"
+        path.write_text(json.dumps({
+            "copper": {"thermal_conductivity": 400.0},
+            "inconel": {"thermal_conductivity": 11.4, "density": 8440.0,
+                        "specific_heat": 435.0}}))
+        cfg = parse_config(json.dumps({
+            "preset": "secondary_side", "materials_file": str(path),
+            "optimize": {"materials": ["copper", "inconel"]}}),
+            action="optimize")
+        copper, inconel = cfg.optimize.materials
+        assert cfg.assembly.plate.material == copper
+        assert copper.thermal_conductivity == 400.0
+        assert copper.density == 8978.0  # kept from the built-in
+        assert copper.specific_heat == 381.0
+        assert inconel.density == 8440.0
+        # the built-ins, and a config without the file, are untouched
+        assert get_material("copper").thermal_conductivity == 387.6
+        assert parse_config(json.dumps({"preset": "secondary_side"}),
+                            action="report").assembly.plate.material is (
+            MATERIALS["copper"])
 
     def test_sweep_and_optimize_use_the_file(self, materials_file):
         cfg = parse_config(json.dumps({
@@ -568,6 +678,44 @@ def _json_values():
         st.lists(inner, max_size=3)
         | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
         max_leaves=6)
+
+
+_MATERIAL_KEYS = ("thermal_conductivity", "density", "specific_heat")
+
+
+def _materials_files():
+    """Materials-file bodies: mostly objects keyed by a built-in, a new or
+    a junk name, whose entries are complete, partial, junk keys or any
+    JSON; else any JSON."""
+    keys = dict.fromkeys(_MATERIAL_KEYS, st.floats(1.0, 1e4))
+    complete, some = (st.fixed_dictionaries(keys),
+                      st.fixed_dictionaries({}, optional=keys))
+    entry = complete | some | _json_values() | st.dictionaries(
+        st.sampled_from(_MATERIAL_KEYS) | st.text(max_size=4),
+        st.floats(1.0, 1e4) | _json_values(), max_size=3)
+    names = st.sampled_from(["copper", "aluminum", "brass"])
+    files = st.dictionaries(names | st.text(max_size=4), entry, max_size=2)
+    return files | files | _json_values()
+
+
+@settings(max_examples=100, deadline=None)
+@given(body=_materials_files())
+def test_materials_file_fuzz(body):
+    # any file either parses or is a ConfigError; what parses gives copper
+    # the file's values over the built-in's
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "materials.json"
+        path.write_text(json.dumps(body))
+        try:
+            config = parse_config(json.dumps({
+                "preset": "secondary_side", "materials_file": str(path)}),
+                action="report")
+        except ConfigError:
+            return
+    copper = config.assembly.plate.material
+    for key in _MATERIAL_KEYS:
+        assert getattr(copper, key) == body.get("copper", {}).get(
+            key, getattr(MATERIALS["copper"], key))
 
 
 def _arbitrary_documents(table):

@@ -63,9 +63,10 @@ class TestBuildGrid:
 
     def test_channels_have_metadata(self, small):
         grid = build_grid(small, 1.5e-3)
-        assert len(grid.channels) == 2
-        for ch in grid.channels:
-            assert ch.area == pytest.approx(math.pi * 0.003**2 / 2, rel=1e-12)
+        assert grid.n_channels == 2
+        assert set(np.unique(grid.channel_id)) == {-1, 0, 1}
+        assert cp.cross_section_area(grid.shape) == pytest.approx(
+            math.pi * 0.003**2 / 2, rel=1e-12)
 
     def test_rectangular_channels_on_cell_faces(self, small, water):
         # at 1.5 mm every edge of a 6 x 3 mm channel lies on a cell face,
@@ -142,7 +143,7 @@ class TestSolve:
     def test_coolant_outlet_energy(self, small, water):
         grid = build_grid(small, 1.5e-3)
         sol = solve(grid, water, FLOW, small.plate.material)
-        m_dot_ch = water.density * 1.1 * grid.channels[0].area
+        m_dot_ch = water.density * 1.1 * cp.cross_section_area(grid.shape)
         removed = sum(m_dot_ch * water.specific_heat * (p[-1] - 49.0)
                       for p in sol.coolant_profile)
         assert removed == pytest.approx(grid.total_power, rel=1e-5)

@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and the package
-imports nothing heavier than numpy and scipy.sparse."""
+"""Source hygiene: no module imports a name it never uses, the package
+imports nothing heavier than numpy and scipy.sparse, and only `cli` reads
+JSON."""
 
 import ast
 import sys
@@ -34,20 +35,28 @@ def unused_imports(source: str) -> list[str]:
         imported.items(), key=lambda item: item[1]) if name not in used]
 
 
-def disallowed_imports(source: str) -> list[str]:
-    """Absolute imports of modules outside the stdlib and the allowed set."""
+def absolute_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of every absolute import."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
+            found += [(node.lineno, alias.name) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            modules = [node.module]
-        else:
-            continue
-        found += [f"line {node.lineno}: {m}" for m in modules
-                  if m not in ALLOWED_THIRD_PARTY
-                  and m.split(".")[0] not in sys.stdlib_module_names]
+            found.append((node.lineno, node.module))
     return found
+
+
+def disallowed_imports(source: str) -> list[str]:
+    """Absolute imports of modules outside the stdlib and the allowed set."""
+    return [f"line {line}: {m}" for line, m in absolute_imports(source)
+            if m not in ALLOWED_THIRD_PARTY
+            and m.split(".")[0] not in sys.stdlib_module_names]
+
+
+def imports_of(source: str, module: str) -> list[str]:
+    """Absolute imports of `module` or of one of its submodules."""
+    return [f"line {line}: {m}" for line, m in absolute_imports(source)
+            if m.split(".")[0] == module]
 
 
 def test_detects_unused_import():
@@ -74,3 +83,18 @@ def test_detects_disallowed_import():
                          .as_posix())
 def test_package_imports_stay_light(path):
     assert disallowed_imports(path.read_text()) == []
+
+
+def test_detects_imports_of():
+    source = ("import json\nimport jsonschema\nfrom json import loads\n"
+              "from . import json_tools\ndef f():\n    import json.decoder\n")
+    assert imports_of(source, "json") == [
+        "line 1: json", "line 3: json", "line 6: json.decoder"]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "cli.py"],
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_only_cli_reads_json(path):
+    # one reader: cli reads, checks and merges every config document, the
+    # materials file included; the other modules hold records and tables
+    assert imports_of(path.read_text(), "json") == []

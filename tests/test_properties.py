@@ -1,12 +1,11 @@
-import json
 import math
 from dataclasses import replace
 
 import pytest
 
-from coldplate.properties import (CoolantProps, MaterialLibrary,
-                                  SolidMaterial, UnknownMaterialError,
-                                  get_material, water_at_reference)
+from coldplate.properties import (MATERIALS, CoolantProps, SolidMaterial,
+                                  UnknownMaterialError, get_material,
+                                  water_at_reference)
 
 
 def test_builtin_conductivities():
@@ -31,6 +30,7 @@ def test_unknown_material_names_missing_key():
     with pytest.raises(UnknownMaterialError) as exc:
         get_material("unobtanium")
     assert "unobtanium" in str(exc.value)
+    assert exc.value.known == sorted(MATERIALS)
 
 
 def test_lookup_is_pure():
@@ -80,27 +80,3 @@ def test_non_finite_properties_rejected(value):
         replace(water_at_reference(), dynamic_viscosity=value)
     with pytest.raises(ValueError):
         replace(water_at_reference(), reference_temperature=value)
-
-
-def test_library_overrides(tmp_path):
-    path = tmp_path / "materials.json"
-    path.write_text(json.dumps({
-        "copper": {"thermal_conductivity": 400.0},
-        "inconel": {"thermal_conductivity": 11.4, "density": 8440.0,
-                    "specific_heat": 435.0},
-    }))
-    lib = MaterialLibrary()
-    lib.load_overrides(path)
-    assert lib.get_material("copper").thermal_conductivity == 400.0
-    assert lib.get_material("copper").density == 8978.0  # kept from built-in
-    assert lib.get_material("inconel").density == 8440.0
-    # the default registry is untouched
-    assert get_material("copper").thermal_conductivity == 387.6
-
-
-def test_override_new_material_must_be_complete(tmp_path):
-    path = tmp_path / "materials.json"
-    path.write_text(json.dumps({"mystery": {"density": 1000.0}}))
-    lib = MaterialLibrary()
-    with pytest.raises(ValueError):
-        lib.load_overrides(path)
