@@ -15,6 +15,7 @@ byte-stable for a given config.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -467,8 +468,20 @@ _RUNNERS = {
 }
 
 
+def _check_out(out_dir: Path) -> None:
+    """Refuse an output path that is, or lies under, an existing file, so
+    the run fails before it computes; creates nothing."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise NotADirectoryError(errno.ENOTDIR, "Not a directory",
+                                         str(path))
+            return
+
+
 def run(config: RunConfig, out_dir: Path, echo_config: bool = False) -> int:
     """Execute the configured action and write result artifacts."""
+    _check_out(out_dir)
     if echo_config:
         print(json.dumps(config.resolved, indent=2, sort_keys=True))
     result, csv, field_data, summary = _RUNNERS[config.action](config)

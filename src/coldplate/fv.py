@@ -17,14 +17,17 @@ heat its faces remove, plus a last row fixed at the inlet temperature.
 
 The linear system is symmetric positive definite and is solved by
 conjugate gradients with a two-level aggregation preconditioner (Vanek,
-Mandel & Brezina, Computing 1996): damped-Jacobi smoothing around an exact
-coarse solve on aggregates of 4x4 cell columns, split through the
-thickness into slabs 3 cells deep. The aggregation is plain, not smoothed:
-a smoothed prolongator was measured with no gain (one or two CG
-iterations fewer, a third more time per first pass). Each apply
-costs one full mat-vec; the post-smoothing residual is updated with the
-precomputed A P, whose rows have a few non-zeros. The contract is the
-residual tolerance, not the method.
+Mandel & Brezina, Computing 1996): damped-Jacobi smoothing with weight
+0.9 around an exact coarse solve on aggregates of 4x4 cell columns, split
+through the thickness into slabs 3 cells deep. The weight must stay below
+1 for the preconditioner to be SPD (D^-1 A has eigenvalues up to 2, and
+near 2 on the grid's checkerboard mode). The aggregation is plain, not
+smoothed: a smoothed prolongator was measured with no gain (one or two CG
+iterations fewer, a third more time per first pass). Each apply costs one
+full mat-vec; the post-smoothing is fused into one sparse product with the
+precomputed P - S A P, whose rows have a few non-zeros. A P is a sparse
+product, which leaves out its exact zeros. The contract is the residual
+tolerance, not the method.
 
 The CG loop is this module's own (`cg`), with scipy's algorithm and
 stopping rule. Its dot products and norms avoid BLAS: on vectors of a few
@@ -39,7 +42,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
 from . import thermal
@@ -60,6 +63,9 @@ _MAX_OUTER = 100   # outer fluid-coupling passes before giving up
 # cells, splitting the thickness is what cuts the CG iterations
 _AGG_COLUMNS = 4
 _AGG_LAYERS = 3
+# damped-Jacobi weight of the preconditioner's smoother; below 1 keeps it SPD
+# (see _two_level), and 0.9 took 13% fewer CG iterations than 2/3
+_SMOOTH_WEIGHT = 0.9
 
 
 class GridResolutionError(ValueError):
@@ -450,11 +456,20 @@ def _two_level(system: _System, grid: Grid):
 
     Aggregates are the solid cells of each block of _AGG_COLUMNS x
     _AGG_COLUMNS (x, y) cell columns and _AGG_LAYERS cells through the
-    thickness; P is the aggregate indicator (plain aggregation). A P is
-    summed straight from the CSR arrays, and the Galerkin coarse matrix
-    P^T A P is factored once, which serves every outer pass because A does
-    not change between them. An apply makes one full mat-vec: after the
-    coarse correction e, the residual r - A x is updated by - (A P) e.
+    thickness; P is the aggregate indicator (plain aggregation). A P and
+    the Galerkin coarse matrix P^T A P are sparse products; the product
+    stores no exact zero, so the entry (i, agg(i)) of a cell whose whole
+    stencil lies in its own aggregate is left out. The coarse matrix is
+    factored once, which serves every outer pass because A does not change
+    between them.
+
+    The smoother is damped Jacobi S = _SMOOTH_WEIGHT D^-1 before and after
+    the coarse solve. M is SPD exactly when the weight times the largest
+    eigenvalue of D^-1 A is below 2; that eigenvalue is at most 2 and comes
+    near it on the checkerboard mode of the 7-point grid, so the weight
+    stays below 1. An apply makes one full mat-vec and fuses the
+    post-smoothing into Q = P - S A P:
+    res = r - A S r, e = coarse(P^T res), M r = S (r + res) + Q e.
     """
     a = system.matrix
     ii, jj, kk = np.nonzero(~grid.void)
@@ -462,21 +477,22 @@ def _two_level(system: _System, grid: Grid):
         ((ii // _AGG_COLUMNS) * grid.ny + jj // _AGG_COLUMNS) * grid.nz
         + kk // _AGG_LAYERS, return_inverse=True)
     n, nc = agg.size, blocks.size
-    cells = np.arange(n)
-    restrict = coo_matrix((np.ones(n), (agg, cells)), shape=(nc, n)).tocsr()
-    ap = coo_matrix((a.data, (np.repeat(cells, np.diff(a.indptr)),
-                              agg[a.indices])), shape=(n, nc)).tocsr()
-    coarse = splu((restrict @ ap).tocsc(), permc_spec="MMD_AT_PLUS_A")
-    smooth = (2.0 / 3.0) / system.diag  # damped Jacobi, omega = 2/3
+    p = csr_matrix((np.ones(n), agg, np.arange(n + 1)), shape=(n, nc))
+    restrict = p.T.tocsr()
+    q = a @ p
+    coarse = splu((restrict @ q).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    smooth = _SMOOTH_WEIGHT / system.diag
+    # Q = P - S A P, scaling A P in place so no second copy of it is held
+    q.data *= -np.repeat(smooth, np.diff(q.indptr))
+    q = q + p
 
     def apply(r):
-        x = smooth * r
-        res = r - a @ x
+        res = r - a @ (smooth * r)
         e = coarse.solve(restrict @ res)
-        x += e[agg]
-        res -= ap @ e
-        x += smooth * res
-        return x
+        res += r
+        res *= smooth
+        res += q @ e
+        return res
     return apply
 
 

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coldplate import fv
+from coldplate import cli, fv
 from coldplate.cli import (_CONFIG, _EXTENT, _FINITE, _LIST, _POINT,
                            _REQUIRED, _STRING, ACTIONS, ConfigError, _Kind,
                            assembly_to_json, main, parse_config)
@@ -217,6 +217,25 @@ class TestMain:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert (tmp_path / "file").read_text() == "kept"
+
+    @pytest.mark.parametrize("out", ["file", "file/out"],
+                             ids=["out-is-a-file", "out-under-a-file"])
+    def test_unwritable_out_refused_before_the_run(self, tmp_path, capsys,
+                                                   monkeypatch, out):
+        # the output path used to be created only after the whole solve
+        calls = []
+        monkeypatch.setitem(cli._RUNNERS, "solve-fv",
+                            lambda config: calls.append(config))
+        (tmp_path / "file").write_text("kept")
+        cfg = write_config(tmp_path, {"preset": "primary_side"})
+        assert main(["solve-fv", "--config", str(cfg),
+                     "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path / "file") in err
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "file"]
 
     def test_non_utf8_config_is_an_error(self, tmp_path, capsys):
         # used to end in a UnicodeDecodeError traceback

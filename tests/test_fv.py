@@ -243,9 +243,21 @@ class TestTwoLevel:
             assert abs(uv - vu) <= 1e-12 * max(abs(uv), abs(vu))
             assert v @ precond(v) > 0.0
 
+    def test_positive_on_checkerboard_mode(self, small, water):
+        # on the checkerboard mode of the 7-point grid D^-1 A is near its
+        # bound 2 and the smoother damps by 1 - 2w, so there
+        # v.Mv / v.D^-1 v is about 2w (1 - w): 0.18 at the shipped w = 0.9,
+        # 0 at w = 1 and negative above; random vectors do not catch it
+        grid = build_grid(small, 1.5e-3)
+        h = cp.heat_transfer_coefficient(water, grid.shape, 1.1)
+        system = fv._assemble(grid, small.plate.material, h)
+        precond = fv._two_level(system, grid)
+        v = (-1.0) ** np.sum(np.nonzero(~grid.void), axis=0)
+        assert v @ precond(v) >= 0.05 * (v @ (v / system.diag))
+
     def test_apply_matches_two_matvec_form(self, small, water):
-        # the apply updates the post-smoothing residual through A P instead
-        # of a second full mat-vec; both are the same operator up to rounding
+        # the apply fuses the post-smoothing into Q = P - S A P instead of
+        # a second full mat-vec; both are the same operator up to rounding
         grid = build_grid(small, 1.5e-3)
         h = cp.heat_transfer_coefficient(water, grid.shape, 1.1)
         system = fv._assemble(grid, small.plate.material, h)
@@ -256,7 +268,7 @@ class TestTwoLevel:
                for i, j, k in zip(*np.nonzero(~grid.void))]
         p = csr_matrix((np.ones(n), (np.arange(n), agg)))
         coarse = (p.T @ a @ p).toarray()
-        smooth = (2.0 / 3.0) / system.diag
+        smooth = fv._SMOOTH_WEIGHT / system.diag
         precond = fv._two_level(system, grid)
         for r in np.random.default_rng(0).standard_normal((3, n)):
             x = smooth * r
@@ -267,7 +279,8 @@ class TestTwoLevel:
 
     def test_first_pass_iteration_budget(self, primary, water, monkeypatch):
         # Jacobi-preconditioned CG takes 459 iterations on this pass, 2x2
-        # full-thickness aggregates 44 and the shipped aggregates 28; counts
+        # full-thickness aggregates 44, the shipped aggregates 28 with a
+        # smoothing weight of 2/3 and 24 with the shipped weight; counts
         # repeat exactly, so this catches a weaker preconditioner without
         # timing anything
         calls = record_cg(monkeypatch)
@@ -275,7 +288,7 @@ class TestTwoLevel:
         with pytest.raises(ConvergenceError):  # stop after the first pass
             solve(build_grid(primary, 2e-3), water, FLOW,
                   primary.plate.material)
-        assert len(calls) == 1 and calls[0][3] <= 32
+        assert len(calls) == 1 and calls[0][3] <= 26
 
     @pytest.mark.parametrize("grid", [
         # 80 x 40 x 8: a 2-deep last aggregate layer
