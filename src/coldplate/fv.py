@@ -209,6 +209,11 @@ def build_grid(assembly: Assembly, resolution: float) -> Grid:
     violations = validate(assembly)
     if violations:
         raise ValueError("invalid assembly: " + "; ".join(violations))
+    # the voids and the wetted area run through all nx cells
+    if abs(layout.channel_length - plate.length) > 1e-12:
+        raise ValueError(f"the FV grid needs channels as long as the plate: "
+                         f"channel_length {layout.channel_length!r} m, plate "
+                         f"length {plate.length!r} m")
 
     void = np.zeros((nx, ny, nz), dtype=bool)
     channel_id = np.full((nx, ny, nz), -1, dtype=np.int32)

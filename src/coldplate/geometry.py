@@ -216,6 +216,13 @@ def plate_mass(assembly: Assembly) -> float:
     return plate.material.density * (box - channels)
 
 
+def _mm(length: float) -> str:
+    """A length in mm for a message: 3 decimals, in exponent form from
+    1e6 mm on so that a huge figure stays short."""
+    mm = length * 1e3
+    return f"{mm:.3f}" if abs(mm) < 1e6 else f"{mm:.3e}"
+
+
 def validate(assembly: Assembly) -> list[str]:
     """Geometric consistency check; returns all violations (empty = ok)."""
     violations = []
@@ -226,14 +233,14 @@ def validate(assembly: Assembly) -> list[str]:
     if needed > plate.thickness + 1e-12:
         violations.append(
             f"channels do not fit through thickness: rows*depth + 2*cover = "
-            f"{needed * 1e3:.3f} mm > {plate.thickness * 1e3:.3f} mm")
+            f"{_mm(needed)} mm > {_mm(plate.thickness)} mm")
 
     w_ch = channel_width(layout.shape)
     lateral = (layout.channels_per_row - 1) * layout.lateral_pitch + w_ch
     if lateral > plate.width + 1e-12:
         violations.append(
-            f"channels do not fit across width: {lateral * 1e3:.3f} mm > "
-            f"{plate.width * 1e3:.3f} mm")
+            f"channels do not fit across width: {_mm(lateral)} mm > "
+            f"{_mm(plate.width)} mm")
     if layout.channels_per_row > 1 and layout.lateral_pitch < w_ch:
         violations.append("lateral_pitch smaller than channel width")
     if layout.channel_length > plate.length + 1e-12:

@@ -14,9 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import fv, hydraulics, thermal
-from .geometry import (REFERENCE_RECT, Assembly, ChannelLayout, Rectangular,
-                       Semicircular, equal_area_radius, plate_mass,
-                       secondary_side)
+from .geometry import (REFERENCE_RECT, Assembly, Rectangular, Semicircular,
+                       equal_area_radius, plate_mass, secondary_side)
 from .hydraulics import DEFAULT_MINOR_LOSS_K, FlowCondition
 from .properties import (CoolantProps, SolidMaterial, get_material,
                          water_at_reference)
@@ -44,6 +43,8 @@ class StudyRow:
     feasible: bool
 
     def to_json(self) -> dict:
+        # by hand: dataclasses.asdict deep-copies every value (15 times
+        # slower per row), and vars() gives each row a dict that it keeps
         return {"descriptor": self.descriptor, "v_mps": self.v_mps,
                 "t_max_C": self.t_max_C, "dp_Pa": self.dp_Pa,
                 "mass_kg": self.mass_kg, "feasible": self.feasible}
@@ -125,24 +126,37 @@ class DesignProblem:
 # --------------------------------------------------------------------------
 # single-point evaluation
 
-def _reference_rect_layout(base: Assembly) -> ChannelLayout:
-    """The rectangular layout whose wetted area channel-count variants
-    must preserve."""
-    layout = base.layout
-    if isinstance(layout.shape, Rectangular):
-        return layout
-    # reconstruct the 2 x 10 mm reference at the base channel count
-    return replace(layout, shape=REFERENCE_RECT)
+def variant(base: Assembly, material: str | SolidMaterial | None = None,
+            channel_count: int | None = None,
+            channel_shape: str | None = None,
+            cover_thickness: float | None = None) -> Assembly:
+    """The base assembly with each given sweep-axis value in place.
 
-
-def with_channel_count(base: Assembly, channels_per_row: int) -> Assembly:
-    """Equal-area channel-count variant of the base assembly."""
-    ref = _reference_rect_layout(base)
-    radius = equal_area_radius(ref, channels_per_row)
-    layout = replace(base.layout, channels_per_row=channels_per_row,
-                     shape=Semicircular(radius=radius),
-                     lateral_pitch=base.plate.width / channels_per_row)
-    return replace(base, layout=layout)
+    Count and shape variants keep the wetted area of a reference
+    rectangle: a rectangular base is its own reference, any other base
+    uses REFERENCE_RECT (2 x 10 mm) at the base channel count. The
+    "rectangular" shape is that reference; a count or "semicircular"
+    variant is a semicircle of equal wetted area, and a count variant
+    spreads its channels over the plate width.
+    """
+    plate, layout = base.plate, base.layout
+    if material is not None:
+        plate = replace(plate, material=get_material(material)
+                        if isinstance(material, str) else material)
+    if channel_count is not None or channel_shape is not None:
+        ref = (layout if isinstance(layout.shape, Rectangular)
+               else replace(layout, shape=REFERENCE_RECT))
+        count = (layout.channels_per_row if channel_count is None
+                 else channel_count)
+        shapes = {"rectangular": ref.shape, "semicircular": Semicircular(
+            radius=equal_area_radius(ref, count))}
+        pitch = (layout.lateral_pitch if channel_count is None
+                 else plate.width / count)
+        layout = replace(layout, channels_per_row=count, lateral_pitch=pitch,
+                         shape=shapes[channel_shape or "semicircular"])
+    if cover_thickness is not None:
+        layout = replace(layout, cover_thickness=float(cover_thickness))
+    return replace(base, plate=plate, layout=layout)
 
 
 def evaluate_design(assembly: Assembly, coolant: CoolantProps,
@@ -183,24 +197,12 @@ def _apply_axis(spec: SweepSpec, value) -> tuple[Assembly, FlowCondition, str]:
     base, flow = spec.base, spec.flow
     if spec.axis == "velocity":
         return base, replace(flow, inlet_velocity=float(value)), f"v={value}"
-    if spec.axis == "material":
-        mat = get_material(value) if isinstance(value, str) else value
-        assembly = replace(base, plate=replace(base.plate, material=mat))
-        return assembly, flow, f"material={mat.name}"
-    if spec.axis == "channel_shape":
-        ref = _reference_rect_layout(base)
-        count = base.layout.channels_per_row
-        shape = {"rectangular": ref.shape, "semicircular": Semicircular(
-            radius=equal_area_radius(ref, count))}[value]
-        assembly = replace(base, layout=replace(base.layout, shape=shape))
-        return assembly, flow, f"shape={value}"
-    if spec.axis == "channel_count":
-        return (with_channel_count(base, int(value)), flow,
-                f"channels_per_row={int(value)}")
-    # cover_thickness
-    assembly = replace(base, layout=replace(base.layout,
-                                            cover_thickness=float(value)))
-    return assembly, flow, f"cover_m={value}"
+    assembly = variant(base, **{spec.axis: value})
+    descriptor = {"material": f"material={assembly.plate.material.name}",
+                  "channel_shape": f"shape={value}",
+                  "channel_count": f"channels_per_row={value}",
+                  "cover_thickness": f"cover_m={value}"}[spec.axis]
+    return assembly, flow, descriptor
 
 
 def run_sweep(spec: SweepSpec) -> StudyResult:
@@ -235,11 +237,9 @@ def secondary_side_scenario(assembly: Assembly = secondary_side(),
     ]
     rows = []
     for (v, cover), reference in zip(steps, SECONDARY_SCENARIO_REFERENCE_C):
-        variant = replace(assembly,
-                          layout=replace(assembly.layout,
-                                         cover_thickness=cover))
+        design = variant(assembly, cover_thickness=cover)
         flow = FlowCondition(v, thermal.DEFAULT_INLET_C)
-        t_max, dp, mass = evaluate_design(variant, coolant, flow)
+        t_max, dp, mass = evaluate_design(design, coolant, flow)
         descriptor = (f"v={v},cover_mm={cover * 1e3:g},"
                       f"ref_C={reference},delta_K={t_max - reference:.2f}")
         rows.append(StudyRow(descriptor=descriptor, v_mps=v, t_max_C=t_max,
@@ -270,27 +270,23 @@ def optimize(problem: DesignProblem, evaluator: str = "network",
     rows: list[StudyRow] = []
     best: StudyRow | None = None
 
-    for mat in problem.materials:
-        material = get_material(mat) if isinstance(mat, str) else mat
+    for material in problem.materials:
         for count in problem.channel_counts:
             for cover in problem.cover_thicknesses:
-                variant = with_channel_count(problem.base, count)
-                variant = replace(
-                    variant,
-                    plate=replace(variant.plate, material=material),
-                    layout=replace(variant.layout, cover_thickness=cover))
-                mass = plate_mass(variant)
+                design = variant(problem.base, material=material,
+                                 channel_count=count, cover_thickness=cover)
+                mass = plate_mass(design)
                 if prune and best is not None and mass > best.mass_kg:
                     continue
                 for v in velocities:
                     flow = FlowCondition(v, problem.inlet_temperature)
                     t_max, dp, mass = evaluate_design(
-                        variant, problem.coolant, flow, problem.stack,
+                        design, problem.coolant, flow, problem.stack,
                         problem.minor_loss_K, evaluator, problem.solver)
                     feasible = (t_max <= problem.t_max_limit
                                 and dp <= problem.pressure_budget
                                 and v <= problem.v_max)
-                    descriptor = (f"material={material.name},"
+                    descriptor = (f"material={design.plate.material.name},"
                                   f"channels_per_row={count},"
                                   f"cover_mm={cover * 1e3:g},v={v:g}")
                     row = StudyRow(descriptor=descriptor, v_mps=v,

@@ -177,10 +177,11 @@ def solve_network(assembly: Assembly, coolant: CoolantProps,
     plate = assembly.plate
     k_plate = plate.material.thermal_conductivity
 
-    h = heat_transfer_coefficient(coolant, layout.shape, flow.inlet_velocity)
+    # the flow terms of heat_transfer_coefficient, kept for the report
     d_h = hydraulic_diameter(layout.shape)
     re = hydraulics.reynolds(coolant, flow.inlet_velocity, d_h)
     nu = nusselt(re, coolant.prandtl)
+    h = nu * coolant.thermal_conductivity / d_h
     m_dot = hydraulics.mass_flow_total(coolant, layout, flow.inlet_velocity)
 
     # spreading depth: to the mid-plane for a double-sided plate

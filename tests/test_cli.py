@@ -284,6 +284,23 @@ class TestMain:
         field = (out / "field.txt").read_text().splitlines()
         assert field[3] == "DATASET STRUCTURED_POINTS"
 
+    def test_short_channels_refused_by_fv(self, tmp_path, capsys):
+        # the FV grid voids channels through the whole plate length, so a
+        # shorter channel_length would be solved as a full-length one
+        doc = small_doc("solve-fv", solver={"resolution_m": 2.5e-3})
+        doc["assembly"]["layout"]["channel_length_m"] = 0.06
+        del doc["action"]  # the same plate for both actions
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["solve-fv", "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: the FV grid needs channels as long as the plate: "
+            "channel_length 0.06 m, plate length 0.12 m\n")
+        assert not (out / "result.json").exists()
+        assert main(["report", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("section, message", [
         ({"flow": {"v_mps": float("nan")}},
          "flow.v_mps must be a finite number > 0"),
@@ -536,6 +553,20 @@ class TestMalformedConfig:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert all(message in err for message in messages), err
         assert not out.exists()
+
+    def test_huge_length_message_stays_short(self, tmp_path, capsys):
+        # figures from 1e6 mm on are printed in exponent form; with :.3f
+        # this line held two 204-digit numbers
+        doc = small_doc("report")
+        doc["assembly"]["layout"]["shape"]["radius_m"] = 1e200
+        cfg = write_config(tmp_path, doc)
+        assert main(["report", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid config: assembly: channels do not fit through "
+            "thickness: rows*depth + 2*cover = 2.000e+203 mm > 12.000 mm; "
+            "assembly: channels do not fit across width: 2.000e+203 mm > "
+            "60.000 mm\n")
 
     def test_unknown_assembly_key_is_an_error(self, tmp_path, capsys):
         # a misspelt key used to leave its value out silently: "module"

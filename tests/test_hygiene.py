@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, the package
-imports nothing heavier than numpy and scipy.sparse, and only `cli` reads
-JSON."""
+imports nothing heavier than numpy and scipy.sparse, only `cli` reads
+JSON, and every private module-level name is used somewhere in the
+package."""
 
 import ast
 import sys
@@ -98,3 +99,51 @@ def test_only_cli_reads_json(path):
     # one reader: cli reads, checks and merges every config document, the
     # materials file included; the other modules hold records and tables
     assert imports_of(path.read_text(), "json") == []
+
+
+def _private_names(node) -> list[str]:
+    """Private (single-underscore) names a module-level statement binds:
+    a function, a class or a constant."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _referenced(node) -> set[str]:
+    """Names a statement reads, as a bare name or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute)}
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """Private module-level names that no other module-level statement of
+    the sources reads; a function calling only itself is unreferenced."""
+    statements = [(name, node) for name, source in sources.items()
+                  for node in ast.parse(source).body]
+    reads = [(node, _referenced(node)) for _, node in statements]
+    return [f"{name} line {node.lineno}: {private}"
+            for name, node in statements for private in _private_names(node)
+            if not any(private in names for other, names in reads
+                       if other is not node)]
+
+
+def test_detects_unreferenced_privates():
+    sources = {"a.py": "_K = 1\n_USED = 2\ndef _f():\n    return _f()\n"
+                       "class _C:\n    pass\n__all__ = []\n",
+               "b.py": "from a import _USED\nx = _USED + a._C.__name__\n"}
+    assert unreferenced_privates(sources) == ["a.py line 1: _K",
+                                              "a.py line 3: _f"]
+
+
+def test_no_unreferenced_privates():
+    # a helper or constant left behind by a change is dead code
+    assert unreferenced_privates(
+        {p.name: p.read_text() for p in PACKAGE}) == []

@@ -6,9 +6,10 @@ import pytest
 
 import coldplate as cp
 from coldplate import cli, studies
+from coldplate.geometry import REFERENCE_RECT
 from coldplate.studies import (DesignProblem, StudyRow, SweepSpec,
                                evaluate_design, optimize, run_sweep,
-                               secondary_side_scenario, with_channel_count)
+                               secondary_side_scenario, variant)
 
 
 def problem(base, **kw):
@@ -103,14 +104,70 @@ class TestChannelCountVariant:
     def test_preserves_wetted_area(self, primary):
         base_area = cp.total_wetted_area(primary.layout)
         for n in (1, 2, 3, 6):
-            variant = with_channel_count(primary, n)
-            assert cp.total_wetted_area(variant.layout) == pytest.approx(
+            design = variant(primary, channel_count=n)
+            assert cp.total_wetted_area(design.layout) == pytest.approx(
                 base_area, rel=1e-12)
 
     def test_pitch_spans_plate(self, primary):
-        variant = with_channel_count(primary, 5)
-        assert variant.layout.lateral_pitch == pytest.approx(
+        design = variant(primary, channel_count=5)
+        assert design.layout.lateral_pitch == pytest.approx(
             primary.plate.width / 5)
+
+
+class TestVariant:
+    @pytest.mark.parametrize("axis", [{"channel_count": 3},
+                                      {"channel_shape": "semicircular"}],
+                             ids=["count", "shape"])
+    def test_primary_preset_is_its_own_variant(self, primary, axis):
+        # the preset's channels follow the same equal-area rule, bit for bit
+        assert variant(primary, **axis) == primary
+
+    def test_rectangular_is_the_reference(self, primary):
+        design = variant(primary, channel_shape="rectangular")
+        assert design.layout == replace(primary.layout, shape=REFERENCE_RECT)
+
+    def test_rectangular_base_is_its_own_reference(self, primary):
+        rect = replace(primary, layout=replace(
+            primary.layout, shape=cp.Rectangular(width=0.02, height=0.002)))
+        assert variant(rect, channel_shape="rectangular") == rect
+        semi = variant(rect, channel_shape="semicircular").layout
+        assert cp.total_wetted_area(semi) == pytest.approx(
+            cp.total_wetted_area(rect.layout), rel=1e-12)
+
+    def test_material_by_name_or_record(self, primary):
+        by_name = variant(primary, material="aluminum")
+        by_record = variant(primary, material=cp.get_material("aluminum"))
+        assert by_name == by_record
+        assert by_name.plate.material.name == "aluminum"
+        assert by_name.layout == primary.layout
+
+    def test_cover_thickness(self, secondary):
+        design = variant(secondary, cover_thickness=0.5e-3)
+        assert design.layout == replace(secondary.layout,
+                                        cover_thickness=0.5e-3)
+        assert design.plate == secondary.plate
+
+    def test_no_keyword_is_the_base(self, secondary):
+        assert variant(secondary) == secondary
+
+    @pytest.mark.parametrize("axis, value, descriptor", [
+        ("velocity", 1.7, "v=1.7"),
+        ("material", "aluminum", "material=aluminum"),
+        ("channel_shape", "rectangular", "shape=rectangular"),
+        ("channel_count", 6, "channels_per_row=6"),
+        ("cover_thickness", 0.0005, "cover_m=0.0005"),
+    ])
+    def test_sweep_descriptor(self, primary, axis, value, descriptor):
+        row, = run_sweep(SweepSpec(base=primary, axis=axis,
+                                   values=(value,))).rows
+        assert row.descriptor == descriptor
+
+    def test_optimize_descriptor(self, primary):
+        res = optimize(problem(primary, materials=("aluminum",),
+                               channel_counts=(6,), cover_thicknesses=(5e-4,),
+                               v_min=1.1, v_max=1.1))
+        assert [r.descriptor for r in res.rows] == [
+            "material=aluminum,channels_per_row=6,cover_mm=0.5,v=1.1"]
 
 
 class TestSecondaryScenario:
