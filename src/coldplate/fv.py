@@ -94,7 +94,6 @@ class Grid:
     dx: float
     dy: float
     dz: float
-    void: np.ndarray         # bool (nx, ny, nz)
     channel_id: np.ndarray   # int (nx, ny, nz), -1 for solid
     n_channels: int          # each of cross-section `shape`
     flux_top: np.ndarray     # (nx, ny) W/m^2 on the exterior top face
@@ -215,7 +214,6 @@ def build_grid(assembly: Assembly, resolution: float) -> Grid:
                          f"channel_length {layout.channel_length!r} m, plate "
                          f"length {plate.length!r} m")
 
-    void = np.zeros((nx, ny, nz), dtype=bool)
     channel_id = np.full((nx, ny, nz), -1, dtype=np.int32)
 
     shape = layout.shape
@@ -243,11 +241,10 @@ def build_grid(assembly: Assembly, resolution: float) -> Grid:
                 raise GridResolutionError(
                     f"resolution {resolution} m cannot resolve channel at "
                     f"y = {y_center * 1e3:.2f} mm")
-            void[:, mask] = True
             channel_id[:, mask] = n_channels
             n_channels += 1
 
-    if void[:, :, 0].any() or void[:, :, -1].any():
+    if (channel_id[:, :, [0, -1]] >= 0).any():
         raise GridResolutionError(
             "resolution too coarse to resolve cover_thickness: channel void "
             "reaches an exterior cell layer")
@@ -259,7 +256,7 @@ def build_grid(assembly: Assembly, resolution: float) -> Grid:
         for die in mod.dies:
             _deposit(target, dx, dy, die.center, die.footprint, die.power)
 
-    return Grid(nx=nx, ny=ny, nz=nz, dx=dx, dy=dy, dz=dz, void=void,
+    return Grid(nx=nx, ny=ny, nz=nz, dx=dx, dy=dy, dz=dz,
                 channel_id=channel_id, n_channels=n_channels,
                 flux_top=flux_top, flux_bottom=flux_bottom, shape=shape)
 
@@ -281,7 +278,6 @@ def make_slab_grid(length: float, width: float, thickness: float,
     top = np.zeros((nx, ny))
     _deposit(top, dx, dy, (cx, cy), (pdx, pdy), flux_top * pdx * pdy)
     return Grid(nx=nx, ny=ny, nz=nz, dx=dx, dy=dy, dz=dz,
-                void=np.zeros((nx, ny, nz), dtype=bool),
                 channel_id=np.full((nx, ny, nz), -1, dtype=np.int32),
                 n_channels=0, flux_top=top, flux_bottom=np.zeros((nx, ny)),
                 h_bottom=h_bottom)
@@ -311,8 +307,6 @@ class _System:
     face_cell: np.ndarray     # solid unknown index
     face_ua: np.ndarray       # U*A, W/K
     face_sink: np.ndarray     # flat index into the sink-temperature array
-    n_unknowns: int
-    index: np.ndarray         # (nx, ny, nz) -> unknown index or -1
 
     def face_heat(self, temp: np.ndarray, t_sink: np.ndarray) -> np.ndarray:
         """Heat leaving the solid through each convective face, W."""
@@ -325,9 +319,10 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
     sinks index a (n_channels + 1, nx + 1) fluid-temperature array.
     h is the channel film coefficient."""
     k = material.thermal_conductivity
-    solid = ~grid.void
+    void = grid.channel_id >= 0
+    solid = ~void
     n = int(solid.sum())
-    index = np.full(grid.void.shape, -1, dtype=np.int64)
+    index = np.full(void.shape, -1, dtype=np.int64)
     index[solid] = np.arange(n)
     n_ch = grid.n_channels
     stations = grid.nx + 1
@@ -336,14 +331,13 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
 
     # channel-wall faces per axis: (solid cell, channel, sink); the
     # station is the x index of the solid cell owning the face
-    xidx = np.broadcast_to(np.arange(grid.nx)[:, None, None],
-                           grid.void.shape)
+    xidx = np.broadcast_to(np.arange(grid.nx)[:, None, None], void.shape)
     walls = []
     voxel_area = np.zeros(n_ch)
     for axis in range(3):
         blocks = []
         for solid_sl, void_sl in (_shifted(axis), _shifted(axis)[::-1]):
-            m = solid[solid_sl] & grid.void[void_sl]
+            m = solid[solid_sl] & void[void_sl]
             ids = grid.channel_id[void_sl][m]
             np.add.at(voxel_area, ids, face_area[axis])
             blocks.append((index[solid_sl][m], ids,
@@ -403,8 +397,7 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
     matrix = coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
     return _System(matrix=matrix, diag=diag, rhs_fixed=rhs_fixed,
                    face_cell=face_cell, face_ua=np.concatenate(face_ua),
-                   face_sink=np.concatenate(face_sink), n_unknowns=n,
-                   index=index)
+                   face_sink=np.concatenate(face_sink))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -417,12 +410,12 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
 
-def cg(A, b, *, x0, rtol, atol, M, maxiter, callback=None):
+def cg(A, b, *, x0, rtol, M, maxiter, callback=None):
     """Preconditioned conjugate gradients for a symmetric positive definite
     A, with M(r) applying the preconditioner.
 
-    Same algorithm and stopping rule as scipy.sparse.linalg.cg: stop when
-    the recurrence residual norm is below max(rtol * |b|, atol). Returns
+    Same algorithm and stopping rule as scipy.sparse.linalg.cg with atol=0:
+    stop when the recurrence residual norm is below rtol * |b|. Returns
     (x, 0) on convergence, (x, -1) as soon as |b| or the residual norm is
     not finite (an overflow no later iterate recovers from), and
     (x, maxiter) otherwise; callback(x) runs after every iteration.
@@ -430,9 +423,9 @@ def cg(A, b, *, x0, rtol, atol, M, maxiter, callback=None):
     bnorm = _norm(b)
     if bnorm == 0:
         return b, 0
-    stop = max(atol, rtol * bnorm)
+    stop = rtol * bnorm
     x = np.array(x0, dtype=float)
-    r = b - A @ x if x.any() else b.copy()
+    r = b - A @ x
     p = rho_prev = None
     for _ in range(maxiter):
         if not math.isfinite(rnorm := _norm(r)):  # or |b| is not finite
@@ -477,7 +470,7 @@ def _two_level(system: _System, grid: Grid):
     res = r - A S r, e = coarse(P^T res), M r = S (r + res) + Q e.
     """
     a = system.matrix
-    ii, jj, kk = np.nonzero(~grid.void)
+    ii, jj, kk = np.nonzero(grid.channel_id < 0)
     blocks, agg = np.unique(
         ((ii // _AGG_COLUMNS) * grid.ny + jj // _AGG_COLUMNS) * grid.nz
         + kk // _AGG_LAYERS, return_inverse=True)
@@ -524,7 +517,7 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
                          "material, coolant and flow inputs")
     inlet = flow.inlet_temperature
     t_sink = np.full((n_ch + 1, grid.nx + 1), inlet)
-    temp = np.full(system.n_unknowns, inlet)
+    temp = np.full(system.diag.size, inlet)
     precond = _two_level(system, grid)
 
     residuals: list[float] = []
@@ -534,8 +527,8 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
         rhs = system.rhs_fixed.copy()
         np.add.at(rhs, system.face_cell,
                   system.face_ua * t_sink.flat[system.face_sink])
-        temp, info = cg(system.matrix, rhs, x0=temp, rtol=tol, atol=0.0,
-                        M=precond, maxiter=max_iters)
+        temp, info = cg(system.matrix, rhs, x0=temp, rtol=tol, M=precond,
+                        maxiter=max_iters)
         rnorm = _norm(system.matrix @ temp - rhs)
         bnorm = _norm(rhs)
         rel = rnorm / bnorm if bnorm > 0 else 0.0
@@ -566,11 +559,11 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
         system.face_heat(temp, t_sink)))
 
     # field with the sink temperature of each void cell's station
-    solid = ~grid.void
-    field3d = np.empty(grid.void.shape)
+    void = grid.channel_id >= 0
+    solid = ~void
+    field3d = np.empty(void.shape)
     field3d[solid] = temp
-    field3d[grid.void] = t_sink[grid.channel_id[grid.void],
-                                np.nonzero(grid.void)[0]]
+    field3d[void] = t_sink[grid.channel_id[void], np.nonzero(void)[0]]
 
     # surface extrapolation under imposed flux
     k = material.thermal_conductivity
@@ -578,8 +571,7 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
     for layer, flux in ((grid.nz - 1, grid.flux_top), (0, grid.flux_bottom)):
         m = solid[:, :, layer] & (flux > 0.0)
         if m.any():
-            cells = system.index[:, :, layer][m]
-            surf = temp[cells] + flux[m] * grid.dz / (2.0 * k)
+            surf = field3d[:, :, layer][m] + flux[m] * grid.dz / (2.0 * k)
             t_max = max(t_max, float(surf.max()))
 
     return FvSolution(

@@ -4,7 +4,8 @@ Each module's heat crosses, in series: the die layer stack, a 45-degree
 spreading cone through the plate, the cover between channel and surface,
 and the channel-wall convection film. The coolant bulk temperature is
 marched streamwise, accumulating each upstream module's heat, so downstream
-modules see a warmer fluid.
+modules see a warmer fluid. A module's dies are equal parallel paths, so
+they must be identical in footprint and power.
 """
 
 from __future__ import annotations
@@ -136,8 +137,6 @@ def spreading_resistance(die_footprint: tuple[float, float],
     amax, bmax = module_footprint
 
     def seg(z0: float, z1: float) -> float:
-        if z1 <= z0:
-            return 0.0
         a_lo, b_lo = min(a0 + 2 * z0, amax), min(b0 + 2 * z0, bmax)
         a_grow = a0 + 2 * z0 < amax
         b_grow = b0 + 2 * z0 < bmax
@@ -207,6 +206,12 @@ def solve_network(assembly: Assembly, coolant: CoolantProps,
         if n_dies and mod.power > 0:
             # identical dies in parallel
             die = mod.dies[0]
+            if any(d.footprint != die.footprint or d.power != die.power
+                   for d in mod.dies):
+                raise ValueError(
+                    f"module {mod.id!r}: the network model needs identical "
+                    "dies, and a die differs from the first in footprint "
+                    "or power")
             die_area = die.footprint[0] * die.footprint[1]
             r_stack = stack.resistance(die_area) / n_dies
             r_spread = spreading_resistance(die.footprint, mod.footprint,

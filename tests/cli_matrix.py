@@ -1,0 +1,105 @@
+"""Run the CLI on a fixed matrix of cases and keep every output.
+
+    python tests/cli_matrix.py OUT_DIR
+
+Each case runs `python -m coldplate.cli ACTION --echo-config` in a fresh
+process on the `src/` of the checkout this file lies in, and writes into
+OUT_DIR/<case>/ its exit code (`exit_code`), stdout, stderr and whatever
+the run wrote: result.json, result.csv, field.txt. Outputs are byte-stable
+for a given config, so two checkouts compare with
+
+    python A/tests/cli_matrix.py a && python B/tests/cli_matrix.py b
+    diff -r a b
+
+The cases cover every action on both presets, including the ones that
+end in an error, and the small inline plate of `conftest.small_assembly`.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from coldplate.cli import assembly_to_json  # noqa: E402
+from conftest import small_assembly  # noqa: E402
+
+# per preset: the FV cell size, and a mesh study whose coarsest size is the
+# coarsest that still resolves both the channels and the cover
+_FV = {"primary_side": (2e-3, [2.5e-3, 2e-3, 1.8e-3]),
+       "secondary_side": (1.5e-3, [2e-3, 1.8e-3, 1.5e-3])}
+_SWEEPS = {"velocity": [0.5, 1.1, 2.9],
+           "material": ["copper", "aluminum", "stainless-steel"],
+           "channel_shape": ["rectangular", "semicircular"],
+           "channel_count": [3, 4, 6, 12],
+           "cover_thickness": [1e-3, 0.5e-3]}
+
+
+def _cases() -> dict[str, tuple[str, dict]]:
+    """Case name -> (action, config document)."""
+    cases = {}
+    for preset, (resolution, mesh) in _FV.items():
+        fv_solver = {"resolution_m": resolution}
+        cases[f"{preset}-report"] = "report", {"preset": preset}
+        for axis, values in _SWEEPS.items():
+            cases[f"{preset}-sweep-{axis}"] = "sweep", {
+                "preset": preset, "sweep": {"axis": axis, "values": values}}
+        cases[f"{preset}-sweep-velocity-fv"] = "sweep", {
+            "preset": preset, "solver": fv_solver,
+            "sweep": {"axis": "velocity", "values": [1.1, 2.9],
+                      "evaluator": "fv"}}
+        cases[f"{preset}-optimize"] = "optimize", {
+            "preset": preset, "optimize": {}}
+        cases[f"{preset}-optimize-counts"] = "optimize", {
+            "preset": preset, "optimize": {"channel_counts": [3, 4, 6, 12]}}
+        cases[f"{preset}-solve-fv"] = "solve-fv", {
+            "preset": preset, "solver": fv_solver}
+        cases[f"{preset}-mesh-study"] = "mesh-study", {
+            "preset": preset, "mesh_study": {"resolutions_m": mesh}}
+    small = assembly_to_json(small_assembly())
+    cases["small-report"] = "report", {"assembly": small}
+    # an inlet at 0 C starts the first linear solve from an all-zero guess
+    cases["small-solve-fv-inlet-0"] = "solve-fv", {
+        "assembly": small, "flow": {"inlet_C": 0.0}}
+    return cases
+
+
+CASES = _cases()
+
+
+def run_case(action: str, doc: dict, out: Path) -> int:
+    """Run one case into the new directory `out`; returns its exit code."""
+    out.mkdir(parents=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc))
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "coldplate.cli", action, "--config",
+             str(config), "--out", str(out), "--echo-config"],
+            capture_output=True, text=True, env=env)
+    (out / "exit_code").write_text(f"{proc.returncode}\n")
+    (out / "stdout").write_text(proc.stdout)
+    (out / "stderr").write_text(proc.stderr)
+    return proc.returncode
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out_dir = Path(argv[0])
+    for name, (action, doc) in CASES.items():
+        code = run_case(action, doc, out_dir / name)
+        print(f"{name}: exit {code}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

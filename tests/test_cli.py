@@ -15,6 +15,7 @@ from coldplate.cli import (_CONFIG, _EXTENT, _FINITE, _LIST, _POINT,
 
 from coldplate.geometry import PRESETS
 from coldplate.properties import MATERIALS, get_material
+from coldplate.studies import SWEEP_AXES
 from conftest import small_assembly
 
 
@@ -117,6 +118,12 @@ class TestParseConfig:
             parse_config(json.dumps({"preset": "primary_side",
                                      "materials_file": str(path)}),
                          action="report")
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"report"', "null"])
+    def test_non_object_config_is_config_error(self, text):
+        with pytest.raises(ConfigError,
+                           match="^config must be a JSON object$"):
+            parse_config(text, action="report")
 
     @pytest.mark.parametrize("grid", [
         {"v_min": 1e20, "v_max": 1e21, "v_step": 1},
@@ -272,6 +279,20 @@ class TestMain:
         doc = json.loads((out / "result.json").read_text())
         assert doc["best"] is not None
         assert doc["best"]["feasible"] is True
+
+    def test_optimize_without_feasible_design(self, tmp_path, capsys):
+        # no design keeps its junctions within 1 K of the 49 C inlet
+        cfg = write_config(tmp_path, {
+            "preset": "primary_side",
+            "optimize": {"channel_counts": [3], "v_step": 0.8,
+                         "t_max_limit_C": 50.0}})
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "no feasible design\n"
+        doc = json.loads((out / "result.json").read_text())
+        assert doc["best"] is None and doc["rows"]
+        assert not any(row["feasible"] for row in doc["rows"])
 
     def test_solve_fv_on_inline_assembly(self, tmp_path, capsys):
         cfg = write_config(tmp_path, small_doc("solve-fv"))
@@ -443,6 +464,17 @@ class TestMalformedConfig:
         out = tmp_path / "out"
         assert main(["report", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "result.json").exists()
+
+    def test_unequal_dies_are_an_error(self, tmp_path, capsys):
+        doc = small_doc("report")
+        doc["assembly"]["modules"][0]["dies"][1]["footprint_m"] = [2e-3, 2e-3]
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: module 'M1': the network model needs identical dies, "
+            "and a die differs from the first in footprint or power\n")
         assert not (out / "result.json").exists()
 
     def test_nan_die_power_is_an_error(self, tmp_path, capsys):
@@ -920,3 +952,24 @@ def test_main_fuzz(action, base, pinned, overlay):
     lines = err.getvalue().splitlines()
     assert code == 0 or (code == 1 and len(lines) == 1
                          and lines[0].startswith("error:")), (code, lines)
+
+
+def test_cli_matrix_covers_every_action():
+    # the byte-identity matrix of tests/cli_matrix.py: every action on both
+    # presets, every sweep axis, and a first linear solve from an all-zero
+    # guess (inlet at 0 C); the configs parse, none is run here
+    from cli_matrix import CASES
+    covered = set()
+    for action, doc in CASES.values():
+        parse_config(json.dumps(doc), action=action)
+        sweep = doc.get("sweep", {})
+        covered.add((doc.get("preset"), action, sweep.get("axis"),
+                     sweep.get("evaluator", "network")))
+    for preset in PRESETS:
+        for action in ACTIONS:
+            axes = ([(axis, "network") for axis in SWEEP_AXES]
+                    + [("velocity", "fv")] if action == "sweep"
+                    else [(None, "network")])
+            assert {(preset, action, *a) for a in axes} <= covered
+    assert ("solve-fv", {"inlet_C": 0.0}) in [
+        (action, doc.get("flow")) for action, doc in CASES.values()]

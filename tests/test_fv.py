@@ -13,6 +13,7 @@ from coldplate import fv
 from coldplate.fv import (ConvergenceError, GridResolutionError, build_grid,
                           make_slab_grid, mesh_study, solve,
                           write_structured_points)
+from coldplate.studies import variant
 
 from conftest import small_assembly
 
@@ -51,7 +52,7 @@ class TestSlabOracle:
 class TestBuildGrid:
     def test_void_fraction_close_to_analytic(self, primary):
         grid = build_grid(primary, 1.5e-3)
-        voxel = grid.void.sum() * grid.dx * grid.dy * grid.dz
+        voxel = (grid.channel_id >= 0).sum() * grid.dx * grid.dy * grid.dz
         analytic = (cp.cross_section_area(primary.layout.shape)
                     * primary.layout.channel_length * 6)
         assert abs(voxel - analytic) / analytic <= 0.15
@@ -75,7 +76,7 @@ class TestBuildGrid:
             small.layout, shape=cp.Rectangular(width=0.006, height=0.003)))
         grid = build_grid(rect, 1.5e-3)
         assert (grid.nx, grid.ny, grid.nz) == (80, 40, 8)
-        voxel = grid.void.sum() * grid.dx * grid.dy * grid.dz
+        voxel = (grid.channel_id >= 0).sum() * grid.dx * grid.dy * grid.dz
         assert voxel == pytest.approx(2 * 0.006 * 0.003 * 0.12, rel=1e-12)
         for channel, z_cells in ((0, {1, 2}), (1, {5, 6})):  # bottom, top
             _, y, z = np.nonzero(grid.channel_id == channel)
@@ -100,6 +101,25 @@ class TestBuildGrid:
                                       cover_thickness=0.5e-3))
         with pytest.raises(GridResolutionError):
             build_grid(thin, 1.9e-3)
+
+    def test_unresolved_channel_named(self, primary):
+        # the 10 x 2 mm rectangle of the primary plate's rectangular
+        # variant fills no 2 mm cell more than half
+        rect = variant(primary, channel_shape="rectangular")
+        with pytest.raises(GridResolutionError, match=(
+                r"^resolution 0\.002 m cannot resolve channel at "
+                r"y = 31\.67 mm$")):
+            build_grid(rect, 2e-3)
+
+    def test_die_between_cell_centers_on_nearest_face(self, small):
+        # 1 x 1 mm dies cover no center of a 2.5 mm cell
+        mod = small.modules[0]
+        tiny = replace(small, modules=(replace(mod, dies=tuple(
+            replace(d, footprint=(1e-3, 1e-3)) for d in mod.dies)),))
+        grid = build_grid(tiny, 2.5e-3)
+        assert grid.total_power == 100.0
+        assert np.count_nonzero(grid.flux_top) == 2
+        assert not grid.flux_bottom.any()
 
     def test_invalid_assembly_rejected(self, primary):
         bad = replace(primary, modules=(replace(primary.modules[0],
@@ -134,7 +154,7 @@ class TestSolve:
     def test_void_cells_hold_coolant_profile(self, small, water):
         grid = build_grid(small, 1.5e-3)
         sol = solve(grid, water, FLOW, small.plate.material)
-        x, y, z = np.nonzero(grid.void)
+        x, y, z = np.nonzero(grid.channel_id >= 0)
         assert x.size
         expected = sol.coolant_profile[grid.channel_id[x, y, z], x]
         assert np.array_equal(sol.temperature[x, y, z], expected)
@@ -238,7 +258,7 @@ class TestTwoLevel:
         precond = fv._two_level(system, grid)
         rng = np.random.default_rng(0)
         for _ in range(5):
-            u, v = rng.standard_normal((2, system.n_unknowns))
+            u, v = rng.standard_normal((2, system.diag.size))
             uv, vu = u @ precond(v), v @ precond(u)
             assert abs(uv - vu) <= 1e-12 * max(abs(uv), abs(vu))
             assert v @ precond(v) > 0.0
@@ -252,7 +272,7 @@ class TestTwoLevel:
         h = cp.heat_transfer_coefficient(water, grid.shape, 1.1)
         system = fv._assemble(grid, small.plate.material, h)
         precond = fv._two_level(system, grid)
-        v = (-1.0) ** np.sum(np.nonzero(~grid.void), axis=0)
+        v = (-1.0) ** np.sum(np.nonzero(grid.channel_id < 0), axis=0)
         assert v @ precond(v) >= 0.05 * (v @ (v / system.diag))
 
     def test_apply_matches_two_matvec_form(self, small, water):
@@ -261,11 +281,11 @@ class TestTwoLevel:
         grid = build_grid(small, 1.5e-3)
         h = cp.heat_transfer_coefficient(water, grid.shape, 1.1)
         system = fv._assemble(grid, small.plate.material, h)
-        a, n = system.matrix, system.n_unknowns
+        a, n = system.matrix, system.diag.size
         blocks = {}
         agg = [blocks.setdefault((i // fv._AGG_COLUMNS, j // fv._AGG_COLUMNS,
                                   k // fv._AGG_LAYERS), len(blocks))
-               for i, j, k in zip(*np.nonzero(~grid.void))]
+               for i, j, k in zip(*np.nonzero(grid.channel_id < 0))]
         p = csr_matrix((np.ones(n), (np.arange(n), agg)))
         coarse = (p.T @ a @ p).toarray()
         smooth = fv._SMOOTH_WEIGHT / system.diag
@@ -323,18 +343,19 @@ class TestCg:
         system = fv._assemble(grid, cp.get_material("copper"), h)
         rhs = system.rhs_fixed.copy()
         np.add.at(rhs, system.face_cell, system.face_ua * 49.0)
-        x0 = np.full(system.n_unknowns, 49.0)
+        x0 = np.full(system.diag.size, 49.0)
         return system, fv._two_level(system, grid), rhs, x0
 
     def test_matches_scipy(self, water):
         system, precond, rhs, x0 = self.small_system(water)
         runs = []
-        for cg, M in ((fv.cg, precond),
-                      (scipy_cg, LinearOperator(system.matrix.shape,
-                                                matvec=precond))):
+        for cg, M, atol in ((fv.cg, precond, {}),
+                            (scipy_cg, LinearOperator(system.matrix.shape,
+                                                      matvec=precond),
+                             {"atol": 0.0})):
             count = []
-            x, info = cg(system.matrix, rhs, x0=x0, rtol=1e-10, atol=0.0,
-                         M=M, maxiter=1000, callback=count.append)
+            x, info = cg(system.matrix, rhs, x0=x0, rtol=1e-10, M=M,
+                         maxiter=1000, callback=count.append, **atol)
             assert info == 0
             runs.append((x, len(count)))
         (ours, n_ours), (theirs, n_theirs) = runs
@@ -344,14 +365,14 @@ class TestCg:
     def test_zero_rhs_returns_it(self, water):
         system, precond, rhs, x0 = self.small_system(water)
         zero = np.zeros_like(rhs)
-        x, info = fv.cg(system.matrix, zero, x0=x0, rtol=1e-10, atol=0.0,
+        x, info = fv.cg(system.matrix, zero, x0=x0, rtol=1e-10,
                         M=precond, maxiter=10)
         assert x is zero and info == 0
 
     def test_maxiter_reported(self, water):
         system, precond, rhs, x0 = self.small_system(water)
         count = []
-        _, info = fv.cg(system.matrix, rhs, x0=x0, rtol=1e-10, atol=0.0,
+        _, info = fv.cg(system.matrix, rhs, x0=x0, rtol=1e-10,
                         M=precond, maxiter=3, callback=count.append)
         assert info == 3 and len(count) == 3
 

@@ -181,6 +181,12 @@ class TestValidate:
         asm = cp.Assembly(plate=plate, layout=lay)
         assert any("thickness" in v for v in cp.validate(asm))
 
+    def test_pitch_below_channel_width(self, primary):
+        close = replace(primary, layout=replace(primary.layout,
+                                                lateral_pitch=1e-3))
+        assert "lateral_pitch smaller than channel width" in \
+            cp.validate(close)
+
     def test_overlapping_modules(self, primary):
         dup = replace(primary.modules[0], id="dup")
         asm = replace(primary, modules=primary.modules + (dup,))

@@ -99,6 +99,13 @@ class TestRunSweep:
         threaded = run_sweep(spec)
         assert threaded == serial
 
+    @pytest.mark.parametrize("raw, workers", [
+        ("4", 4), ("0", 1), ("two", 1), ("2.5", 1)])
+    def test_worker_count(self, monkeypatch, raw, workers):
+        # a value that is not an integer >= 1 runs serially
+        monkeypatch.setenv("COLDPLATE_THREADS", raw)
+        assert studies._worker_count() == workers
+
 
 class TestChannelCountVariant:
     def test_preserves_wetted_area(self, primary):

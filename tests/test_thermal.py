@@ -92,6 +92,17 @@ class TestSpreadingResistance:
         assert spreading_resistance((a, b), (amax, bmax), d, k) == \
             pytest.approx(oracle / k, rel=1e-9)
 
+    @pytest.mark.parametrize("die, module, d, k", [
+        ((0.01, 0.01), (0.122, 0.02), 0.009, 387.6),
+        ((0.008, 0.012), (0.06, 0.02), 0.02, 100.0),
+        ((0.01, 0.004), (0.03, 0.012), 0.009, 16.27),
+    ])
+    def test_axis_swap(self, die, module, d, k):
+        # the second axis clamps within d while the first still grows, so
+        # the two orders run the two one-sided branches
+        assert spreading_resistance(die, module, d, k) == \
+            spreading_resistance(die[::-1], module[::-1], d, k)
+
     def test_fully_clamped(self):
         # once both dimensions hit the module footprint it is 1D conduction
         r0 = spreading_resistance((0.02, 0.02), (0.02, 0.02), 0.01, 200.0)
@@ -133,6 +144,30 @@ class TestSolveNetwork:
                                 for m in rep.per_module)
         # sanity band only; absolute calibration is covered by the FV comparison
         assert 49.0 < rep.t_max < 135.0
+
+    @pytest.mark.parametrize("unequal", [
+        lambda dies, i: dies[:i] + [replace(dies[i], footprint=(2e-3, 2e-3))]
+        + dies[i + 1:],
+        lambda dies, i: [replace(d, power=sum(e.power for e in dies)
+                                 if j == i else 0.0)
+                         for j, d in enumerate(dies)],
+    ], ids=["shrunk-die", "all-power-on-one-die"])
+    @pytest.mark.parametrize("i", [0, 5], ids=["first", "last"])
+    def test_unequal_dies_refused(self, secondary, water, unequal, i):
+        # the model puts copies of the first die in parallel: a 2 x 2 mm die
+        # took S1-S3 from 66.81 to 373.66 C when listed first and left it
+        # when listed last, and no power split moved it
+        flow = cp.FlowCondition(1.1, 49.0)
+        rep = cp.solve_network(secondary, water, flow)
+        assert rep.per_module[0].junction_temperature == pytest.approx(
+            66.81, abs=5e-3)
+        mod = secondary.modules[0]
+        assert len(mod.dies) == 6
+        bad = replace(mod, dies=tuple(unequal(list(mod.dies), i)))
+        with pytest.raises(ValueError, match="module 'S1-S3': the network "
+                           "model needs identical dies"):
+            cp.solve_network(replace(secondary, modules=(
+                bad,) + secondary.modules[1:]), water, flow)
 
     def test_zero_power_gives_inlet(self, primary, water):
         dead = replace(primary, modules=tuple(
