@@ -18,7 +18,9 @@ import argparse
 import errno
 import json
 import sys
+from csv import DictWriter
 from dataclasses import dataclass, replace
+from io import StringIO
 from pathlib import Path
 
 from . import fv, hydraulics, studies, thermal
@@ -124,12 +126,12 @@ def _resolve(check, value, path: str, errors: list[str]):
     return resolved
 
 
+_SHAPES = {"rectangular": Rectangular, "semicircular": Semicircular}
 # check for each item of sweep.values by axis; material names are looked
 # up in the config's own material library instead
 _SWEEP_ITEM = {"velocity": _POSITIVE, "channel_count": _COUNT,
-               "channel_shape": {"rectangular", "semicircular"},
-               "cover_thickness": _POSITIVE}
-_EVALUATOR = ({"network", "fv"}, "network")
+               "channel_shape": set(_SHAPES), "cover_thickness": _POSITIVE}
+_EVALUATOR = (set(studies.EVALUATORS), "network")
 _WATER = water_at_reference()
 _SOLVER = fv.SolverSettings()
 
@@ -235,9 +237,6 @@ def _record(cls, section: dict, **fields):
         fields.setdefault(_field(key),
                           tuple(value) if isinstance(value, list) else value)
     return cls(**fields)
-
-
-_SHAPES = {"rectangular": Rectangular, "semicircular": Semicircular}
 
 
 def _assembly(doc: dict, material) -> Assembly:
@@ -381,13 +380,14 @@ def parse_config(text: str, action: str | None = None) -> RunConfig:
 # actions
 
 def _csv(rows: list[dict]) -> str:
-    """CSV text with the first row's keys as the header; floats are
-    written with repr and None as an empty field."""
-    def field(v):
-        return "" if v is None else repr(v) if isinstance(v, float) else str(v)
-    lines = [",".join(rows[0])] + [",".join(map(field, row.values()))
-                                   for row in rows]
-    return "\n".join(lines) + "\n"
+    """CSV text with the first row's keys as the header; a field is quoted
+    only when it needs quoting, floats are written with repr and None as an
+    empty field."""
+    text = StringIO()
+    writer = DictWriter(text, fieldnames=rows[0], lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return text.getvalue()
 
 
 def _run_report(config: RunConfig):

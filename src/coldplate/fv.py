@@ -46,7 +46,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
 from . import thermal
-from .geometry import (Assembly, ChannelShape, Semicircular, channel_depth,
+from .geometry import (Assembly, ChannelShape, Semicircular,
                        cross_section_area, validate, wetted_perimeter)
 from .hydraulics import FlowCondition
 from .properties import CoolantProps, SolidMaterial
@@ -135,30 +135,12 @@ class FvSolution:
 # --------------------------------------------------------------------------
 # grid construction
 
-def _channel_cross_section(shape: ChannelShape, row: str, y_center: float,
-                           cover: float, thickness: float):
-    """Return an inside(y, z) predicate for one channel's cross-section."""
-    depth = channel_depth(shape)
-    if row == "top":
-        z_flat = thickness - cover      # flat side toward the top face
-    else:
-        z_flat = cover
+def _inside_channel(shape: ChannelShape, y, s):
+    """Which points lie inside a channel's cross-section, at y across the
+    plate from its centerline and depth s below its flat side."""
     if isinstance(shape, Semicircular):
-        r2 = shape.radius**2
-
-        def inside(y, z):
-            dzs = z_flat - z if row == "top" else z - z_flat
-            return (dzs >= 0.0) & ((y - y_center)**2 + dzs**2 <= r2)
-    else:
-        half_w = shape.width / 2.0
-
-        def inside(y, z):
-            if row == "top":
-                in_z = (z <= z_flat) & (z >= z_flat - depth)
-            else:
-                in_z = (z >= z_flat) & (z <= z_flat + depth)
-            return in_z & (np.abs(y - y_center) <= half_w)
-    return inside
+        return (s >= 0.0) & (y**2 + s**2 <= shape.radius**2)
+    return (s >= 0.0) & (s <= shape.height) & (np.abs(y) <= shape.width / 2.0)
 
 
 def _cells(extent: tuple[float, float, float], resolution: float):
@@ -216,49 +198,46 @@ def build_grid(assembly: Assembly, resolution: float) -> Grid:
 
     channel_id = np.full((nx, ny, nz), -1, dtype=np.int32)
 
-    shape = layout.shape
-    rows = ["top"] if layout.rows == 1 else ["bottom", "top"]
-    y_centers = assembly.channel_y_centers()
-    n_channels = 0
-
     # symmetric sample offsets within a cell
     offs = (np.arange(_SUBSAMPLE) + 0.5) / _SUBSAMPLE - 0.5
     yc_cell = (np.arange(ny) + 0.5) * dy
     zc_cell = (np.arange(nz) + 0.5) * dz
     ys = (yc_cell[:, None, None, None] + offs[None, None, :, None] * dy)
     zs = (zc_cell[None, :, None, None] + offs[None, None, None, :] * dz)
+    # each sample's depth below the flat side of a row's channels; the
+    # samples are symmetric through the thickness, so the bottom row's
+    # reversed are the top row's, its exact mirror. One row is a top row.
+    bottom = zs - layout.cover_thickness
+    top = bottom[:, ::-1, :, ::-1]
+    depths = [top] if layout.rows == 1 else [bottom, top]
+    channels = [(s, y) for s in depths for y in assembly.channel_y_centers()]
 
-    for row in rows:
-        for y_center in y_centers:
-            inside = _channel_cross_section(shape, row, y_center,
-                                            layout.cover_thickness,
-                                            plate.thickness)
-            frac = inside(ys, zs).mean(axis=(2, 3))  # (ny, nz)
-            # strictly more than half inside: half-covered cells stay solid,
-            # which keeps a fully-covered cover layer solid
-            mask = frac > 0.5
-            if not mask.any():
-                raise GridResolutionError(
-                    f"resolution {resolution} m cannot resolve channel at "
-                    f"y = {y_center * 1e3:.2f} mm")
-            channel_id[:, mask] = n_channels
-            n_channels += 1
+    for channel, (s, y_center) in enumerate(channels):
+        inside = _inside_channel(layout.shape, ys - y_center, s)
+        # strictly more than half inside: half-covered cells stay solid,
+        # which keeps a fully-covered cover layer solid
+        mask = inside.mean(axis=(2, 3)) > 0.5  # (ny, nz)
+        if not mask.any():
+            raise GridResolutionError(
+                f"resolution {resolution} m cannot resolve channel at "
+                f"y = {y_center * 1e3:.2f} mm")
+        channel_id[:, mask] = channel
 
     if (channel_id[:, :, [0, -1]] >= 0).any():
         raise GridResolutionError(
             "resolution too coarse to resolve cover_thickness: channel void "
             "reaches an exterior cell layer")
 
-    flux_top = np.zeros((nx, ny))
-    flux_bottom = np.zeros((nx, ny))
+    flux = {face: np.zeros((nx, ny)) for face in ("top", "bottom")}
     for mod in assembly.modules:
-        target = flux_top if mod.face == "top" else flux_bottom
         for die in mod.dies:
-            _deposit(target, dx, dy, die.center, die.footprint, die.power)
+            _deposit(flux[mod.face], dx, dy, die.center, die.footprint,
+                     die.power)
 
     return Grid(nx=nx, ny=ny, nz=nz, dx=dx, dy=dy, dz=dz,
-                channel_id=channel_id, n_channels=n_channels,
-                flux_top=flux_top, flux_bottom=flux_bottom, shape=shape)
+                channel_id=channel_id, n_channels=len(channels),
+                flux_top=flux["top"], flux_bottom=flux["bottom"],
+                shape=layout.shape)
 
 
 def make_slab_grid(length: float, width: float, thickness: float,
@@ -615,7 +594,8 @@ def mesh_study(grid_builder, coolant: CoolantProps, flow: FlowCondition,
     """Solve at a descending list of cell sizes and tabulate t_max deltas.
 
     grid_builder(resolution) -> Grid voxelizes the case at each size; the
-    resolutions take the place of solver.resolution.
+    resolutions take the place of solver.resolution. Successive sizes that
+    give the same cell counts are refused before any solve.
     """
     if len(resolutions) < 3:
         raise ValueError("mesh study needs at least 3 resolutions")
@@ -623,6 +603,11 @@ def mesh_study(grid_builder, coolant: CoolantProps, flow: FlowCondition,
         raise ValueError("resolutions must be strictly descending")
 
     grids = [grid_builder(res) for res in resolutions]  # fail before solving
+    for i, (a, b) in enumerate(zip(grids, grids[1:])):
+        if (a.nx, a.ny, a.nz) == (b.nx, b.ny, b.nz):
+            raise ValueError(f"resolutions {resolutions[i]!r} m and "
+                             f"{resolutions[i + 1]!r} m give the same "
+                             f"{b.nx} x {b.ny} x {b.nz} grid")
     rows = []
     for grid in grids:
         t_max = solve(grid, coolant, flow, material, tol=solver.tol,

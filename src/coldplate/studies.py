@@ -22,6 +22,7 @@ from .properties import (CoolantProps, SolidMaterial, get_material,
 
 SWEEP_AXES = ("velocity", "material", "channel_shape", "channel_count",
               "cover_thickness")
+EVALUATORS = ("network", "fv")
 
 DEFAULT_T_MAX_LIMIT_C = 135.0
 DEFAULT_PRESSURE_BUDGET_PA = 50e3
@@ -77,7 +78,7 @@ class SweepSpec:
             raise ValueError(f"unknown sweep axis {self.axis!r}")
         if not self.values:
             raise ValueError("sweep values must be non-empty")
-        if self.evaluator not in ("network", "fv"):
+        if self.evaluator not in EVALUATORS:
             raise ValueError(f"unknown evaluator {self.evaluator!r}")
 
 

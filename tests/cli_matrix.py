@@ -12,7 +12,10 @@ for a given config, so two checkouts compare with
     diff -r a b
 
 The cases cover every action on both presets, including the ones that
-end in an error, and the small inline plate of `conftest.small_assembly`.
+end in an error, and the small inline plate of `conftest.small_assembly`:
+its FV solve, an FV shape sweep and a one-row FV solve on its
+rectangular variant, and a mesh study whose last two sizes give the same
+grid.
 """
 
 from __future__ import annotations
@@ -67,6 +70,24 @@ def _cases() -> dict[str, tuple[str, dict]]:
     # an inlet at 0 C starts the first linear solve from an all-zero guess
     cases["small-solve-fv-inlet-0"] = "solve-fv", {
         "assembly": small, "flow": {"inlet_C": 0.0}}
+    # with a 6 x 3 mm rectangle, whose semicircle of equal wetted area also
+    # fits the plate: both shapes rasterize in two rows, then one row
+    rect = json.loads(json.dumps(small))
+    rect["layout"]["shape"] = {"kind": "rectangular", "width_m": 0.006,
+                               "height_m": 0.003}
+    cases["small-rectangular-sweep-channel_shape-fv"] = "sweep", {
+        "assembly": rect, "solver": {"resolution_m": 2e-3},
+        "sweep": {"axis": "channel_shape",
+                  "values": ["rectangular", "semicircular"],
+                  "evaluator": "fv"}}
+    one_row = json.loads(json.dumps(rect))
+    one_row["layout"]["rows"] = 1
+    cases["small-rectangular-one-row-solve-fv"] = "solve-fv", {
+        "assembly": one_row, "solver": {"resolution_m": 2e-3}}
+    # 2 mm and 1.999 mm give the same grid, which the study refuses
+    cases["small-mesh-study-same-grid"] = "mesh-study", {
+        "assembly": small,
+        "mesh_study": {"resolutions_m": [2.5e-3, 2e-3, 1.999e-3]}}
     return cases
 
 

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import tempfile
@@ -279,6 +280,13 @@ class TestMain:
         doc = json.loads((out / "result.json").read_text())
         assert doc["best"] is not None
         assert doc["best"]["feasible"] is True
+        # each descriptor holds commas, so the CSV quotes it
+        with open(out / "result.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert len(table) == 1 + len(doc["rows"])
+        assert {len(row) for row in table} == {6}
+        assert [row[0] for row in table[1:]] == [
+            row["descriptor"] for row in doc["rows"]]
 
     def test_optimize_without_feasible_design(self, tmp_path, capsys):
         # no design keeps its junctions within 1 K of the 49 C inlet
@@ -438,13 +446,17 @@ class TestMalformedConfig:
          "resolution 1e-05 m gives 1.64e+12 cells; the limit is 1e+07"),
         ("mesh-study", {"mesh_study": {"resolutions_m": [1e-5, 9e-6, 8e-6]}},
          "resolution 1e-05 m gives 1.64e+12 cells"),
+        ("mesh-study", {"mesh_study": {
+            "resolutions_m": [0.002, 0.001999, 0.001998]}},
+         "resolutions 0.002 m and 0.001999 m give the same 240 x 95 x 9 "
+         "grid"),
     ], ids=["coolant-string", "flow-string", "nan-velocity", "bool-velocity",
             "sweep-on-report", "materials-file-int", "materials-file-bool",
             "materials-file-list", "fractional-max-iters", "sweep-no-axis",
             "sweep-values-number", "sweep-values-mixed", "sweep-bad-shape",
             "sweep-bad-evaluator", "channel-counts-number", "zero-v-step",
             "unknown-material", "v-step-below-spacing", "fv-grid-too-fine",
-            "mesh-grid-too-fine"])
+            "mesh-grid-too-fine", "mesh-same-grid"])
     def test_is_an_error(self, tmp_path, capsys, action, section, message):
         cfg = write_config(tmp_path, {"preset": "primary_side", **section})
         out = tmp_path / "out"
@@ -737,6 +749,26 @@ class TestMaterialsFile:
         assert [r["descriptor"] for r in rows] == ["material=copper",
                                                    "material=brass"]
         assert rows[0]["t_max_C"] == t_report
+
+    @pytest.mark.parametrize("name", ["cu,ni", 'cu"ni', "cu\nni"],
+                             ids=["comma", "quote", "line-break"])
+    def test_material_name_round_trips_through_csv(self, tmp_path, name):
+        path = tmp_path / "materials.json"
+        path.write_text(json.dumps({name: {
+            "thermal_conductivity": 109.0, "density": 8530.0,
+            "specific_heat": 380.0}}))
+        cfg = write_config(tmp_path, {
+            "preset": "secondary_side", "materials_file": str(path),
+            "sweep": {"axis": "material", "values": ["copper", name]}})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = json.loads((out / "result.json").read_text())["rows"]
+        with open(out / "result.csv", newline="") as fh:
+            table = list(csv.DictReader(fh))
+        assert [r["descriptor"] for r in table] == [
+            "material=copper", f"material={name}"]
+        assert [float(r["t_max_C"]) for r in table] == [
+            r["t_max_C"] for r in rows]
 
     def test_optimize_over_a_file_only_material(self, tmp_path,
                                                 materials_file):

@@ -20,6 +20,13 @@ from conftest import small_assembly
 FLOW = cp.FlowCondition(1.1, 49.0)
 
 
+def small_rectangular():
+    """The small plate with a 6 x 3 mm rectangle in place of its semicircle."""
+    small = small_assembly()
+    return replace(small, layout=replace(
+        small.layout, shape=cp.Rectangular(width=0.006, height=0.003)))
+
+
 def slab_solution(resolution, patch=None):
     grid = make_slab_grid(length=0.08, width=0.08, thickness=0.01,
                           resolution=resolution, flux_top=2e5, h_bottom=2000.0,
@@ -72,8 +79,7 @@ class TestBuildGrid:
     def test_rectangular_channels_on_cell_faces(self, small, water):
         # at 1.5 mm every edge of a 6 x 3 mm channel lies on a cell face,
         # so the void is exactly the analytic cross-section
-        rect = replace(small, layout=replace(
-            small.layout, shape=cp.Rectangular(width=0.006, height=0.003)))
+        rect = small_rectangular()
         grid = build_grid(rect, 1.5e-3)
         assert (grid.nx, grid.ny, grid.nz) == (80, 40, 8)
         voxel = (grid.channel_id >= 0).sum() * grid.dx * grid.dy * grid.dz
@@ -83,6 +89,22 @@ class TestBuildGrid:
             assert set(y) == {18, 19, 20, 21} and set(z) == z_cells
         sol = solve(grid, water, FLOW, rect.plate.material)
         assert abs(sol.energy_imbalance) <= 1e-6 * grid.total_power
+
+    @pytest.mark.parametrize("assembly, resolution", [
+        (cp.primary_side, 1.5e-3), (cp.primary_side, 2e-3),
+        (cp.primary_side, 2.5e-3), (cp.secondary_side, 1.5e-3),
+        (cp.secondary_side, 2e-3), (small_rectangular, 2e-3),
+        (small_rectangular, 1.7e-3), (small_rectangular, 0.8e-3),
+    ], ids=["primary-1.5", "primary-2", "primary-2.5", "secondary-1.5",
+            "secondary-2", "rectangular-2", "rectangular-1.7",
+            "rectangular-0.8"])
+    def test_two_rows_mirror_through_thickness(self, assembly, resolution):
+        # equal covers give a void map that is its own mirror, also where
+        # samples lie on the 6 x 3 mm rectangle's faces (at 1.7 and 0.8 mm),
+        # so that rounding alone decides whether a face sample is inside;
+        # secondary_side builds no grid at 2.5 mm
+        void = build_grid(assembly(), resolution).channel_id >= 0
+        assert np.array_equal(void, void[:, :, ::-1])
 
     @pytest.mark.parametrize("build", [
         lambda r: build_grid(small_assembly(), r),
@@ -423,6 +445,18 @@ class TestMeshStudy:
         monkeypatch.setattr(fv, "solve", lambda *args, **kw: solves.append(1))
         with pytest.raises(ValueError, match="the limit is"):
             self.study(small, water, [2.5e-3, 2e-3, 1.5e-3, 1e-5])
+        assert solves == []
+
+    def test_same_grid_twice_refused_before_any_solve(self, small, water,
+                                                      monkeypatch):
+        # 2 mm and 1.999 mm both give 60 x 30 x 6 cells: a zero delta that
+        # says nothing about convergence
+        solves = []
+        monkeypatch.setattr(fv, "solve", lambda *args, **kw: solves.append(1))
+        with pytest.raises(ValueError, match=(
+                r"^resolutions 0\.002 m and 0\.001999 m give the same "
+                r"60 x 30 x 6 grid$")):
+            self.study(small, water, [0.0025, 0.002, 0.001999])
         assert solves == []
 
     def test_assembly_ladder(self, small, water):

@@ -256,3 +256,15 @@ def test_non_finite_rejected(build):
     # NaN passes `<= 0` and `< 1` checks; it must be refused where built
     with pytest.raises(ValueError, match="finite|>= 1"):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: cp.ModulePlacement(id="M", face="side", origin=(0.0, 0.0),
+                                footprint=(0.1, 0.1), dies=()),
+     "face must be 'top' or 'bottom', got 'side'"),
+    (lambda: cp.equal_area_radius(layout(RECT), 0),
+     "new_channels_per_row must be >= 1"),
+], ids=["module-face", "zero-channels"])
+def test_out_of_domain_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

@@ -111,6 +111,17 @@ def test_reynolds_outside_domain_rejected(function, re):
         function(re)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda w: cp.reynolds(w, 1.1, 0.0), "hydraulic diameter must be > 0"),
+    (lambda w: cp.reynolds(w, -1.1, 0.003), "velocity must be >= 0"),
+    (lambda w: cp.mass_flow_total(w, layout(SEMI_23), -1.1),
+     "velocity must be >= 0"),
+], ids=["reynolds-diameter", "reynolds-velocity", "mass-flow-velocity"])
+def test_out_of_domain_rejected(water, call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(water)
+
+
 class TestPressureDrop:
     def test_hand_darcy(self, water):
         # r = 2.3 mm semicircle, L = 0.48 m, v = 1.1 m/s, no minor losses

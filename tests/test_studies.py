@@ -35,6 +35,12 @@ class TestSweepSpec:
                       evaluator="cfd")
 
 
+def test_evaluate_design_rejects_unknown_evaluator(secondary, water):
+    with pytest.raises(ValueError, match="^unknown evaluator 'cfd'$"):
+        evaluate_design(secondary, water, cp.FlowCondition(1.1, 49.0),
+                        evaluator="cfd")
+
+
 class TestRunSweep:
     def test_velocity_sweep_monotone(self, primary):
         res = run_sweep(SweepSpec(base=primary, axis="velocity",

@@ -41,6 +41,10 @@ class TestHeatTransferCoefficient:
         assert h == pytest.approx(3.66 * 0.6 / d_h, rel=1e-12)
         assert h == pytest.approx(390.0, rel=2e-2)
 
+    def test_zero_velocity_rejected(self, water):
+        with pytest.raises(ValueError, match="^velocity must be > 0$"):
+            cp.heat_transfer_coefficient(water, SEMI_23, 0.0)
+
     def test_linear_in_conductivity(self, water):
         doubled = replace(water, thermal_conductivity=1.2,
                           specific_heat=water.specific_heat * 2)
