@@ -217,6 +217,9 @@ def _materials(path: str | None,
     for name, fields in (_resolve(_OBJECT, entries, "materials_file",
                                   errors) or {}).items():
         base, seen = MATERIALS.get(name), len(errors)
+        if not name.isprintable():  # csv would write a "\r" unquoted
+            errors.append(f"key {f'materials_file.{name}'!r} must be "
+                          f"printable text")
         fields = _resolve(_OVERRIDE if base else _NEW_MATERIAL, fields,
                           f"materials_file.{name}", errors)
         materials[name] = None if len(errors) > seen else (

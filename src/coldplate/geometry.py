@@ -196,7 +196,7 @@ def equal_area_radius(reference: ChannelLayout, new_channels_per_row: int) -> fl
     """
     if not isinstance(reference.shape, Rectangular):
         raise ValueError("equal_area_radius requires a rectangular reference")
-    if new_channels_per_row < 1:
+    if not new_channels_per_row >= 1:  # NaN too
         raise ValueError("new_channels_per_row must be >= 1")
     p_rect = wetted_perimeter(reference.shape)
     return (p_rect * reference.channels_per_row

@@ -1,13 +1,20 @@
 """Parametric trade studies and the constrained mass minimizer.
 
 A design point is (material, channel count at the equal-area radius,
-cover thickness, inlet velocity). Sweeps evaluate one axis at a time;
-the optimizer enumerates the finite candidate grid with mass-based
-pruning and must select the same design as brute-force enumeration.
+cover thickness, inlet velocity). Sweeps evaluate one axis at a time.
+The optimizer minimizes plate mass over the finite candidate grid; its
+pruned search must select the same design as the exhaustive one. It
+visits the geometries in ascending mass and needs only a few thermal
+evaluations per geometry, because the models are monotone in velocity:
+mass does not depend on v, dp never falls as v rises, and t_max never
+rises. A geometry whose evaluations show t_max rising has its whole
+velocity grid evaluated. A pruned result's rows are the points it
+evaluated.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -258,43 +265,110 @@ def _row_key(row: StudyRow):
 def optimize(problem: DesignProblem, evaluator: str = "network",
              prune: bool = True) -> StudyResult:
     """Minimize plate mass subject to temperature, pressure and velocity
-    limits over the finite candidate grid.
+    limits over the finite candidate grid; best is the feasible row least
+    by _row_key.
 
-    With prune=True, geometry variants already heavier than the feasible
-    incumbent skip their thermal evaluations; the selected design is
-    identical either way.
+    With prune=False every grid point is evaluated, in grid order: the
+    exhaustive oracle. With prune=True the geometries are visited in
+    ascending mass, in grid order among equal masses (the cover variants
+    of a geometry share its mass), up to the first one heavier than the
+    best row so far. Each one is searched by _search: t_max is probed at
+    v_hi, the fastest grid velocity within v_max and the pressure budget
+    (found from dp alone), and at the grid point below it, and only on an
+    exact t_max tie there bisected for the slowest velocity of that
+    t_max. The rows are the points evaluated, each geometry's in grid
+    order. The selected design is the same either way.
     """
     velocities = problem.velocities()
     if not velocities:
         raise ValueError("empty velocity grid")
 
+    geometries = [(variant(problem.base, material=material,
+                           channel_count=count, cover_thickness=cover),
+                   count, cover)
+                  for material in problem.materials
+                  for count in problem.channel_counts
+                  for cover in problem.cover_thicknesses]
+
+    def point(geometry, v: float) -> StudyRow:
+        design, count, cover = geometry
+        flow = FlowCondition(v, problem.inlet_temperature)
+        t_max, dp, mass = evaluate_design(
+            design, problem.coolant, flow, problem.stack,
+            problem.minor_loss_K, evaluator, problem.solver)
+        feasible = (t_max <= problem.t_max_limit
+                    and dp <= problem.pressure_budget
+                    and v <= problem.v_max)
+        descriptor = (f"material={design.plate.material.name},"
+                      f"channels_per_row={count},"
+                      f"cover_mm={cover * 1e3:g},v={v:g}")
+        return StudyRow(descriptor=descriptor, v_mps=v, t_max_C=t_max,
+                        dp_Pa=dp, mass_kg=mass, feasible=feasible)
+
+    def best_of(rows, best=None):  # the first of equals, as in grid order
+        return min(([best] if best else []) + [r for r in rows if r.feasible],
+                   key=_row_key, default=None)
+
+    if not prune:
+        rows = [point(g, v) for g in geometries for v in velocities]
+        return StudyResult(rows=tuple(rows), best=best_of(rows))
+
     rows: list[StudyRow] = []
     best: StudyRow | None = None
-
-    for material in problem.materials:
-        for count in problem.channel_counts:
-            for cover in problem.cover_thicknesses:
-                design = variant(problem.base, material=material,
-                                 channel_count=count, cover_thickness=cover)
-                mass = plate_mass(design)
-                if prune and best is not None and mass > best.mass_kg:
-                    continue
-                for v in velocities:
-                    flow = FlowCondition(v, problem.inlet_temperature)
-                    t_max, dp, mass = evaluate_design(
-                        design, problem.coolant, flow, problem.stack,
-                        problem.minor_loss_K, evaluator, problem.solver)
-                    feasible = (t_max <= problem.t_max_limit
-                                and dp <= problem.pressure_budget
-                                and v <= problem.v_max)
-                    descriptor = (f"material={design.plate.material.name},"
-                                  f"channels_per_row={count},"
-                                  f"cover_mm={cover * 1e3:g},v={v:g}")
-                    row = StudyRow(descriptor=descriptor, v_mps=v,
-                                   t_max_C=t_max, dp_Pa=dp, mass_kg=mass,
-                                   feasible=feasible)
-                    rows.append(row)
-                    if feasible and (best is None
-                                     or _row_key(row) < _row_key(best)):
-                        best = row
+    for mass, geometry in sorted(((plate_mass(g[0]), g) for g in geometries),
+                                 key=lambda pair: pair[0]):
+        if best is not None and mass > best.mass_kg:
+            break
+        found = _search(problem, velocities,
+                        lambda v: point(geometry, v),
+                        lambda v: hydraulics.pressure_drop(
+                            problem.coolant, geometry[0].layout, v,
+                            problem.minor_loss_K))
+        rows += found
+        best = best_of(found, best)
     return StudyResult(rows=tuple(rows), best=best)
+
+
+def _search(problem: DesignProblem, velocities: list[float], evaluate,
+            pressure_drop) -> list[StudyRow]:
+    """The rows one geometry's pruned search evaluates, in grid order.
+
+    It is exact where t_max never rises and dp never falls with v. The
+    geometry's rows share its mass, so _row_key orders its feasible ones
+    by t_max, dp, then descriptor. Velocities up to v_hi pass the budget
+    and v_max, so the least t_max is at v_hi: if that row is too hot, no
+    row is feasible. The rows that tie its t_max form a run [v_lo, v_hi],
+    of which v_lo has the least dp; the later points of the same dp are
+    evaluated too, so the descriptors decide among them as in _row_key.
+    If the evaluated t_max rise anywhere with v, the premise fails for
+    this geometry and every velocity is evaluated.
+    """
+    done: dict[int, StudyRow] = {}
+
+    def at(i: int) -> StudyRow:
+        if i not in done:
+            done[i] = evaluate(velocities[i])
+        return done[i]
+
+    # v_hi: the last grid point within v_max and the budget, from dp alone
+    within = range(bisect.bisect_right(velocities, problem.v_max))
+    hi = bisect.bisect_right(within, problem.pressure_budget,
+                             key=lambda i: pressure_drop(velocities[i])) - 1
+    top = at(max(hi, 0))  # with no v in budget, a row that shows why
+    if hi > 0 and top.feasible and at(hi - 1).t_max_C == top.t_max_C:
+        lo, tie = 0, hi - 1  # velocities[tie] ties top's t_max
+        while lo < tie:
+            mid = (lo + tie) // 2
+            if at(mid).t_max_C == top.t_max_C:
+                tie = mid
+            else:
+                lo = mid + 1
+        dp = done[lo].dp_Pa
+        while lo < hi and pressure_drop(velocities[lo + 1]) == dp:
+            lo += 1
+            at(lo)
+    order = sorted(done)
+    t_max = [done[i].t_max_C for i in order]
+    if any(b > a for a, b in zip(t_max, t_max[1:])):
+        order = range(len(velocities))
+    return [at(i) for i in order]

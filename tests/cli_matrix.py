@@ -13,9 +13,9 @@ for a given config, so two checkouts compare with
 
 The cases cover every action on both presets, including the ones that
 end in an error, and the small inline plate of `conftest.small_assembly`:
-its FV solve, an FV shape sweep and a one-row FV solve on its
-rectangular variant, and a mesh study whose last two sizes give the same
-grid.
+its FV solve, an FV optimize over 2 geometries and 3 velocities, an FV
+shape sweep and a one-row FV solve on its rectangular variant, and a mesh
+study whose last two sizes give the same grid.
 """
 
 from __future__ import annotations
@@ -70,6 +70,12 @@ def _cases() -> dict[str, tuple[str, dict]]:
     # an inlet at 0 C starts the first linear solve from an all-zero guess
     cases["small-solve-fv-inlet-0"] = "solve-fv", {
         "assembly": small, "flow": {"inlet_C": 0.0}}
+    cases["small-optimize-fv"] = "optimize", {
+        "assembly": small, "solver": {"resolution_m": 2e-3},
+        "optimize": {"materials": ["copper", "aluminum"],
+                     "channel_counts": [2], "cover_thicknesses_m": [1e-3],
+                     "v_min": 0.5, "v_max": 1.5, "v_step": 0.5,
+                     "evaluator": "fv"}}
     # with a 6 x 3 mm rectangle, whose semicircle of equal wetted area also
     # fits the plate: both shapes rasterize in two rows, then one row
     rect = json.loads(json.dumps(small))

@@ -658,9 +658,19 @@ class TestMalformedConfig:
          '109.0, "density": 8530.0, "specific_heat": 380.0, "colour": 1}}',
          "materials_file.copper.density must be a finite number > 0, "
          "got True; unknown key 'materials_file.brass.colour'"),
+        # csv quotes no carriage return, so the name would split its rows
+        ('{"cu\\rni": {"thermal_conductivity": 200.0, "density": 8900.0, '
+         '"specific_heat": 390.0}}',
+         "key 'materials_file.cu\\rni' must be printable text"),
+        ('{"cu\\nni": {"density": 8900.0}, "copper": {"density": 0}}',
+         "key 'materials_file.cu\\nni' must be printable text; missing key "
+         "'materials_file.cu\\nni.thermal_conductivity'; missing key "
+         "'materials_file.cu\\nni.specific_heat'; "
+         "materials_file.copper.density must be a finite number > 0, got 0"),
     ], ids=["misspelt-key", "bool-density", "string-density", "int-entry",
             "list-file", "incomplete-new-material", "nan-density",
-            "not-utf8", "two-violations"])
+            "not-utf8", "two-violations", "carriage-return-name",
+            "line-break-name"])
     def test_malformed_materials_file_is_an_error(self, tmp_path, capsys,
                                                   body, message):
         # a misspelt key, a bool or a string used to pass (a true density
@@ -750,8 +760,8 @@ class TestMaterialsFile:
                                                    "material=brass"]
         assert rows[0]["t_max_C"] == t_report
 
-    @pytest.mark.parametrize("name", ["cu,ni", 'cu"ni', "cu\nni"],
-                             ids=["comma", "quote", "line-break"])
+    @pytest.mark.parametrize("name", ["cu,ni", 'cu"ni'],
+                             ids=["comma", "quote"])
     def test_material_name_round_trips_through_csv(self, tmp_path, name):
         path = tmp_path / "materials.json"
         path.write_text(json.dumps({name: {

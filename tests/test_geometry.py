@@ -264,7 +264,9 @@ def test_non_finite_rejected(build):
      "face must be 'top' or 'bottom', got 'side'"),
     (lambda: cp.equal_area_radius(layout(RECT), 0),
      "new_channels_per_row must be >= 1"),
-], ids=["module-face", "zero-channels"])
+    (lambda: cp.equal_area_radius(layout(RECT), float("nan")),
+     "new_channels_per_row must be >= 1"),
+], ids=["module-face", "zero-channels", "nan-channels"])
 def test_out_of_domain_rejected(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()

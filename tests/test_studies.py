@@ -1,12 +1,15 @@
+import csv
+import io
 import math
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 import coldplate as cp
-from coldplate import cli, studies
-from coldplate.geometry import REFERENCE_RECT
+from coldplate import cli, fv, studies
+from coldplate.geometry import PRESETS, REFERENCE_RECT
 from coldplate.studies import (DesignProblem, StudyRow, SweepSpec,
                                evaluate_design, optimize, run_sweep,
                                secondary_side_scenario, variant)
@@ -286,6 +289,124 @@ class TestOptimize:
                    and r.dp_Pa <= prob.pressure_budget for r in above)
 
 
+def _count_calls(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records each call's args."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestPrunedSearch:
+    def test_premise_holds_on_c7_grid(self, primary):
+        # the pruned search is exact because, for every geometry, t_max
+        # never rises and dp never falls along the velocity grid
+        prob = problem(primary, v_step=0.005)
+        rows, n = optimize(prob, prune=False).rows, len(prob.velocities())
+        assert len(rows) == 12 * n
+        for start in range(0, len(rows), n):
+            run = rows[start:start + n]
+            assert all(b.t_max_C <= a.t_max_C and b.dp_Pa >= a.dp_Pa
+                       for a, b in zip(run, run[1:]))
+
+    @pytest.mark.parametrize("limits", [
+        {}, {"pressure_budget": 5e3}, {"t_max_limit": 60.0},
+        {"pressure_budget": 2e3, "t_max_limit": 200.0}],
+        ids=["c7", "budget-5kPa", "limit-60C", "budget-2kPa-limit-200C"])
+    @pytest.mark.parametrize("preset, counts", [
+        ("primary_side", (3, 6)), ("secondary_side", (12, 20))])
+    def test_pruned_best_is_exhaustive_best(self, preset, counts, limits):
+        # on secondary_side, 2 kPa leaves only laminar velocities, whose
+        # t_max ties: the search bisects for the slowest
+        prob = problem(PRESETS[preset](), channel_counts=counts, v_step=0.05,
+                       **limits)
+        assert optimize(prob).best == optimize(prob, prune=False).best
+
+    def test_repeated_grid_points(self, primary):
+        # a step below the grid's 1e-12 rounding repeats velocities, whose
+        # rows tie on t_max and dp
+        prob = problem(primary, v_min=1.0, v_max=1.0 + 1e-12, v_step=1e-13)
+        assert len(set(prob.velocities())) < len(prob.velocities())
+        pruned, full = optimize(prob), optimize(prob, prune=False)
+        assert pruned.best == full.best is not None
+
+    def test_descriptor_breaks_a_dp_tie(self, primary, monkeypatch):
+        # t_max is flat from 9 m/s and dp up to 11 m/s, so among 9, 10 and
+        # 11 m/s _row_key falls to the descriptors, where "v=10" sorts
+        # first; the bisection for 9 m/s never probes 10 m/s
+        def dp(coolant, layout, v, minor_loss_K):
+            return 1e3 * max(v, 11.0)
+
+        def step(assembly, coolant, flow, *args):
+            v = flow.inlet_velocity
+            t_max = 60.0 if v < 9 else 50.0
+            return (t_max, dp(coolant, assembly.layout, v, 0.0),
+                    studies.plate_mass(assembly))
+        monkeypatch.setattr(studies.hydraulics, "pressure_drop", dp)
+        monkeypatch.setattr(studies, "evaluate_design", step)
+        prob = problem(primary, v_min=8.0, v_max=40.0, v_step=1.0)
+        pruned, full = optimize(prob), optimize(prob, prune=False)
+        assert pruned.best == full.best
+        assert pruned.best.descriptor.endswith(",v=10")
+
+    @pytest.mark.parametrize("limits", [{"t_max_limit": -10.0},
+                                        {"pressure_budget": 1.0}],
+                             ids=["too-hot", "over-budget"])
+    def test_no_feasible_design_evaluates_each_geometry_once(
+            self, primary, monkeypatch, limits):
+        calls = _count_calls(monkeypatch, studies, "evaluate_design")
+        res = optimize(problem(primary, **limits))
+        assert res.best is None
+        assert len(calls) == len(res.rows) == 12
+        assert not any(r.feasible for r in res.rows)
+
+    def test_rows_are_the_evaluated_points(self, primary, monkeypatch):
+        calls = _count_calls(monkeypatch, studies, "evaluate_design")
+        res = optimize(problem(primary))
+        # the lightest geometry's two cover variants, at v_hi and below it
+        assert len(calls) == len(res.rows) == 4
+        assert [r.v_mps for r in res.rows] == [2.6, 2.9] * 2
+        assert res.best == res.rows[3]
+
+    def test_fv_pruned_best_is_exhaustive_best(self, small, monkeypatch):
+        solves = _count_calls(monkeypatch, fv, "solve")
+        prob = DesignProblem(base=small, materials=("copper", "aluminum"),
+                             channel_counts=(2,), cover_thicknesses=(1e-3,),
+                             v_min=0.5, v_max=1.5, v_step=0.5,
+                             pressure_budget=3e3)
+        pruned = optimize(prob, "fv")
+        # aluminum is lighter; 1.5 m/s is over budget, so v_hi is 1.0
+        assert len(solves) == 2
+        full = optimize(prob, "fv", prune=False)
+        assert len(solves) == 2 + 6
+        assert pruned.best == full.best
+        assert pruned.best.descriptor == (
+            "material=aluminum,channels_per_row=2,cover_mm=1,v=1")
+
+    def test_rising_t_max_falls_back_to_the_whole_grid(self, primary,
+                                                        monkeypatch):
+        real = studies.evaluate_design
+
+        def bowl(assembly, coolant, flow, *args):
+            # t_max falls to its least at 1.7 m/s, then rises again
+            _, dp, mass = real(assembly, coolant, flow, *args)
+            return 60.0 + 10.0 * abs(flow.inlet_velocity - 1.7), dp, mass
+        monkeypatch.setattr(studies, "evaluate_design", bowl)
+        prob = problem(primary)
+        pruned, full = optimize(prob), optimize(prob, prune=False)
+        assert pruned.best == full.best
+        assert pruned.best.v_mps == 1.7
+        # the probes at 2.9 and 2.6 m/s show the rise, so both cover
+        # variants of the lightest geometry evaluate every velocity
+        assert [r.v_mps for r in pruned.rows] == prob.velocities() * 2
+
+
+_PRINTABLE = st.text(max_size=6).filter(str.isprintable)
+
+
 class TestCsv:
     def test_header_and_repr_floats(self):
         row = StudyRow("v=1.1", 1.1, 60.5, 5000.25, 5.79, True)
@@ -305,3 +426,17 @@ class TestCsv:
             fields = line.split(",")
             assert float(fields[2]) == row.t_max_C
             assert float(fields[3]) == row.dp_Pa
+
+    @given(keys=st.lists(_PRINTABLE, min_size=1, max_size=4, unique=True),
+           data=st.data())
+    def test_round_trips_printable_text(self, keys, data):
+        # fields hold commas, quotes and blanks; cli._materials refuses the
+        # names csv would not quote, such as one holding a "\r"
+        value = _PRINTABLE | st.floats() | st.none()
+        width = len(keys)
+        rows = [dict(zip(keys, values)) for values in data.draw(st.lists(
+            st.lists(value, min_size=width, max_size=width), min_size=1,
+            max_size=3))]
+        table = list(csv.reader(io.StringIO(cli._csv(rows))))
+        assert table == [keys] + [["" if row[k] is None else str(row[k])
+                                   for k in keys] for row in rows]
