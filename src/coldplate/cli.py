@@ -282,11 +282,8 @@ def assembly_to_json(assembly: Assembly) -> dict:
 class RunConfig:
     action: str
     assembly: Assembly
-    coolant: CoolantProps
     flow: FlowCondition
-    stack: thermal.DieStack | None
-    minor_loss_K: float
-    solver: fv.SolverSettings
+    evaluation: studies.Evaluation
     sweep: studies.SweepSpec | None
     optimize: studies.DesignProblem | None
     resolved: dict  # fully-resolved document for --echo-config
@@ -349,33 +346,33 @@ def parse_config(text: str, action: str | None = None) -> RunConfig:
     if sweep.get("axis") == "material":
         sweep_values = [materials[name] for name in sweep_values]
 
-    coolant = _record(CoolantProps, resolved["coolant"])
-    solver = _record(fv.SolverSettings, resolved["solver"])
     flow = FlowCondition(inlet_velocity=resolved["flow"]["v_mps"],
                          inlet_temperature=resolved["flow"]["inlet_C"])
-    stack = None
-    if "stack" in resolved:
-        stack = thermal.DieStack(layers=tuple(
+    evaluation = studies.Evaluation(
+        coolant=_record(CoolantProps, resolved["coolant"]),
+        stack=thermal.DieStack(layers=tuple(
             _record(thermal.StackLayer, layer)
             for layer in resolved["stack"]["layers"]))
-    common = dict(base=assembly, coolant=coolant, stack=stack,
-                  minor_loss_K=resolved["hydraulics"]["minor_loss_K"],
-                  solver=solver)
-    problem = None
-    if opt:
-        try:  # the evaluator is not part of the problem
-            problem = _record(
-                studies.DesignProblem,
-                {k: v for k, v in opt.items() if k != "evaluator"},
-                materials=tuple(materials[name] for name in opt["materials"]),
-                inlet_temperature=flow.inlet_temperature, **common)
-        except ValueError as exc:  # a velocity grid too fine to enumerate
-            raise ConfigError(f"invalid config: optimize: {exc}") from None
+        if "stack" in resolved else None,
+        minor_loss_K=resolved["hydraulics"]["minor_loss_K"],
+        solver=_record(fv.SolverSettings, resolved["solver"]))
+
+    def study(cls, section: dict, **fields):
+        # the evaluator is not a field: run_sweep and optimize take it
+        return _record(cls, {k: v for k, v in section.items()
+                             if k != "evaluator"},
+                       base=assembly, evaluation=evaluation, **fields)
+
+    try:  # DesignProblem refuses a velocity grid it cannot use
+        problem = study(studies.DesignProblem, opt, materials=tuple(
+            materials[name] for name in opt["materials"]),
+            inlet_temperature=flow.inlet_temperature) if opt else None
+    except ValueError as exc:
+        raise ConfigError(f"invalid config: optimize: {exc}") from None
     return RunConfig(
-        action=cfg_action, assembly=assembly, coolant=coolant, flow=flow,
-        stack=stack, minor_loss_K=common["minor_loss_K"], solver=solver,
-        sweep=_record(studies.SweepSpec, sweep, values=tuple(sweep_values),
-                      flow=flow, **common) if sweep else None,
+        action=cfg_action, assembly=assembly, flow=flow, evaluation=evaluation,
+        sweep=study(studies.SweepSpec, sweep, values=tuple(sweep_values),
+                    flow=flow) if sweep else None,
         optimize=problem, resolved=resolved)
 
 
@@ -394,10 +391,11 @@ def _csv(rows: list[dict]) -> str:
 
 
 def _run_report(config: RunConfig):
-    hyd = hydraulics.report(config.coolant, config.assembly.layout,
-                            config.flow.inlet_velocity, config.minor_loss_K)
-    th = thermal.solve_network(config.assembly, config.coolant, config.flow,
-                               config.stack)
+    hyd = hydraulics.report(config.evaluation.coolant, config.assembly.layout,
+                            config.flow.inlet_velocity,
+                            config.evaluation.minor_loss_K)
+    th = thermal.solve_network(config.assembly, config.evaluation.coolant,
+                               config.flow, config.evaluation.stack)
     mass = plate_mass(config.assembly)
     result = {"hydraulics": hyd.to_json(), "thermal": th.to_json(),
               "mass_kg": mass}
@@ -412,7 +410,8 @@ def _run_report(config: RunConfig):
 
 
 def _run_sweep(config: RunConfig):
-    result = studies.run_sweep(config.sweep)
+    result = studies.run_sweep(config.sweep,
+                               config.resolved["sweep"]["evaluator"])
     summary = (f"sweep over {config.sweep.axis}: {len(result.rows)} points, "
                f"t_max {min(r.t_max_C for r in result.rows):.2f}.."
                f"{max(r.t_max_C for r in result.rows):.2f} C")
@@ -434,10 +433,11 @@ def _run_optimize(config: RunConfig):
 
 
 def _run_solve_fv(config: RunConfig):
-    grid = fv.build_grid(config.assembly, config.solver.resolution)
-    solution = fv.solve(grid, config.coolant, config.flow,
-                        config.assembly.plate.material, tol=config.solver.tol,
-                        max_iters=config.solver.max_iters)
+    solver = config.evaluation.solver
+    grid = fv.build_grid(config.assembly, solver.resolution)
+    solution = fv.solve(grid, config.evaluation.coolant, config.flow,
+                        config.assembly.plate.material, tol=solver.tol,
+                        max_iters=solver.max_iters)
     result = solution.to_json()
     csv = _csv([{
         "t_max_C": solution.t_max, "residual": solution.residual,
@@ -452,10 +452,10 @@ def _run_solve_fv(config: RunConfig):
 
 def _run_mesh_study(config: RunConfig):
     result = fv.mesh_study(lambda r: fv.build_grid(config.assembly, r),
-                           config.coolant, config.flow,
+                           config.evaluation.coolant, config.flow,
                            config.assembly.plate.material,
                            config.resolved["mesh_study"]["resolutions_m"],
-                           config.solver)
+                           config.evaluation.solver)
     summary = (f"mesh study: {len(result.rows)} levels, converged = "
                f"{result.converged}")
     doc = result.to_json()

@@ -1,8 +1,10 @@
 """Parametric trade studies and the constrained mass minimizer.
 
 A design point is (material, channel count at the equal-area radius,
-cover thickness, inlet velocity). Sweeps evaluate one axis at a time.
-The optimizer minimizes plate mass over the finite candidate grid; its
+cover thickness, inlet velocity). One `Evaluation` record says how a
+study evaluates its points, and `_row` builds every row of every study
+from a design and a flow. Sweeps evaluate one axis at a time. The
+optimizer minimizes plate mass over the finite candidate grid; its
 pruned search must select the same design as the exhaustive one. It
 visits the geometries in ascending mass and needs only a few thermal
 evaluations per geometry, because the models are monotone in velocity:
@@ -69,24 +71,28 @@ class StudyResult:
 
 
 @dataclass(frozen=True)
+class Evaluation:
+    """How a study evaluates each design point; solver applies to the
+    "fv" evaluator, and a stack of None is the network model's default."""
+    coolant: CoolantProps = water_at_reference()
+    stack: thermal.DieStack | None = None
+    minor_loss_K: float = DEFAULT_MINOR_LOSS_K
+    solver: fv.SolverSettings = fv.SolverSettings()
+
+
+@dataclass(frozen=True)
 class SweepSpec:
     base: Assembly
     axis: str
     values: tuple
-    coolant: CoolantProps = water_at_reference()
     flow: FlowCondition = FlowCondition(1.1, thermal.DEFAULT_INLET_C)
-    stack: thermal.DieStack | None = None
-    evaluator: str = "network"
-    minor_loss_K: float = DEFAULT_MINOR_LOSS_K
-    solver: fv.SolverSettings = fv.SolverSettings()
+    evaluation: Evaluation = Evaluation()
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"unknown sweep axis {self.axis!r}")
         if not self.values:
             raise ValueError("sweep values must be non-empty")
-        if self.evaluator not in EVALUATORS:
-            raise ValueError(f"unknown evaluator {self.evaluator!r}")
 
 
 @dataclass(frozen=True)
@@ -100,11 +106,8 @@ class DesignProblem:
     v_step: float = DEFAULT_V_STEP
     t_max_limit: float = DEFAULT_T_MAX_LIMIT_C     # deg C
     pressure_budget: float = DEFAULT_PRESSURE_BUDGET_PA  # Pa
-    coolant: CoolantProps = water_at_reference()
     inlet_temperature: float = thermal.DEFAULT_INLET_C
-    stack: thermal.DieStack | None = None
-    minor_loss_K: float = DEFAULT_MINOR_LOSS_K
-    solver: fv.SolverSettings = fv.SolverSettings()
+    evaluation: Evaluation = Evaluation()
 
     def __post_init__(self):
         # a zero or non-finite step never leaves the velocities() loop,
@@ -115,17 +118,20 @@ class DesignProblem:
         if self.v_min + self.v_step == self.v_min:
             raise ValueError(f"v_step {self.v_step!r} is below the float "
                              f"spacing of v_min {self.v_min!r}")
-        if (self.v_max - self.v_min) / self.v_step + 1 > _MAX_VELOCITY_POINTS:
+        # velocities() runs on to v_max + 1e-12, its rounding's slack
+        if ((self.v_max + 1e-12 - self.v_min) / self.v_step + 1
+                > _MAX_VELOCITY_POINTS):
             raise ValueError(f"velocity grid has more than "
                              f"{_MAX_VELOCITY_POINTS} points")
+        velocities = self.velocities()
+        if len(set(velocities)) < len(velocities):
+            raise ValueError(f"v_step {self.v_step!r} repeats grid points, "
+                             f"which are rounded to 12 decimals")
 
     def velocities(self) -> list[float]:
-        vs = []
-        n = 0
-        while True:
-            v = round(self.v_min + n * self.v_step, 12)
-            if v > self.v_max + 1e-12:
-                break
+        vs, n = [], 0
+        while ((v := round(self.v_min + n * self.v_step, 12))
+               <= self.v_max + 1e-12):
             vs.append(v)
             n += 1
         return vs
@@ -167,20 +173,17 @@ def variant(base: Assembly, material: str | SolidMaterial | None = None,
     return replace(base, plate=plate, layout=layout)
 
 
-def evaluate_design(assembly: Assembly, coolant: CoolantProps,
-                    flow: FlowCondition,
-                    stack: thermal.DieStack | None = None,
-                    minor_loss_K: float = DEFAULT_MINOR_LOSS_K,
-                    evaluator: str = "network",
-                    solver: fv.SolverSettings = fv.SolverSettings(),
-                    ) -> tuple[float, float, float]:
-    """Returns (t_max deg C, pressure drop Pa, plate mass kg); solver
-    applies to the "fv" evaluator."""
+def evaluate_design(assembly: Assembly, flow: FlowCondition,
+                    evaluation: Evaluation = Evaluation(),
+                    evaluator: str = "network") -> tuple[float, float, float]:
+    """Returns (t_max deg C, pressure drop Pa, plate mass kg)."""
+    coolant, solver = evaluation.coolant, evaluation.solver
     dp = hydraulics.pressure_drop(coolant, assembly.layout,
-                                  flow.inlet_velocity, minor_loss_K)
+                                  flow.inlet_velocity, evaluation.minor_loss_K)
     mass = plate_mass(assembly)
     if evaluator == "network":
-        t_max = thermal.solve_network(assembly, coolant, flow, stack).t_max
+        t_max = thermal.solve_network(assembly, coolant, flow,
+                                      evaluation.stack).t_max
     elif evaluator == "fv":
         grid = fv.build_grid(assembly, solver.resolution)
         t_max = fv.solve(grid, coolant, flow, assembly.plate.material,
@@ -188,6 +191,18 @@ def evaluate_design(assembly: Assembly, coolant: CoolantProps,
     else:
         raise ValueError(f"unknown evaluator {evaluator!r}")
     return t_max, dp, mass
+
+
+def _row(descriptor: str, design: Assembly, flow: FlowCondition,
+         evaluation: Evaluation, evaluator: str,
+         problem: DesignProblem | None = None) -> StudyRow:
+    """The row of one design point. It is feasible when t_max, dp and v
+    are within the problem's limits; a row with no problem is feasible."""
+    t_max, dp, mass = evaluate_design(design, flow, evaluation, evaluator)
+    feasible = problem is None or (
+        t_max <= problem.t_max_limit and dp <= problem.pressure_budget
+        and flow.inlet_velocity <= problem.v_max)
+    return StudyRow(descriptor, flow.inlet_velocity, t_max, dp, mass, feasible)
 
 
 def _worker_count() -> int:
@@ -201,32 +216,24 @@ def _worker_count() -> int:
 # --------------------------------------------------------------------------
 # sweeps
 
-def _apply_axis(spec: SweepSpec, value) -> tuple[Assembly, FlowCondition, str]:
+def _apply_axis(spec: SweepSpec, value) -> tuple[str, Assembly, FlowCondition]:
     base, flow = spec.base, spec.flow
     if spec.axis == "velocity":
-        return base, replace(flow, inlet_velocity=float(value)), f"v={value}"
+        return f"v={value}", base, replace(flow, inlet_velocity=float(value))
     assembly = variant(base, **{spec.axis: value})
     descriptor = {"material": f"material={assembly.plate.material.name}",
                   "channel_shape": f"shape={value}",
                   "channel_count": f"channels_per_row={value}",
                   "cover_thickness": f"cover_m={value}"}[spec.axis]
-    return assembly, flow, descriptor
+    return descriptor, assembly, flow
 
 
-def run_sweep(spec: SweepSpec) -> StudyResult:
+def run_sweep(spec: SweepSpec, evaluator: str = "network") -> StudyResult:
     """One evaluation per axis value, rows in input order."""
     points = [_apply_axis(spec, value) for value in spec.values]
-
-    def eval_point(point):
-        assembly, flow, descriptor = point
-        t_max, dp, mass = evaluate_design(
-            assembly, spec.coolant, flow, spec.stack, spec.minor_loss_K,
-            spec.evaluator, spec.solver)
-        return StudyRow(descriptor=descriptor, v_mps=flow.inlet_velocity,
-                        t_max_C=t_max, dp_Pa=dp, mass_kg=mass, feasible=True)
-
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        return StudyResult(rows=tuple(pool.map(eval_point, points)))
+        return StudyResult(rows=tuple(pool.map(
+            lambda point: _row(*point, spec.evaluation, evaluator), points)))
 
 
 # --------------------------------------------------------------------------
@@ -245,13 +252,12 @@ def secondary_side_scenario(assembly: Assembly = secondary_side(),
     ]
     rows = []
     for (v, cover), reference in zip(steps, SECONDARY_SCENARIO_REFERENCE_C):
-        design = variant(assembly, cover_thickness=cover)
-        flow = FlowCondition(v, thermal.DEFAULT_INLET_C)
-        t_max, dp, mass = evaluate_design(design, coolant, flow)
-        descriptor = (f"v={v},cover_mm={cover * 1e3:g},"
-                      f"ref_C={reference},delta_K={t_max - reference:.2f}")
-        rows.append(StudyRow(descriptor=descriptor, v_mps=v, t_max_C=t_max,
-                             dp_Pa=dp, mass_kg=mass, feasible=True))
+        row = _row(f"v={v},cover_mm={cover * 1e3:g},ref_C={reference}",
+                   variant(assembly, cover_thickness=cover),
+                   FlowCondition(v, thermal.DEFAULT_INLET_C),
+                   Evaluation(coolant=coolant), "network")
+        rows.append(replace(row, descriptor=f"{row.descriptor},delta_K="
+                            f"{row.t_max_C - reference:.2f}"))
     return StudyResult(rows=tuple(rows))
 
 
@@ -292,18 +298,12 @@ def optimize(problem: DesignProblem, evaluator: str = "network",
 
     def point(geometry, v: float) -> StudyRow:
         design, count, cover = geometry
-        flow = FlowCondition(v, problem.inlet_temperature)
-        t_max, dp, mass = evaluate_design(
-            design, problem.coolant, flow, problem.stack,
-            problem.minor_loss_K, evaluator, problem.solver)
-        feasible = (t_max <= problem.t_max_limit
-                    and dp <= problem.pressure_budget
-                    and v <= problem.v_max)
-        descriptor = (f"material={design.plate.material.name},"
-                      f"channels_per_row={count},"
-                      f"cover_mm={cover * 1e3:g},v={v:g}")
-        return StudyRow(descriptor=descriptor, v_mps=v, t_max_C=t_max,
-                        dp_Pa=dp, mass_kg=mass, feasible=feasible)
+        # 15 digits name every point of the 12-decimal grid below 1000 m/s
+        return _row(f"material={design.plate.material.name},"
+                    f"channels_per_row={count},"
+                    f"cover_mm={cover * 1e3:.15g},v={v:.15g}", design,
+                    FlowCondition(v, problem.inlet_temperature),
+                    problem.evaluation, evaluator, problem)
 
     def best_of(rows, best=None):  # the first of equals, as in grid order
         return min(([best] if best else []) + [r for r in rows if r.feasible],
@@ -322,8 +322,8 @@ def optimize(problem: DesignProblem, evaluator: str = "network",
         found = _search(problem, velocities,
                         lambda v: point(geometry, v),
                         lambda v: hydraulics.pressure_drop(
-                            problem.coolant, geometry[0].layout, v,
-                            problem.minor_loss_K))
+                            problem.evaluation.coolant, geometry[0].layout, v,
+                            problem.evaluation.minor_loss_K))
         rows += found
         best = best_of(found, best)
     return StudyResult(rows=tuple(rows), best=best)

@@ -15,7 +15,11 @@ The cases cover every action on both presets, including the ones that
 end in an error, and the small inline plate of `conftest.small_assembly`:
 its FV solve, an FV optimize over 2 geometries and 3 velocities, an FV
 shape sweep and a one-row FV solve on its rectangular variant, and a mesh
-study whose last two sizes give the same grid.
+study whose last two sizes give the same grid. A network sweep, a network
+optimize and an FV sweep run with a non-default coolant, die stack,
+minor-loss K and solver tolerance, so a setting lost on its way to a
+design point changes their outputs; an FV sweep whose `solver.max_iters`
+binds ends in the solver's convergence error.
 """
 
 from __future__ import annotations
@@ -37,6 +41,19 @@ from conftest import small_assembly  # noqa: E402
 # coarsest that still resolves both the channels and the cover
 _FV = {"primary_side": (2e-3, [2.5e-3, 2e-3, 1.8e-3]),
        "secondary_side": (1.5e-3, [2e-3, 1.8e-3, 1.5e-3])}
+# a non-default value for each setting of how a design point is evaluated
+_SETTINGS = {
+    "coolant": {"name": "glycol-25", "density": 1030.0,
+                "dynamic_viscosity": 1.2e-3, "specific_heat": 3900.0,
+                "thermal_conductivity": 0.52, "reference_temperature_C": 45.0},
+    "stack": {"layers": [
+        {"name": "die", "thickness_m": 3.5e-4, "conductivity": 130.0},
+        {"name": "solder", "thickness_m": 1e-4, "conductivity": 35.0,
+         "area_factor": 1.2},
+        {"name": "baseplate", "thickness_m": 3e-3, "conductivity": 390.0,
+         "area_factor": 2.0}]},
+    "hydraulics": {"minor_loss_K": 3.5},
+    "solver": {"tol": 1e-7}}
 _SWEEPS = {"velocity": [0.5, 1.1, 2.9],
            "material": ["copper", "aluminum", "stainless-steel"],
            "channel_shape": ["rectangular", "semicircular"],
@@ -90,6 +107,19 @@ def _cases() -> dict[str, tuple[str, dict]]:
     one_row["layout"]["rows"] = 1
     cases["small-rectangular-one-row-solve-fv"] = "solve-fv", {
         "assembly": one_row, "solver": {"resolution_m": 2e-3}}
+    cases["primary_side-sweep-velocity-settings"] = "sweep", {
+        "preset": "primary_side", **_SETTINGS,
+        "sweep": {"axis": "velocity", "values": [0.5, 1.1, 2.9]}}
+    cases["primary_side-optimize-settings"] = "optimize", {
+        "preset": "primary_side", **_SETTINGS, "optimize": {}}
+    cases["small-sweep-velocity-fv-settings"] = "sweep", {
+        "assembly": small, **_SETTINGS,
+        "solver": {**_SETTINGS["solver"], "resolution_m": 2e-3},
+        "sweep": {"axis": "velocity", "values": [0.5, 1.5],
+                  "evaluator": "fv"}}
+    cases["small-sweep-velocity-fv-max-iters"] = "sweep", {
+        "assembly": small, "solver": {"resolution_m": 2e-3, "max_iters": 3},
+        "sweep": {"axis": "velocity", "values": [1.1], "evaluator": "fv"}}
     # 2 mm and 1.999 mm give the same grid, which the study refuses
     cases["small-mesh-study-same-grid"] = "mesh-study", {
         "assembly": small,

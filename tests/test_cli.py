@@ -38,9 +38,9 @@ class TestParseConfig:
         assert cfg.action == "report"
         assert cfg.flow.inlet_velocity == 1.1
         assert cfg.flow.inlet_temperature == 49.0
-        assert cfg.minor_loss_K == 2.0
-        assert cfg.solver == fv.SolverSettings(resolution=2e-3, tol=1e-8,
-                                               max_iters=20000)
+        assert cfg.evaluation.minor_loss_K == 2.0
+        assert cfg.evaluation.solver == fv.SolverSettings(
+            resolution=2e-3, tol=1e-8, max_iters=20000)
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError) as exc:
@@ -441,6 +441,9 @@ class TestMalformedConfig:
         ("optimize", {"optimize": {"v_min": 1e20, "v_max": 1e21,
                                    "v_step": 1}},
          "v_step 1.0 is below the float spacing of v_min 1e+20"),
+        ("optimize", {"optimize": {"v_min": 1.0, "v_max": 1.000000000001,
+                                   "v_step": 1e-13}},
+         "invalid config: optimize: v_step 1e-13 repeats grid points"),
         # about 1.6e12 cells: refused before any array is allocated
         ("solve-fv", {"solver": {"resolution_m": 1e-5}},
          "resolution 1e-05 m gives 1.64e+12 cells; the limit is 1e+07"),
@@ -455,7 +458,8 @@ class TestMalformedConfig:
             "materials-file-list", "fractional-max-iters", "sweep-no-axis",
             "sweep-values-number", "sweep-values-mixed", "sweep-bad-shape",
             "sweep-bad-evaluator", "channel-counts-number", "zero-v-step",
-            "unknown-material", "v-step-below-spacing", "fv-grid-too-fine",
+            "unknown-material", "v-step-below-spacing",
+            "v-step-repeats-points", "fv-grid-too-fine",
             "mesh-grid-too-fine", "mesh-same-grid"])
     def test_is_an_error(self, tmp_path, capsys, action, section, message):
         cfg = write_config(tmp_path, {"preset": "primary_side", **section})
@@ -998,15 +1002,28 @@ def test_main_fuzz(action, base, pinned, overlay):
 
 def test_cli_matrix_covers_every_action():
     # the byte-identity matrix of tests/cli_matrix.py: every action on both
-    # presets, every sweep axis, and a first linear solve from an all-zero
-    # guess (inlet at 0 C); the configs parse, none is run here
+    # presets, every sweep axis, a first linear solve from an all-zero
+    # guess (inlet at 0 C), a network sweep, a network optimize and an FV
+    # sweep with every evaluation setting off its default, and an FV sweep
+    # whose max_iters binds; the configs parse, none is run here
     from cli_matrix import CASES
-    covered = set()
+    default = parse_config(json.dumps({"preset": "primary_side"}),
+                           action="report").evaluation
+    covered, with_settings, max_iters = set(), set(), set()
     for action, doc in CASES.values():
-        parse_config(json.dumps(doc), action=action)
-        sweep = doc.get("sweep", {})
-        covered.add((doc.get("preset"), action, sweep.get("axis"),
-                     sweep.get("evaluator", "network")))
+        cfg = parse_config(json.dumps(doc), action=action)
+        sweep, evaluation = doc.get("sweep", {}), cfg.evaluation
+        evaluator = doc.get(action, {}).get("evaluator", "network")
+        covered.add((doc.get("preset"), action, sweep.get("axis"), evaluator))
+        if (evaluation.coolant != default.coolant and evaluation.stack
+                and evaluation.minor_loss_K != default.minor_loss_K
+                and evaluation.solver.tol != default.solver.tol):
+            with_settings.add((action, evaluator))
+        if "max_iters" in doc.get("solver", {}):
+            max_iters.add((action, evaluator))
+    assert {("sweep", "network"), ("optimize", "network"),
+            ("sweep", "fv")} <= with_settings
+    assert ("sweep", "fv") in max_iters
     for preset in PRESETS:
         for action in ACTIONS:
             axes = ([(axis, "network") for axis in SWEEP_AXES]

@@ -1,7 +1,7 @@
 """Source hygiene: no module imports a name it never uses, the package
 imports nothing heavier than numpy and scipy.sparse, only `cli` reads
-JSON, and every private module-level name is used somewhere in the
-package."""
+JSON, every private module-level name is used somewhere in the package,
+and `studies` builds every row in one function."""
 
 import ast
 import sys
@@ -147,3 +147,38 @@ def test_no_unreferenced_privates():
     # a helper or constant left behind by a change is dead code
     assert unreferenced_privates(
         {p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def callers(source: str, name: str) -> set[str]:
+    """Qualified name of the innermost function or class around each call
+    of `name`, called bare or as an attribute; "" for a module-level call."""
+    found = set()
+
+    def visit(node, scope: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_detects_callers():
+    source = ("def f():\n    g(1)\n    def h():\n        return m.g()\n"
+              "    return h, lambda: g()\ng()\nclass C:\n    def f(self):\n"
+              "        return g\n")
+    assert callers(source, "g") == {"f", "f.h", ""}
+
+
+def test_studies_builds_every_row_in_one_function():
+    # one row builder: sweep, replay and optimize rows all come from
+    # studies._row, which alone evaluates a design point and states the
+    # feasibility rule
+    source = (ROOT / "src" / "coldplate" / "studies.py").read_text()
+    assert callers(source, "StudyRow") == {"_row"}
+    assert callers(source, "evaluate_design") == {"_row"}

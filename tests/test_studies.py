@@ -33,14 +33,15 @@ class TestSweepSpec:
             SweepSpec(base=secondary, axis="velocity", values=())
 
     def test_unknown_evaluator_rejected(self, secondary):
-        with pytest.raises(ValueError):
-            SweepSpec(base=secondary, axis="velocity", values=(1.0,),
-                      evaluator="cfd")
+        # the evaluator is run_sweep's argument, as it is optimize's
+        spec = SweepSpec(base=secondary, axis="velocity", values=(1.0,))
+        with pytest.raises(ValueError, match="^unknown evaluator 'cfd'$"):
+            run_sweep(spec, "cfd")
 
 
-def test_evaluate_design_rejects_unknown_evaluator(secondary, water):
+def test_evaluate_design_rejects_unknown_evaluator(secondary):
     with pytest.raises(ValueError, match="^unknown evaluator 'cfd'$"):
-        evaluate_design(secondary, water, cp.FlowCondition(1.1, 49.0),
+        evaluate_design(secondary, cp.FlowCondition(1.1, 49.0),
                         evaluator="cfd")
 
 
@@ -81,10 +82,10 @@ class TestRunSweep:
         temps = [r.t_max_C for r in res.rows]
         assert temps[0] > temps[1] > temps[2]
 
-    def test_single_value_equals_direct(self, primary, water):
+    def test_single_value_equals_direct(self, primary):
         res = run_sweep(SweepSpec(base=primary, axis="velocity",
                                   values=(1.1,)))
-        direct = evaluate_design(primary, water, cp.FlowCondition(1.1, 49.0))
+        direct = evaluate_design(primary, cp.FlowCondition(1.1, 49.0))
         row = res.rows[0]
         assert (row.t_max_C, row.dp_Pa, row.mass_kg) == direct
 
@@ -185,6 +186,16 @@ class TestVariant:
         assert [r.descriptor for r in res.rows] == [
             "material=aluminum,channels_per_row=6,cover_mm=0.5,v=1.1"]
 
+    def test_optimize_descriptors_name_close_velocities(self, primary):
+        # 6 significant digits would print both points as v=1
+        res = optimize(problem(primary, materials=("aluminum",),
+                               channel_counts=(6,), cover_thicknesses=(1e-3,),
+                               v_min=1.0, v_max=1.000001, v_step=1e-6),
+                       prune=False)
+        assert [r.descriptor for r in res.rows] == [
+            "material=aluminum,channels_per_row=6,cover_mm=1,v=1",
+            "material=aluminum,channels_per_row=6,cover_mm=1,v=1.000001"]
+
 
 class TestSecondaryScenario:
     def test_four_steps_strictly_decreasing(self):
@@ -194,11 +205,17 @@ class TestSecondaryScenario:
         assert all(a > b for a, b in zip(temps, temps[1:]))
 
     def test_descriptors_carry_references(self):
+        # the replay is no CLI action, so only this pins its descriptors
         res = secondary_side_scenario()
+        assert [r.descriptor for r in res.rows] == [
+            "v=1.1,cover_mm=1,ref_C=144.93,delta_K=-78.12",
+            "v=1.4,cover_mm=1,ref_C=142.04,delta_K=-75.87",
+            "v=1.4,cover_mm=0.5,ref_C=136.86,delta_K=-70.73",
+            "v=2.9,cover_mm=0.5,ref_C=131.58,delta_K=-66.78"]
         for row, ref in zip(res.rows,
                             studies.SECONDARY_SCENARIO_REFERENCE_C):
-            assert f"ref_C={ref}" in row.descriptor
-            assert "delta_K=" in row.descriptor
+            assert row.descriptor.endswith(
+                f"ref_C={ref},delta_K={row.t_max_C - ref:.2f}")
 
     def test_zero_power_variant_constant(self, secondary, water):
         dead = replace(secondary, modules=tuple(
@@ -254,10 +271,11 @@ class TestOptimize:
         {"v_step": math.inf}, {"v_min": math.nan}, {"v_max": math.inf},
         {"v_min": 1e20, "v_max": 1e21, "v_step": 1.0},
         {"v_min": 1.0, "v_max": 1.0, "v_step": 1e-17},
-        {"v_max": 2e5, "v_step": 0.1}],
+        {"v_max": 2e5, "v_step": 0.1},
+        {"v_min": 1e-300, "v_max": 1e-300, "v_step": 1e-310}],
         ids=["zero-step", "negative-step", "nan-step", "inf-step",
              "nan-v-min", "inf-v-max", "huge-v-min", "step-below-spacing",
-             "too-many-points"])
+             "too-many-points", "step-below-rounding"])
     def test_bad_velocity_grid_rejected(self, primary, bad):
         # each of these used to loop forever, or for minutes, in
         # velocities()
@@ -326,12 +344,11 @@ class TestPrunedSearch:
         assert optimize(prob).best == optimize(prob, prune=False).best
 
     def test_repeated_grid_points(self, primary):
-        # a step below the grid's 1e-12 rounding repeats velocities, whose
-        # rows tie on t_max and dp
-        prob = problem(primary, v_min=1.0, v_max=1.0 + 1e-12, v_step=1e-13)
-        assert len(set(prob.velocities())) < len(prob.velocities())
-        pruned, full = optimize(prob), optimize(prob, prune=False)
-        assert pruned.best == full.best is not None
+        # a step below the grid's 1e-12 rounding would repeat velocities,
+        # and the exhaustive search would write each repeat as a row
+        with pytest.raises(ValueError, match="^v_step 1e-13 repeats grid "
+                           "points, which are rounded to 12 decimals$"):
+            problem(primary, v_min=1.0, v_max=1.0 + 1e-12, v_step=1e-13)
 
     def test_descriptor_breaks_a_dp_tie(self, primary, monkeypatch):
         # t_max is flat from 9 m/s and dp up to 11 m/s, so among 9, 10 and
@@ -340,10 +357,10 @@ class TestPrunedSearch:
         def dp(coolant, layout, v, minor_loss_K):
             return 1e3 * max(v, 11.0)
 
-        def step(assembly, coolant, flow, *args):
+        def step(assembly, flow, *args):
             v = flow.inlet_velocity
             t_max = 60.0 if v < 9 else 50.0
-            return (t_max, dp(coolant, assembly.layout, v, 0.0),
+            return (t_max, dp(None, assembly.layout, v, 0.0),
                     studies.plate_mass(assembly))
         monkeypatch.setattr(studies.hydraulics, "pressure_drop", dp)
         monkeypatch.setattr(studies, "evaluate_design", step)
@@ -390,9 +407,9 @@ class TestPrunedSearch:
                                                         monkeypatch):
         real = studies.evaluate_design
 
-        def bowl(assembly, coolant, flow, *args):
+        def bowl(assembly, flow, *args):
             # t_max falls to its least at 1.7 m/s, then rises again
-            _, dp, mass = real(assembly, coolant, flow, *args)
+            _, dp, mass = real(assembly, flow, *args)
             return 60.0 + 10.0 * abs(flow.inlet_velocity - 1.7), dp, mass
         monkeypatch.setattr(studies, "evaluate_design", bowl)
         prob = problem(primary)
