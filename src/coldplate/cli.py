@@ -126,6 +126,28 @@ def _resolve(check, value, path: str, errors: list[str]):
     return resolved
 
 
+def _field(key: str) -> str:
+    """The record field a config key names: the key less its unit suffix."""
+    name, _, unit = key.rpartition("_")
+    return name if unit in ("m", "C", "W", "Pa") else key
+
+
+def _document(check, value):
+    """The document `check` reads as `value`, a record or one of its
+    fields: the reverse of `_record`."""
+    if isinstance(check, list):
+        return [_document(check[0], item) for item in value]
+    if isinstance(check, _Kind):
+        kind = {cls: k for k, cls in _SHAPES.items()}[type(value)]
+        return {"kind": kind, **_document(check[kind], value)}
+    if isinstance(check, dict):
+        return {key: _document(item, getattr(value, _field(key)))
+                for key, (item, _) in check.items()}
+    if isinstance(value, SolidMaterial):
+        return value.name
+    return list(value) if isinstance(value, tuple) else value
+
+
 _SHAPES = {"rectangular": Rectangular, "semicircular": Semicircular}
 # check for each item of sweep.values by axis; material names are looked
 # up in the config's own material library instead
@@ -134,6 +156,10 @@ _SWEEP_ITEM = {"velocity": _POSITIVE, "channel_count": _COUNT,
 _EVALUATOR = (set(studies.EVALUATORS), "network")
 _WATER = water_at_reference()
 _SOLVER = fv.SolverSettings()
+_FLOW = studies.SweepSpec.flow
+_STACK = _required(layers=[{
+    **_required(name=_STRING, thickness_m=_POSITIVE, conductivity=_POSITIVE),
+    "area_factor": (_AT_LEAST_ONE, 1.0)}])
 
 _CONFIG = {
     "action": (set(ACTIONS), None),
@@ -167,12 +193,9 @@ _CONFIG = {
         "thermal_conductivity": (_POSITIVE, _WATER.thermal_conductivity),
         "reference_temperature_C": (_FINITE, _WATER.reference_temperature),
     }, {}),
-    "flow": ({"v_mps": (_POSITIVE, 1.1),
-              "inlet_C": (_FINITE, thermal.DEFAULT_INLET_C)}, {}),
-    "stack": (_required(layers=[{
-        **_required(name=_STRING, thickness_m=_POSITIVE,
-                    conductivity=_POSITIVE),
-        "area_factor": (_AT_LEAST_ONE, 1.0)}]), None),
+    "flow": ({"v_mps": (_POSITIVE, _FLOW.inlet_velocity),
+              "inlet_C": (_FINITE, _FLOW.inlet_temperature)}, {}),
+    "stack": (_STACK, _document(_STACK, thermal.DEFAULT_DIE_STACK)),
     "solver": ({"tol": (_POSITIVE, _SOLVER.tol),
                 "max_iters": (_COUNT, _SOLVER.max_iters),
                 "resolution_m": (_POSITIVE, _SOLVER.resolution)}, {}),
@@ -227,12 +250,6 @@ def _materials(path: str | None,
     return materials
 
 
-def _field(key: str) -> str:
-    """The record field a config key names: the key less its unit suffix."""
-    name, _, unit = key.rpartition("_")
-    return name if unit in ("m", "C", "W", "Pa") else key
-
-
 def _record(cls, section: dict, **fields):
     """The `cls` record of a resolved config section: each key's value is
     its field's, lists as tuples, and `fields` give the other fields."""
@@ -255,22 +272,6 @@ def _assembly(doc: dict, material) -> Assembly:
         modules=tuple(_record(ModulePlacement, m, dies=tuple(
             _record(DieSource, d) for d in m["dies"]))
             for m in doc.get("modules", ())))
-
-
-def _document(check, value):
-    """The document `check` reads as `value`, a record or one of its
-    fields: the reverse of `_record`."""
-    if isinstance(check, list):
-        return [_document(check[0], item) for item in value]
-    if isinstance(check, _Kind):
-        kind = {cls: k for k, cls in _SHAPES.items()}[type(value)]
-        return {"kind": kind, **_document(check[kind], value)}
-    if isinstance(check, dict):
-        return {key: _document(item, getattr(value, _field(key)))
-                for key, (item, _) in check.items()}
-    if isinstance(value, SolidMaterial):
-        return value.name
-    return list(value) if isinstance(value, tuple) else value
 
 
 def assembly_to_json(assembly: Assembly) -> dict:
@@ -352,8 +353,7 @@ def parse_config(text: str, action: str | None = None) -> RunConfig:
         coolant=_record(CoolantProps, resolved["coolant"]),
         stack=thermal.DieStack(layers=tuple(
             _record(thermal.StackLayer, layer)
-            for layer in resolved["stack"]["layers"]))
-        if "stack" in resolved else None,
+            for layer in resolved["stack"]["layers"])),
         minor_loss_K=resolved["hydraulics"]["minor_loss_K"],
         solver=_record(fv.SolverSettings, resolved["solver"]))
 

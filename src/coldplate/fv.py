@@ -73,9 +73,7 @@ class GridResolutionError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    def __init__(self, message: str, residual_history: list[float]):
-        super().__init__(message)
-        self.residual_history = residual_history
+    """A linear solve or the coolant march did not converge."""
 
 
 @dataclass(frozen=True)
@@ -499,10 +497,7 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
     temp = np.full(system.diag.size, inlet)
     precond = _two_level(system, grid)
 
-    residuals: list[float] = []
-    outer = 0
-    while True:
-        outer += 1
+    for outer in range(1, _MAX_OUTER + 1):
         rhs = system.rhs_fixed.copy()
         np.add.at(rhs, system.face_cell,
                   system.face_ua * t_sink.flat[system.face_sink])
@@ -511,12 +506,11 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
         rnorm = _norm(system.matrix @ temp - rhs)
         bnorm = _norm(rhs)
         rel = rnorm / bnorm if bnorm > 0 else 0.0
-        residuals.append(rel)
         if info != 0:
             raise ConvergenceError(
                 "linear solve stopped: the residual is not finite" if info < 0
                 else f"linear solve did not reach tol {tol} in {max_iters} "
-                f"iterations (residual {rel:.3e})", residuals)
+                f"iterations (residual {rel:.3e})")
 
         # wall heat per sink, then re-march the channel rows
         q_sink = np.bincount(system.face_sink,
@@ -529,10 +523,10 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
         t_sink = t_new
         if change < _FLUID_TOL:
             break
-        if outer >= _MAX_OUTER:
-            raise ConvergenceError(
-                f"coolant march did not converge in {_MAX_OUTER} outer "
-                f"iterations (last change {change:.3e} K)", residuals)
+    else:
+        raise ConvergenceError(
+            f"coolant march did not converge in {_MAX_OUTER} outer "
+            f"iterations (last change {change:.3e} K)")
 
     imbalance = grid.total_power - float(np.sum(
         system.face_heat(temp, t_sink)))
@@ -557,7 +551,7 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
         temperature=field3d,
         t_max=t_max,
         coolant_profile=t_sink[:n_ch],
-        residual=residuals[-1],
+        residual=rel,
         iterations=outer,
         energy_imbalance=imbalance)
 

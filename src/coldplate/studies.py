@@ -21,6 +21,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import fv, hydraulics, thermal
 from .geometry import (REFERENCE_RECT, Assembly, Rectangular, Semicircular,
@@ -72,10 +73,10 @@ class StudyResult:
 
 @dataclass(frozen=True)
 class Evaluation:
-    """How a study evaluates each design point; solver applies to the
-    "fv" evaluator, and a stack of None is the network model's default."""
+    """How a study evaluates each design point; stack applies to the
+    "network" evaluator, solver to the "fv" evaluator."""
     coolant: CoolantProps = water_at_reference()
-    stack: thermal.DieStack | None = None
+    stack: thermal.DieStack = thermal.DEFAULT_DIE_STACK
     minor_loss_K: float = DEFAULT_MINOR_LOSS_K
     solver: fv.SolverSettings = fv.SolverSettings()
 
@@ -110,31 +111,34 @@ class DesignProblem:
     evaluation: Evaluation = Evaluation()
 
     def __post_init__(self):
-        # a zero or non-finite step never leaves the velocities() loop,
-        # nor does one that v_min absorbs in floating point
+        # a zero or non-finite step never leaves the velocities loop, nor
+        # does one that v_min absorbs in floating point
         if not (math.isfinite(self.v_min) and math.isfinite(self.v_max)
                 and 0 < self.v_step < math.inf):
             raise ValueError("v_min, v_max must be finite, v_step in (0, inf)")
         if self.v_min + self.v_step == self.v_min:
             raise ValueError(f"v_step {self.v_step!r} is below the float "
                              f"spacing of v_min {self.v_min!r}")
-        # velocities() runs on to v_max + 1e-12, its rounding's slack
+        # velocities runs on to v_max + 1e-12, its rounding's slack
         if ((self.v_max + 1e-12 - self.v_min) / self.v_step + 1
                 > _MAX_VELOCITY_POINTS):
             raise ValueError(f"velocity grid has more than "
                              f"{_MAX_VELOCITY_POINTS} points")
-        velocities = self.velocities()
-        if len(set(velocities)) < len(velocities):
+        if not self.velocities:
+            raise ValueError("empty velocity grid")
+        if len(set(self.velocities)) < len(self.velocities):
             raise ValueError(f"v_step {self.v_step!r} repeats grid points, "
                              f"which are rounded to 12 decimals")
 
-    def velocities(self) -> list[float]:
+    @cached_property
+    def velocities(self) -> tuple[float, ...]:
+        """The velocity grid, each point rounded to 12 decimals."""
         vs, n = [], 0
         while ((v := round(self.v_min + n * self.v_step, 12))
                <= self.v_max + 1e-12):
             vs.append(v)
             n += 1
-        return vs
+        return tuple(vs)
 
 
 # --------------------------------------------------------------------------
@@ -285,10 +289,7 @@ def optimize(problem: DesignProblem, evaluator: str = "network",
     t_max. The rows are the points evaluated, each geometry's in grid
     order. The selected design is the same either way.
     """
-    velocities = problem.velocities()
-    if not velocities:
-        raise ValueError("empty velocity grid")
-
+    velocities = problem.velocities
     geometries = [(variant(problem.base, material=material,
                            channel_count=count, cover_thickness=cover),
                    count, cover)
@@ -329,7 +330,7 @@ def optimize(problem: DesignProblem, evaluator: str = "network",
     return StudyResult(rows=tuple(rows), best=best)
 
 
-def _search(problem: DesignProblem, velocities: list[float], evaluate,
+def _search(problem: DesignProblem, velocities: tuple[float, ...], evaluate,
             pressure_drop) -> list[StudyRow]:
     """The rows one geometry's pruned search evaluates, in grid order.
 

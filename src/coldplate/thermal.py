@@ -65,6 +65,9 @@ def default_die_stack() -> DieStack:
     ))
 
 
+DEFAULT_DIE_STACK = default_die_stack()
+
+
 @dataclass(frozen=True)
 class ModuleResult:
     id: str
@@ -162,15 +165,13 @@ def spreading_resistance(die_footprint: tuple[float, float],
 
 def solve_network(assembly: Assembly, coolant: CoolantProps,
                   flow: hydraulics.FlowCondition,
-                  stack: DieStack | None = None) -> ThermalReport:
+                  stack: DieStack = DEFAULT_DIE_STACK) -> ThermalReport:
     """Junction temperatures for every module of the assembly."""
     violations = validate(assembly)
     if violations:
         raise ValueError("invalid assembly: " + "; ".join(violations))
     if flow.inlet_velocity <= 0:
         raise ValueError("network model needs inlet velocity > 0")
-    if stack is None:
-        stack = default_die_stack()
 
     layout = assembly.layout
     plate = assembly.plate

@@ -122,7 +122,7 @@ def test_c7_optimizer(primary):
                          channel_counts=(3, 6),
                          cover_thicknesses=(1e-3, 0.5e-3),
                          v_min=0.5, v_max=2.9, v_step=0.3)
-    assert len(prob.velocities()) * 12 <= 200
+    assert len(prob.velocities) * 12 <= 200
     pruned = optimize(prob, prune=True)
     full = optimize(prob, prune=False)
     infeasible = optimize(replace(prob, t_max_limit=-10.0))

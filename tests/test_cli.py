@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coldplate import cli, fv
+from coldplate import cli, fv, thermal
 from coldplate.cli import (_CONFIG, _EXTENT, _FINITE, _LIST, _POINT,
                            _REQUIRED, _STRING, ACTIONS, ConfigError, _Kind,
                            assembly_to_json, main, parse_config)
@@ -41,6 +41,7 @@ class TestParseConfig:
         assert cfg.evaluation.minor_loss_K == 2.0
         assert cfg.evaluation.solver == fv.SolverSettings(
             resolution=2e-3, tol=1e-8, max_iters=20000)
+        assert cfg.evaluation.stack == thermal.default_die_stack()
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError) as exc:
@@ -183,7 +184,15 @@ class TestMain:
                          "--echo-config"]) == 0
             stdout = capsys.readouterr().out
             resolved = json.loads(stdout[:stdout.rindex("}") + 1])
-            # the echo lists the section defaults too
+            # the echo lists the section defaults too, and the assumed die
+            # stack that the network model used
+            assert resolved["stack"] == {"layers": [
+                {"name": name, "thickness_m": t, "conductivity": k,
+                 "area_factor": 1.0} for name, t, k in (
+                    ("die", 0.35e-3, 370.0), ("die-attach", 0.10e-3, 50.0),
+                    ("substrate", 0.63e-3, 170.0),
+                    ("baseplate", 3.0e-3, 387.6),
+                    ("interface", 0.10e-3, 5.0))]}
             if action != "report":
                 assert resolved[action]["evaluator"] == "network"
             if action == "optimize":
@@ -197,6 +206,23 @@ class TestMain:
                     == (out2 / "result.json").read_bytes())
             assert ((out1 / "result.csv").read_bytes()
                     == (out2 / "result.csv").read_bytes())
+
+    def test_no_run_builds_a_die_stack(self, tmp_path, capsys, monkeypatch):
+        # the assumed stack is one record, built at import: neither the
+        # config nor a design point builds it again
+        def refuse():
+            raise AssertionError("a die stack was built after import")
+        monkeypatch.setattr(thermal, "default_die_stack", refuse)
+        for action, extra in (
+                ("report", {}),
+                ("sweep", {"sweep": {"axis": "velocity",
+                                     "values": [1.1, 2.9]}}),
+                ("optimize", {"optimize": {"channel_counts": [3],
+                                           "v_step": 0.6}})):
+            cfg = write_config(tmp_path, {"preset": "primary_side", **extra})
+            assert main([action, "--config", str(cfg),
+                         "--out", str(tmp_path / action)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_invalid_config_writes_nothing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"preset": "primary_side",
@@ -444,6 +470,8 @@ class TestMalformedConfig:
         ("optimize", {"optimize": {"v_min": 1.0, "v_max": 1.000000000001,
                                    "v_step": 1e-13}},
          "invalid config: optimize: v_step 1e-13 repeats grid points"),
+        ("optimize", {"optimize": {"v_min": 2.0, "v_max": 1.0}},
+         "error: invalid config: optimize: empty velocity grid\n"),
         # about 1.6e12 cells: refused before any array is allocated
         ("solve-fv", {"solver": {"resolution_m": 1e-5}},
          "resolution 1e-05 m gives 1.64e+12 cells; the limit is 1e+07"),
@@ -459,7 +487,7 @@ class TestMalformedConfig:
             "sweep-values-number", "sweep-values-mixed", "sweep-bad-shape",
             "sweep-bad-evaluator", "channel-counts-number", "zero-v-step",
             "unknown-material", "v-step-below-spacing",
-            "v-step-repeats-points", "fv-grid-too-fine",
+            "v-step-repeats-points", "empty-v-grid", "fv-grid-too-fine",
             "mesh-grid-too-fine", "mesh-same-grid"])
     def test_is_an_error(self, tmp_path, capsys, action, section, message):
         cfg = write_config(tmp_path, {"preset": "primary_side", **section})
@@ -1015,7 +1043,8 @@ def test_cli_matrix_covers_every_action():
         sweep, evaluation = doc.get("sweep", {}), cfg.evaluation
         evaluator = doc.get(action, {}).get("evaluator", "network")
         covered.add((doc.get("preset"), action, sweep.get("axis"), evaluator))
-        if (evaluation.coolant != default.coolant and evaluation.stack
+        if (evaluation.coolant != default.coolant
+                and evaluation.stack != default.stack
                 and evaluation.minor_loss_K != default.minor_loss_K
                 and evaluation.solver.tol != default.solver.tol):
             with_settings.add((action, evaluator))

@@ -237,12 +237,13 @@ class TestSolve:
         with pytest.raises(ValueError, match="singular"):
             solve(grid, water, FLOW, cp.get_material("copper"))
 
-    def test_convergence_error_carries_history(self, small, water):
+    def test_convergence_error_names_the_residual(self, small, water):
         grid = build_grid(small, 1.5e-3)
-        with pytest.raises(ConvergenceError) as exc:
+        with pytest.raises(ConvergenceError, match=r"^linear solve did not "
+                           r"reach tol 1e-14 in 3 iterations \(residual "
+                           r"\d\.\d{3}e[+-]\d\d\)$"):
             solve(grid, water, FLOW, small.plate.material,
                   tol=1e-14, max_iters=3)
-        assert len(exc.value.residual_history) >= 1
 
     def test_overflow_stops_at_once(self, small, water, monkeypatch):
         # a finite 1e200 W die overflows |b|; CG must not run to max_iters

@@ -239,7 +239,7 @@ class TestOptimize:
         prob = problem(primary)
         full = optimize(prob, prune=False)
         expected = (len(prob.materials) * len(prob.channel_counts)
-                    * len(prob.cover_thicknesses) * len(prob.velocities()))
+                    * len(prob.cover_thicknesses) * len(prob.velocities))
         assert len(full.rows) == expected
 
     def test_best_is_feasible_minimum(self, primary):
@@ -278,7 +278,7 @@ class TestOptimize:
              "too-many-points", "step-below-rounding"])
     def test_bad_velocity_grid_rejected(self, primary, bad):
         # each of these used to loop forever, or for minutes, in
-        # velocities()
+        # enumerating the velocity grid
         with pytest.raises(ValueError):
             problem(primary, **bad)
 
@@ -291,14 +291,26 @@ class TestOptimize:
         assert by_record == by_name
 
     def test_empty_velocity_grid_rejected(self, primary):
-        with pytest.raises(ValueError):
-            optimize(problem(primary, v_min=2.0, v_max=1.0))
+        with pytest.raises(ValueError, match="^empty velocity grid$"):
+            problem(primary, v_min=2.0, v_max=1.0)
+
+    def test_velocity_grid_enumerated_once(self, primary):
+        # construction enumerates the grid and keeps it; optimize reads the
+        # kept tuple, so a grid put in its place is the one evaluated
+        prob = problem(primary)
+        assert vars(prob)["velocities"] == tuple(
+            round(0.5 + 0.3 * n, 12) for n in range(9))
+        vars(prob)["velocities"] = (1.1, 2.3)
+        for prune in (True, False):
+            assert {r.v_mps for r in optimize(prob, prune=prune).rows} <= {
+                1.1, 2.3}
+        assert len(optimize(prob, prune=False).rows) == 12 * 2
 
     def test_velocity_above_v_max_infeasible(self, primary):
         # the grid keeps a rounded step within 1e-12 of v_max, so a point
         # just above v_max is evaluated and must be flagged infeasible
         prob = problem(primary, v_min=0.5, v_step=0.1, v_max=0.5999999999995)
-        assert prob.velocities() == [0.5, 0.6]
+        assert prob.velocities == (0.5, 0.6)
         res = optimize(prob, prune=False)
         above = [r for r in res.rows if r.v_mps == 0.6]
         assert above and not any(r.feasible for r in above)
@@ -323,7 +335,7 @@ class TestPrunedSearch:
         # the pruned search is exact because, for every geometry, t_max
         # never rises and dp never falls along the velocity grid
         prob = problem(primary, v_step=0.005)
-        rows, n = optimize(prob, prune=False).rows, len(prob.velocities())
+        rows, n = optimize(prob, prune=False).rows, len(prob.velocities)
         assert len(rows) == 12 * n
         for start in range(0, len(rows), n):
             run = rows[start:start + n]
@@ -418,7 +430,7 @@ class TestPrunedSearch:
         assert pruned.best.v_mps == 1.7
         # the probes at 2.9 and 2.6 m/s show the rise, so both cover
         # variants of the lightest geometry evaluate every velocity
-        assert [r.v_mps for r in pruned.rows] == prob.velocities() * 2
+        assert [r.v_mps for r in pruned.rows] == list(prob.velocities) * 2
 
 
 _PRINTABLE = st.text(max_size=6).filter(str.isprintable)
