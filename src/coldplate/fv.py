@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu
 
 from . import thermal
@@ -53,8 +53,9 @@ from .properties import CoolantProps, SolidMaterial
 
 _SUBSAMPLE = 4  # per-axis samples for rasterization; even count keeps
                 # samples off the cell midlines
-# Largest grid built: at about 240 B per cell in a solve, 1e7 cells take
-# about 2.4 GB.
+# Largest grid built. The tracemalloc peak of one solve is 216 B per cell
+# on primary_side at 2 mm and 213 on secondary_side at 0.8 mm, so 1e7
+# cells take about 2.2 GB.
 _MAX_CELLS = 10**7
 _FLUID_TOL = 1e-3  # K, largest coolant temperature change of a converged pass
 _MAX_OUTER = 100   # outer fluid-coupling passes before giving up
@@ -291,23 +292,46 @@ class _System:
                                - t_sink.flat[self.face_sink])
 
 
+def _columns(index: np.ndarray, solid: np.ndarray) -> np.ndarray:
+    """Matrix columns of every unknown's row, (n, 7), in the slot order
+    -x, -y, -z, self, +z, +y, +x, which C-order numbering makes ascending;
+    -1 where the neighbour is void or off the grid."""
+    columns = np.empty((int(solid.sum()), 7), dtype=np.int32)
+    columns[:, 3] = index[solid]
+    neighbour = np.empty(solid.shape, dtype=np.int32)
+    for axis in range(3):
+        lo, hi = _shifted(axis)
+        for slot, cell, other in ((axis, hi, lo), (6 - axis, lo, hi)):
+            neighbour.fill(-1)
+            neighbour[cell] = index[other]
+            columns[:, slot] = neighbour[solid]
+    return columns
+
+
 def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
     """Build the conduction matrix and the convective face table, whose
     sinks index a (n_channels + 1, nx + 1) fluid-temperature array.
-    h is the channel film coefficient."""
+    h is the channel film coefficient.
+
+    The matrix is built in CSR form straight from the 7-point stencil: a
+    table of each row's columns in ascending slot order (`_columns`),
+    compressed past its void neighbours, gives the indices; the same
+    compression of the per-slot conductances gives the values, into whose
+    self slots the diagonal then goes."""
     k = material.thermal_conductivity
     void = grid.channel_id >= 0
     solid = ~void
     n = int(solid.sum())
-    index = np.full(void.shape, -1, dtype=np.int64)
-    index[solid] = np.arange(n)
+    index = np.full(void.shape, -1, dtype=np.int32)  # 7 * _MAX_CELLS < 2**31
+    index[solid] = np.arange(n, dtype=np.int32)
     n_ch = grid.n_channels
     stations = grid.nx + 1
     spacing = (grid.dx, grid.dy, grid.dz)
     face_area = (grid.dy * grid.dz, grid.dx * grid.dz, grid.dx * grid.dy)
 
-    # channel-wall faces per axis: (solid cell, channel, sink); the
-    # station is the x index of the solid cell owning the face
+    # channel-wall faces per axis: (slice and mask of the solid cells
+    # owning them, channel, sink); the station is the x index of the solid
+    # cell owning the face
     xidx = np.broadcast_to(np.arange(grid.nx)[:, None, None], void.shape)
     walls = []
     voxel_area = np.zeros(n_ch)
@@ -317,7 +341,7 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
             m = solid[solid_sl] & void[void_sl]
             ids = grid.channel_id[void_sl][m]
             np.add.at(voxel_area, ids, face_area[axis])
-            blocks.append((index[solid_sl][m], ids,
+            blocks.append((solid_sl, m, ids,
                            ids * stations + xidx[solid_sl][m]))
         walls.append(blocks)
 
@@ -326,41 +350,40 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
                 if n_ch else 0.0)
     h_corr = h * analytic / voxel_area
 
-    # per axis, conduction then that axis's wall faces; the order in which
-    # the diagonal accumulates is part of the byte-stable output
-    rows_l, cols_l, data_l = [], [], []
-    diag = np.zeros(n)
+    # per axis, conduction on the low side, then the high side, then that
+    # axis's wall faces; the order in which the diagonal accumulates is
+    # part of the byte-stable output
+    diag = np.zeros(void.shape)
+    stencil = np.zeros(7)  # off-diagonal value per slot of _columns
     face_cell, face_ua, face_sink = [], [], []
     for axis in range(3):
         lo, hi = _shifted(axis)
         g = k * face_area[axis] / spacing[axis]
+        stencil[[axis, 6 - axis]] = -g
         both = solid[lo] & solid[hi]
-        ia, ib = index[lo][both], index[hi][both]
-        rows_l.extend((ia, ib))
-        cols_l.extend((ib, ia))
-        data_l.extend((np.full(ia.size, -g), np.full(ia.size, -g)))
-        np.add.at(diag, ia, g)
-        np.add.at(diag, ib, g)
-        for cells, ids, sink in walls[axis]:
+        for side in (lo, hi):
+            np.add(diag[side], g, out=diag[side], where=both)
+        for solid_sl, m, ids, sink in walls[axis]:
             ua = _film(spacing[axis], k, h_corr[ids]) * face_area[axis]
-            np.add.at(diag, cells, ua)
-            face_cell.append(cells)
+            diag[solid_sl][m] += ua  # a slice is a view of diag
+            face_cell.append(index[solid_sl][m])
             face_ua.append(ua)
             face_sink.append(sink)
 
     # optional convective bottom face (slab cases), last sink row
     if grid.h_bottom is not None:
-        cells = index[:, :, 0][solid[:, :, 0]]
-        ua = np.full(cells.size, _film(grid.dz, k, grid.h_bottom)
+        m = solid[:, :, 0]
+        ua = np.full(int(m.sum()), _film(grid.dz, k, grid.h_bottom)
                      * face_area[2])
-        np.add.at(diag, cells, ua)
-        face_cell.append(cells)
+        diag[:, :, 0][m] += ua
+        face_cell.append(index[:, :, 0][m])
         face_ua.append(ua)
-        face_sink.append(np.full(cells.size, n_ch * stations))
+        face_sink.append(np.full(ua.size, n_ch * stations))
     face_cell = np.concatenate(face_cell)
     if n and not face_cell.size:
         raise ValueError("grid has no convective faces; the steady problem "
                          "is singular")
+    diag = diag[solid]
 
     # exterior top/bottom heat flux
     rhs_fixed = np.zeros(n)
@@ -368,10 +391,16 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
         m = solid[:, :, layer] & (flux != 0.0)
         rhs_fixed[index[:, :, layer][m]] += flux[m] * face_area[2]
 
-    rows = np.concatenate(rows_l + [np.arange(n)])
-    cols = np.concatenate(cols_l + [np.arange(n)])
-    data = np.concatenate(data_l + [diag])
-    matrix = coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    columns = _columns(index, solid)
+    present = columns >= 0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1, dtype=np.int32), out=indptr[1:])
+    indices = columns[present]
+    del columns
+    data = np.broadcast_to(stencil, present.shape)[present]
+    # the diagonal's slot follows a row's minus neighbours
+    data[indptr[:-1] + present[:, :3].sum(axis=1, dtype=np.int32)] = diag
+    matrix = csr_matrix((data, indices, indptr), shape=(n, n))
     return _System(matrix=matrix, diag=diag, rhs_fixed=rhs_fixed,
                    face_cell=face_cell, face_ua=np.concatenate(face_ua),
                    face_sink=np.concatenate(face_sink))
@@ -426,6 +455,21 @@ def cg(A, b, *, x0, rtol, M, maxiter, callback=None):
     return x, maxiter
 
 
+def _aggregates(grid: Grid):
+    """Aggregate of each solid cell (see `_two_level`), in unknown order,
+    and the aggregate count. An aggregate's number is the rank of its
+    block, in C order, among the blocks holding a solid cell."""
+    solid = grid.channel_id < 0
+    blocks = [np.arange(m) // size for m, size in zip(
+        solid.shape, (_AGG_COLUMNS, _AGG_COLUMNS, _AGG_LAYERS))]
+    shape = [b[-1] + 1 for b in blocks]
+    block = np.ravel_multi_index(np.ix_(*blocks), shape)[solid]
+    occupied = np.zeros(math.prod(shape), dtype=bool)
+    occupied[block] = True
+    rank = np.cumsum(occupied, dtype=np.int32) - 1
+    return rank[block], int(rank[-1]) + 1
+
+
 def _two_level(system: _System, grid: Grid):
     """Symmetric two-level preconditioner for CG, as a function r -> M r.
 
@@ -447,19 +491,20 @@ def _two_level(system: _System, grid: Grid):
     res = r - A S r, e = coarse(P^T res), M r = S (r + res) + Q e.
     """
     a = system.matrix
-    ii, jj, kk = np.nonzero(grid.channel_id < 0)
-    blocks, agg = np.unique(
-        ((ii // _AGG_COLUMNS) * grid.ny + jj // _AGG_COLUMNS) * grid.nz
-        + kk // _AGG_LAYERS, return_inverse=True)
-    n, nc = agg.size, blocks.size
-    p = csr_matrix((np.ones(n), agg, np.arange(n + 1)), shape=(n, nc))
+    agg, nc = _aggregates(grid)
+    n = agg.size
+    p = csr_matrix((np.ones(n), agg, np.arange(n + 1, dtype=np.int32)),
+                   shape=(n, nc))
     restrict = p.T.tocsr()
     q = a @ p
     coarse = splu((restrict @ q).tocsc(), permc_spec="MMD_AT_PLUS_A")
     smooth = _SMOOTH_WEIGHT / system.diag
-    # Q = P - S A P, scaling A P in place so no second copy of it is held
-    q.data *= -np.repeat(smooth, np.diff(q.indptr))
+    # Q = P - S A P, scaling A P in place so no second copy of it is held;
+    # the sum's arrays have room for nnz(A P) + n entries, a copy of it
+    # only for its own, and A P is freed before that copy is made
+    q.data *= np.repeat(-smooth, np.diff(q.indptr))
     q = q + p
+    q = q.copy()
 
     def apply(r):
         res = r - a @ (smooth * r)
