@@ -15,6 +15,19 @@ table (cell, U*A, sink). The sink indexes one array of fluid
 temperatures: a row per channel, re-marched each outer iteration from the
 heat its faces remove, plus a last row fixed at the inlet temperature.
 
+The outer (Picard) loop solves the conduction system against the sink
+temperatures, re-marches the coolant, and stops once no sink temperature
+changed by _FLUID_TOL or more. A pass that does not end the loop only
+feeds the march, so its solve stops at _PASS_TOL_FACTOR x tol: holding it
+to tol would be oversolving in the sense of inexact Newton methods (Dembo,
+Eisenstat & Steihaug, SIAM J. Numer. Anal. 1982). When a pass's coolant
+change falls below _FLUID_TOL, CG continues from that pass's field on the
+same right-hand side to tol, and the loop stops only if the coolant
+re-marched from that field still changes by less than _FLUID_TOL. So the
+returned field, and its residual, are held to tol. A factor of 100 moved
+t_max at the perfbench reference points by at most 5.2e-8 K from every
+pass held to tol; 1000 moved one by 5.2e-7 K, too near their 1e-6 K gate.
+
 The linear system is symmetric positive definite and is solved by
 conjugate gradients with a two-level aggregation preconditioner (Vanek,
 Mandel & Brezina, Computing 1996): damped-Jacobi smoothing with weight
@@ -59,6 +72,9 @@ _SUBSAMPLE = 4  # per-axis samples for rasterization; even count keeps
 _MAX_CELLS = 10**7
 _FLUID_TOL = 1e-3  # K, largest coolant temperature change of a converged pass
 _MAX_OUTER = 100   # outer fluid-coupling passes before giving up
+# each outer pass's CG stops at this multiple of tol; only the pass that
+# ends the loop is finished to tol (see the module docstring)
+_PASS_TOL_FACTOR = 100
 # coarse aggregates of the preconditioner: blocks of _AGG_COLUMNS x
 # _AGG_COLUMNS (x, y) cell columns, _AGG_LAYERS cells deep; on isotropic
 # cells, splitting the thickness is what cuts the CG iterations
@@ -81,8 +97,10 @@ class ConvergenceError(RuntimeError):
 class SolverSettings:
     """Settings of every FV solve of a run: the config's `solver` section."""
     resolution: float = 2e-3   # m, target cell size
-    tol: float = 1e-8          # relative residual of each linear solve
-    max_iters: int = 20000     # CG iterations per linear solve
+    # relative residual of the returned field; each outer pass's solve
+    # first stops at _PASS_TOL_FACTOR times it
+    tol: float = 1e-8
+    max_iters: int = 20000     # iterations of each CG call
 
 
 @dataclass
@@ -542,29 +560,43 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
     temp = np.full(system.diag.size, inlet)
     precond = _two_level(system, grid)
 
-    for outer in range(1, _MAX_OUTER + 1):
-        rhs = system.rhs_fixed.copy()
-        np.add.at(rhs, system.face_cell,
-                  system.face_ua * t_sink.flat[system.face_sink])
-        temp, info = cg(system.matrix, rhs, x0=temp, rtol=tol, M=precond,
-                        maxiter=max_iters)
-        rnorm = _norm(system.matrix @ temp - rhs)
+    def linear(rhs, x0, rtol):
+        """CG from x0 to rtol; the field and its recomputed relative
+        residual."""
+        x, info = cg(system.matrix, rhs, x0=x0, rtol=rtol, M=precond,
+                     maxiter=max_iters)
         bnorm = _norm(rhs)
-        rel = rnorm / bnorm if bnorm > 0 else 0.0
+        rel = _norm(system.matrix @ x - rhs) / bnorm if bnorm > 0 else 0.0
         if info != 0:
             raise ConvergenceError(
                 "linear solve stopped: the residual is not finite" if info < 0
-                else f"linear solve did not reach tol {tol} in {max_iters} "
-                f"iterations (residual {rel:.3e})")
+                else f"linear solve did not reach tol {rtol:g} (solver.tol "
+                f"{tol:g}) in {max_iters} iterations (residual {rel:.3e})")
+        return x, rel
 
-        # wall heat per sink, then re-march the channel rows
+    def march(temp, t_sink):
+        """Sink temperatures re-marched from a solid field's wall heat, and
+        their largest change, K."""
         q_sink = np.bincount(system.face_sink,
                              system.face_heat(temp, t_sink),
                              minlength=t_sink.size).reshape(t_sink.shape)
         rise = q_sink[:n_ch, :-1] / (m_dot * coolant.specific_heat)
         t_new = t_sink.copy()
         t_new[:n_ch, 1:] = inlet + np.cumsum(rise, axis=1)
-        change = float(np.max(np.abs(t_new - t_sink)))
+        return t_new, float(np.max(np.abs(t_new - t_sink)))
+
+    pass_tol = _PASS_TOL_FACTOR * tol
+    for outer in range(1, _MAX_OUTER + 1):
+        rhs = system.rhs_fixed.copy()
+        np.add.at(rhs, system.face_cell,
+                  system.face_ua * t_sink.flat[system.face_sink])
+        temp, rel = linear(rhs, temp, pass_tol)
+        t_new, change = march(temp, t_sink)
+        if change < _FLUID_TOL and pass_tol > tol:
+            # only a field held to tol ends the loop: finish a loose
+            # pass's solve and test its coolant change again
+            temp, rel = linear(rhs, temp, tol)
+            t_new, change = march(temp, t_sink)
         t_sink = t_new
         if change < _FLUID_TOL:
             break
