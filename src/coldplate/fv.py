@@ -47,6 +47,17 @@ stopping rule. Its dot products and norms avoid BLAS: on vectors of a few
 hundred thousand entries a threaded BLAS `ddot` spins every core for each
 call, which doubled the CPU time of a solve and left nothing for the
 sweep thread pool.
+
+CG runs in a fixed working set: x, r and p live across an iteration, and
+one scratch vector holds A p, then alpha A p and alpha p, so the updates
+allocate nothing and round as r -= alpha * q and x += alpha * p do. The
+first preconditioner output becomes p without a copy. An apply holds one
+vector of its own, the residual written into its mat-vec's output, and
+one transient at a time; it restricts with np.bincount over the
+aggregate map rather than a stored P^T, which sums each aggregate's cells
+in the same order and so gives the same bits. The relative residual
+|A x - b| / |b| is recomputed only for the returned field and for a CG
+call that did not converge.
 """
 
 from __future__ import annotations
@@ -66,9 +77,11 @@ from .properties import CoolantProps, SolidMaterial
 
 _SUBSAMPLE = 4  # per-axis samples for rasterization; even count keeps
                 # samples off the cell midlines
-# Largest grid built. The tracemalloc peak of one solve is 216 B per cell
-# on primary_side at 2 mm and 213 on secondary_side at 0.8 mm, so 1e7
-# cells take about 2.2 GB.
+# Largest grid built. The tracemalloc peak of one solve is 201 B per cell
+# on primary_side at 2 mm and 197 on secondary_side at 1.5 mm; its peak
+# RSS growth (VmHWM in a fresh process, less after build_grid), which
+# counts SuperLU's factor, is 234 and 228 there and 255 on primary_side
+# at 1.0 mm. So 1e7 cells take about 2.0 GB by the first, 3 GB by RSS.
 _MAX_CELLS = 10**7
 _FLUID_TOL = 1e-3  # K, largest coolant temperature change of a converged pass
 _MAX_OUTER = 100   # outer fluid-coupling passes before giving up
@@ -449,7 +462,8 @@ def cg(A, b, *, x0, rtol, M, maxiter, callback=None):
         return b, 0
     stop = rtol * bnorm
     x = np.array(x0, dtype=float)
-    r = b - A @ x
+    r = A @ x
+    np.subtract(b, r, out=r)
     p = rho_prev = None
     for _ in range(maxiter):
         if not math.isfinite(rnorm := _norm(r)):  # or |b| is not finite
@@ -459,14 +473,20 @@ def cg(A, b, *, x0, rtol, M, maxiter, callback=None):
         z = M(r)
         rho = _dot(r, z)
         if p is None:
-            p = z.copy()
+            p = z
         else:
             p *= rho / rho_prev
             p += z
+        del z
         q = A @ p
         alpha = rho / _dot(p, q)
-        x += alpha * p
-        r -= alpha * q
+        # alpha q and alpha p in q's storage: the bits of r -= alpha * q
+        # and x += alpha * p without their temporaries
+        q *= alpha
+        r -= q
+        np.multiply(p, alpha, out=q)
+        x += q
+        del q
         rho_prev = rho
         if callback is not None:
             callback(x)
@@ -513,20 +533,23 @@ def _two_level(system: _System, grid: Grid):
     n = agg.size
     p = csr_matrix((np.ones(n), agg, np.arange(n + 1, dtype=np.int32)),
                    shape=(n, nc))
-    restrict = p.T.tocsr()
     q = a @ p
-    coarse = splu((restrict @ q).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    coarse = splu((p.T.tocsr() @ q).tocsc(), permc_spec="MMD_AT_PLUS_A")
     smooth = _SMOOTH_WEIGHT / system.diag
     # Q = P - S A P, scaling A P in place so no second copy of it is held;
     # the sum's arrays have room for nnz(A P) + n entries, a copy of it
-    # only for its own, and A P is freed before that copy is made
+    # only for its own, and A P and P are freed before that copy is made
     q.data *= np.repeat(-smooth, np.diff(q.indptr))
     q = q + p
+    del p
     q = q.copy()
 
     def apply(r):
-        res = r - a @ (smooth * r)
-        e = coarse.solve(restrict @ res)
+        res = a @ (smooth * r)
+        np.subtract(r, res, out=res)
+        # P^T res: like the CSR product, bincount sums each aggregate's
+        # cells in ascending order from 0.0, so the bits are the same
+        e = coarse.solve(np.bincount(agg, weights=res, minlength=nc))
         res += r
         res *= smooth
         res += q @ e
@@ -560,19 +583,22 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
     temp = np.full(system.diag.size, inlet)
     precond = _two_level(system, grid)
 
+    def residual(x, rhs):
+        """Recomputed relative residual |A x - rhs| / |rhs|."""
+        bnorm = _norm(rhs)
+        return _norm(system.matrix @ x - rhs) / bnorm if bnorm > 0 else 0.0
+
     def linear(rhs, x0, rtol):
-        """CG from x0 to rtol; the field and its recomputed relative
-        residual."""
+        """The field of CG from x0 to rtol."""
         x, info = cg(system.matrix, rhs, x0=x0, rtol=rtol, M=precond,
                      maxiter=max_iters)
-        bnorm = _norm(rhs)
-        rel = _norm(system.matrix @ x - rhs) / bnorm if bnorm > 0 else 0.0
         if info != 0:
             raise ConvergenceError(
                 "linear solve stopped: the residual is not finite" if info < 0
                 else f"linear solve did not reach tol {rtol:g} (solver.tol "
-                f"{tol:g}) in {max_iters} iterations (residual {rel:.3e})")
-        return x, rel
+                f"{tol:g}) in {max_iters} iterations (residual "
+                f"{residual(x, rhs):.3e})")
+        return x
 
     def march(temp, t_sink):
         """Sink temperatures re-marched from a solid field's wall heat, and
@@ -590,12 +616,12 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
         rhs = system.rhs_fixed.copy()
         np.add.at(rhs, system.face_cell,
                   system.face_ua * t_sink.flat[system.face_sink])
-        temp, rel = linear(rhs, temp, pass_tol)
+        temp = linear(rhs, temp, pass_tol)
         t_new, change = march(temp, t_sink)
         if change < _FLUID_TOL and pass_tol > tol:
             # only a field held to tol ends the loop: finish a loose
             # pass's solve and test its coolant change again
-            temp, rel = linear(rhs, temp, tol)
+            temp = linear(rhs, temp, tol)
             t_new, change = march(temp, t_sink)
         t_sink = t_new
         if change < _FLUID_TOL:
@@ -604,6 +630,7 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
         raise ConvergenceError(
             f"coolant march did not converge in {_MAX_OUTER} outer "
             f"iterations (last change {change:.3e} K)")
+    rel = residual(temp, rhs)
 
     imbalance = grid.total_power - float(np.sum(
         system.face_heat(temp, t_sink)))
