@@ -1,14 +1,17 @@
 """Steady 3D finite-volume conduction in the plate, coupled to a 1D
 coolant energy march.
 
-Uniform Cartesian cells; channels are rasterized as void cells (stair-step)
-and every solid face adjacent to a void cell gets a Robin condition against
-the local coolant bulk temperature. The film coefficient is rescaled per
-channel so that h * (voxelized wetted area) equals h * (analytic wetted
-area), which keeps the total convective conductance independent of the
-rasterization. Exterior faces are adiabatic except where die footprints
-impose heat flux, and except for an optional convective bottom face
-against fluid held at the inlet temperature (slab verification cases).
+Uniform Cartesian cells; channels are rasterized as void cells
+(stair-step). One lookup through each stencil slot classes every face of
+a solid cell: a solid neighbour makes it a conduction link, a void one a
+channel wall with a Robin condition against the local coolant bulk
+temperature, and none an exterior face. The film coefficient is rescaled
+per channel so that h * (voxelized wetted area) equals h * (analytic
+wetted area), which keeps the total convective conductance independent of
+the rasterization. Exterior faces are adiabatic except where die
+footprints impose heat flux, and except for an optional convective bottom
+face against fluid held at the inlet temperature (slab verification
+cases).
 
 Every convective face, channel wall or exterior, is one row of a single
 table (cell, U*A, sink). The sink indexes one array of fluid
@@ -323,20 +326,17 @@ class _System:
                                - t_sink.flat[self.face_sink])
 
 
-def _columns(index: np.ndarray, solid: np.ndarray) -> np.ndarray:
-    """Matrix columns of every unknown's row, (n, 7), in the slot order
-    -x, -y, -z, self, +z, +y, +x, which C-order numbering makes ascending;
-    -1 where the neighbour is void or off the grid."""
-    columns = np.empty((int(solid.sum()), 7), dtype=np.int32)
-    columns[:, 3] = index[solid]
-    neighbour = np.empty(solid.shape, dtype=np.int32)
-    for axis in range(3):
-        lo, hi = _shifted(axis)
-        for slot, cell, other in ((axis, hi, lo), (6 - axis, lo, hi)):
-            neighbour.fill(-1)
-            neighbour[cell] = index[other]
-            columns[:, slot] = neighbour[solid]
-    return columns
+def _neighbour(values: np.ndarray, solid: np.ndarray, slot: int):
+    """For every unknown, the value of the grid-shaped `values` at its
+    neighbour through one stencil slot (-x, -y, -z, self, +z, +y, +x), or
+    -1 where that neighbour is off the grid."""
+    if slot == 3:
+        return values[solid]
+    lo, hi = _shifted(min(slot, 6 - slot))
+    cell, other = (lo, hi) if slot > 3 else (hi, lo)
+    out = np.full(values.shape, -1, dtype=values.dtype)
+    out[cell] = values[other]
+    return out[solid]
 
 
 def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
@@ -344,77 +344,77 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
     sinks index a (n_channels + 1, nx + 1) fluid-temperature array.
     h is the channel film coefficient.
 
-    The matrix is built in CSR form straight from the 7-point stencil: a
-    table of each row's columns in ascending slot order (`_columns`),
-    compressed past its void neighbours, gives the indices; the same
-    compression of the per-slot conductances gives the values, into whose
-    self slots the diagonal then goes."""
+    The column table, `_neighbour` of the index map per slot, compressed
+    past its -1 entries, gives the CSR indices; the same compression of the
+    per-slot conductances gives the values, into whose self slots the
+    diagonal goes. Per unknown the diagonal adds up from 0.0 in this order,
+    on which the output bits depend: for x, y and z in turn, conduction to
+    a solid + neighbour, to a solid - neighbour, the film of a + wall face,
+    of a - wall face; then the exterior bottom face's film (slab cases)."""
     k = material.thermal_conductivity
-    void = grid.channel_id >= 0
-    solid = ~void
+    solid = grid.channel_id < 0
     n = int(solid.sum())
-    index = np.full(void.shape, -1, dtype=np.int32)  # 7 * _MAX_CELLS < 2**31
+    index = np.full(solid.shape, -1, dtype=np.int32)  # 7 * _MAX_CELLS < 2**31
     index[solid] = np.arange(n, dtype=np.int32)
     n_ch = grid.n_channels
     stations = grid.nx + 1
     spacing = (grid.dx, grid.dy, grid.dz)
     face_area = (grid.dy * grid.dz, grid.dx * grid.dz, grid.dx * grid.dy)
+    # unknowns run x plane by x plane: a wall face's station is its plane
+    plane_end = np.cumsum(solid.sum(axis=(1, 2)))
 
-    # channel-wall faces per axis: (slice and mask of the solid cells
-    # owning them, channel, sink); the station is the x index of the solid
-    # cell owning the face
-    xidx = np.broadcast_to(np.arange(grid.nx)[:, None, None], void.shape)
+    # channel-wall faces per slot, + then - per axis: (unknown, channel, sink)
     walls = []
     voxel_area = np.zeros(n_ch)
     for axis in range(3):
-        blocks = []
-        for solid_sl, void_sl in (_shifted(axis), _shifted(axis)[::-1]):
-            m = solid[solid_sl] & void[void_sl]
-            ids = grid.channel_id[void_sl][m]
+        for slot in (6 - axis, axis):
+            channel = _neighbour(grid.channel_id, solid, slot)
+            cell = np.flatnonzero(channel >= 0).astype(np.int32)
+            ids = channel[cell]
             np.add.at(voxel_area, ids, face_area[axis])
-            blocks.append((solid_sl, m, ids,
-                           ids * stations + xidx[solid_sl][m]))
-        walls.append(blocks)
+            walls.append((cell, ids, ids * stations
+                          + np.searchsorted(plane_end, cell, side="right")))
+    del channel
 
     # rescale h so h * (voxel wetted area) equals h * (analytic area)
     analytic = (wetted_perimeter(grid.shape) * grid.nx * grid.dx
                 if n_ch else 0.0)
     h_corr = h * analytic / voxel_area
 
-    # per axis, conduction on the low side, then the high side, then that
-    # axis's wall faces; the order in which the diagonal accumulates is
-    # part of the byte-stable output
-    diag = np.zeros(void.shape)
-    stencil = np.zeros(7)  # off-diagonal value per slot of _columns
+    # C-order numbering makes each row's columns ascend in slot order
+    columns = np.empty((n, 7), dtype=np.int32)
+    for slot in range(7):
+        columns[:, slot] = _neighbour(index, solid, slot)
+    present = columns >= 0
+
+    diag = np.zeros(n)
+    stencil = np.zeros(7)  # off-diagonal value per slot
     face_cell, face_ua, face_sink = [], [], []
     for axis in range(3):
-        lo, hi = _shifted(axis)
         g = k * face_area[axis] / spacing[axis]
         stencil[[axis, 6 - axis]] = -g
-        both = solid[lo] & solid[hi]
-        for side in (lo, hi):
-            np.add(diag[side], g, out=diag[side], where=both)
-        for solid_sl, m, ids, sink in walls[axis]:
+        for slot in (6 - axis, axis):
+            np.add(diag, g, out=diag, where=present[:, slot])
+        for cell, ids, sink in walls[2 * axis:2 * axis + 2]:
             ua = _film(spacing[axis], k, h_corr[ids]) * face_area[axis]
-            diag[solid_sl][m] += ua  # a slice is a view of diag
-            face_cell.append(index[solid_sl][m])
+            diag[cell] += ua
+            face_cell.append(cell)
             face_ua.append(ua)
             face_sink.append(sink)
 
     # optional convective bottom face (slab cases), last sink row
     if grid.h_bottom is not None:
-        m = solid[:, :, 0]
-        ua = np.full(int(m.sum()), _film(grid.dz, k, grid.h_bottom)
+        cell = index[:, :, 0][solid[:, :, 0]]
+        ua = np.full(cell.size, _film(grid.dz, k, grid.h_bottom)
                      * face_area[2])
-        diag[:, :, 0][m] += ua
-        face_cell.append(index[:, :, 0][m])
+        diag[cell] += ua
+        face_cell.append(cell)
         face_ua.append(ua)
         face_sink.append(np.full(ua.size, n_ch * stations))
     face_cell = np.concatenate(face_cell)
     if n and not face_cell.size:
         raise ValueError("grid has no convective faces; the steady problem "
                          "is singular")
-    diag = diag[solid]
 
     # exterior top/bottom heat flux
     rhs_fixed = np.zeros(n)
@@ -422,8 +422,6 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
         m = solid[:, :, layer] & (flux != 0.0)
         rhs_fixed[index[:, :, layer][m]] += flux[m] * face_area[2]
 
-    columns = _columns(index, solid)
-    present = columns >= 0
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(present.sum(axis=1, dtype=np.int32), out=indptr[1:])
     indices = columns[present]

@@ -395,6 +395,9 @@ class TestAssemble:
                      id="one-row-rectangular"),
         pytest.param(lambda: build_grid(cp.primary_side(), 2.5e-3),
                      id="primary-2.5"),
+        # 220 x 137 x 5 cells, 12 channels, heated from one side
+        pytest.param(lambda: build_grid(cp.secondary_side(), 1.5e-3),
+                     id="secondary-1.5"),
     ])
     def test_matches_coo_oracle(self, grid):
         # the same bits as the COO reference, so every output stays
@@ -426,7 +429,8 @@ class TestAssemble:
         # two-level setup trimmed as well (O(n) aggregate numbering, no
         # spare room in Q), 203 B with CG in a fixed working set and the
         # restriction by bincount; primary_side at 2 mm reads 398, 244,
-        # 216 and 201. Now, per phase: 125 B in _assemble, 203 B in the
+        # 216 and 201. Now, per phase: 117 B in _assemble (125 B before it
+        # found each face by one lookup per stencil slot), 203 B in the
         # two-level setup (the peak) and 195 B in the CG loop. The bound
         # is the peak plus about 5%.
         grid = build_grid(small, 1.5e-3)
