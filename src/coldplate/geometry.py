@@ -16,7 +16,7 @@ is read, checked and written by `cli` alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .properties import SolidMaterial, get_material
 
@@ -188,19 +188,18 @@ def total_wetted_area(layout: ChannelLayout) -> float:
             * layout.channel_count)
 
 
-def equal_area_radius(reference: ChannelLayout, new_channels_per_row: int) -> float:
-    """Semicircle radius preserving the reference layout's wetted area.
+def equal_area_radius(row_perimeter: float,
+                      new_channels_per_row: int) -> float:
+    """Semicircle radius whose row keeps the given row wetted perimeter.
 
-    The reference must be rectangular; rows and length stay fixed, so the
-    radius satisfies (pi + 2)*r*N_new = P_rect*N_ref.
+    Rows and length stay fixed, so equal wetted area is equal perimeter
+    per row: (pi + 2)*r*N_new = row_perimeter.
     """
-    if not isinstance(reference.shape, Rectangular):
-        raise ValueError("equal_area_radius requires a rectangular reference")
+    if not _positive(row_perimeter):
+        raise ValueError("row_perimeter must be finite and > 0")
     if not new_channels_per_row >= 1:  # NaN too
         raise ValueError("new_channels_per_row must be >= 1")
-    p_rect = wetted_perimeter(reference.shape)
-    return (p_rect * reference.channels_per_row
-            / ((math.pi + 2.0) * new_channels_per_row))
+    return row_perimeter / ((math.pi + 2.0) * new_channels_per_row)
 
 
 def plate_mass(assembly: Assembly) -> float:
@@ -324,12 +323,10 @@ def primary_side() -> Assembly:
     """Double-sided copper plate, 480 x 190 x 18 mm, 2 rows x 3 semicircular
     channels at the equal-area radius of the 2 x 10 mm rectangular reference,
     six modules (three per face)."""
-    n = 3
-    ref = ChannelLayout(rows=2, channels_per_row=n, channel_length=0.48,
-                        shape=REFERENCE_RECT, cover_thickness=0.001,
-                        lateral_pitch=0.19 / n)
-    radius = equal_area_radius(ref, n)
-    layout = replace(ref, shape=Semicircular(radius=radius))
+    radius = equal_area_radius(wetted_perimeter(REFERENCE_RECT) * 3, 3)
+    layout = ChannelLayout(rows=2, channels_per_row=3, channel_length=0.48,
+                           shape=Semicircular(radius=radius),
+                           cover_thickness=0.001, lateral_pitch=0.19 / 3)
     plate = PlateGeometry(length=0.48, width=0.19, thickness=0.018,
                           material=get_material("copper"))
     names = list(PRIMARY_MODULE_LOSSES)
@@ -344,11 +341,9 @@ def primary_side() -> Assembly:
 
 def secondary_side() -> Assembly:
     """Single-sided copper plate, 330 x 205 x 7.6 mm, 2 rows x 6 semicircular
-    channels at the 6-per-row equal-area radius, two modules on top."""
-    ref = ChannelLayout(rows=2, channels_per_row=3, channel_length=0.33,
-                        shape=REFERENCE_RECT, cover_thickness=0.001,
-                        lateral_pitch=0.205 / 3)
-    radius = equal_area_radius(ref, 6)
+    channels whose row keeps the wetted perimeter of 3 reference 2 x 10 mm
+    rectangles, two modules on top."""
+    radius = equal_area_radius(wetted_perimeter(REFERENCE_RECT) * 3, 6)
     layout = ChannelLayout(rows=2, channels_per_row=6, channel_length=0.33,
                            shape=Semicircular(radius=radius),
                            cover_thickness=0.001, lateral_pitch=0.205 / 6)

@@ -25,7 +25,8 @@ from functools import cached_property
 
 from . import fv, hydraulics, thermal
 from .geometry import (REFERENCE_RECT, Assembly, Rectangular, Semicircular,
-                       equal_area_radius, plate_mass, secondary_side)
+                       equal_area_radius, plate_mass, secondary_side,
+                       wetted_perimeter)
 from .hydraulics import DEFAULT_MINOR_LOSS_K, FlowCondition
 from .properties import (CoolantProps, SolidMaterial, get_material,
                          water_at_reference)
@@ -150,24 +151,25 @@ def variant(base: Assembly, material: str | SolidMaterial | None = None,
             cover_thickness: float | None = None) -> Assembly:
     """The base assembly with each given sweep-axis value in place.
 
-    Count and shape variants keep the wetted area of a reference
-    rectangle: a rectangular base is its own reference, any other base
-    uses REFERENCE_RECT (2 x 10 mm) at the base channel count. The
-    "rectangular" shape is that reference; a count or "semicircular"
-    variant is a semicircle of equal wetted area, and a count variant
-    spreads its channels over the plate width.
+    Count and shape variants keep the wetted perimeter of one reference
+    row, and so its wetted area: the base channel count of the base's
+    own rectangle, or of REFERENCE_RECT (2 x 10 mm) on a non-rectangular
+    base. The "rectangular" shape is that rectangle; a count or
+    "semicircular" variant is a semicircle whose row has that perimeter,
+    and a count variant spreads its channels over the plate width.
     """
     plate, layout = base.plate, base.layout
     if material is not None:
         plate = replace(plate, material=get_material(material)
                         if isinstance(material, str) else material)
     if channel_count is not None or channel_shape is not None:
-        ref = (layout if isinstance(layout.shape, Rectangular)
-               else replace(layout, shape=REFERENCE_RECT))
+        rect = (layout.shape if isinstance(layout.shape, Rectangular)
+                else REFERENCE_RECT)
         count = (layout.channels_per_row if channel_count is None
                  else channel_count)
-        shapes = {"rectangular": ref.shape, "semicircular": Semicircular(
-            radius=equal_area_radius(ref, count))}
+        shapes = {"rectangular": rect, "semicircular": Semicircular(
+            radius=equal_area_radius(
+                wetted_perimeter(rect) * layout.channels_per_row, count))}
         pitch = (layout.lateral_pitch if channel_count is None
                  else plate.width / count)
         layout = replace(layout, channels_per_row=count, lateral_pitch=pitch,
@@ -290,19 +292,18 @@ def optimize(problem: DesignProblem, evaluator: str = "network",
     order. The selected design is the same either way.
     """
     velocities = problem.velocities
-    geometries = [(variant(problem.base, material=material,
-                           channel_count=count, cover_thickness=cover),
-                   count, cover)
-                  for material in problem.materials
-                  for count in problem.channel_counts
-                  for cover in problem.cover_thicknesses]
+    designs = [variant(problem.base, material=material,
+                       channel_count=count, cover_thickness=cover)
+               for material in problem.materials
+               for count in problem.channel_counts
+               for cover in problem.cover_thicknesses]
 
-    def point(geometry, v: float) -> StudyRow:
-        design, count, cover = geometry
+    def point(design: Assembly, v: float) -> StudyRow:
         # 15 digits name every point of the 12-decimal grid below 1000 m/s
         return _row(f"material={design.plate.material.name},"
-                    f"channels_per_row={count},"
-                    f"cover_mm={cover * 1e3:.15g},v={v:.15g}", design,
+                    f"channels_per_row={design.layout.channels_per_row},"
+                    f"cover_mm={design.layout.cover_thickness * 1e3:.15g},"
+                    f"v={v:.15g}", design,
                     FlowCondition(v, problem.inlet_temperature),
                     problem.evaluation, evaluator, problem)
 
@@ -311,19 +312,19 @@ def optimize(problem: DesignProblem, evaluator: str = "network",
                    key=_row_key, default=None)
 
     if not prune:
-        rows = [point(g, v) for g in geometries for v in velocities]
+        rows = [point(d, v) for d in designs for v in velocities]
         return StudyResult(rows=tuple(rows), best=best_of(rows))
 
     rows: list[StudyRow] = []
     best: StudyRow | None = None
-    for mass, geometry in sorted(((plate_mass(g[0]), g) for g in geometries),
-                                 key=lambda pair: pair[0]):
+    for mass, design in sorted(((plate_mass(d), d) for d in designs),
+                               key=lambda pair: pair[0]):
         if best is not None and mass > best.mass_kg:
             break
         found = _search(problem, velocities,
-                        lambda v: point(geometry, v),
+                        lambda v: point(design, v),
                         lambda v: hydraulics.pressure_drop(
-                            problem.evaluation.coolant, geometry[0].layout, v,
+                            problem.evaluation.coolant, design.layout, v,
                             problem.evaluation.minor_loss_K))
         rows += found
         best = best_of(found, best)

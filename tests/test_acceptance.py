@@ -34,11 +34,9 @@ def test_c1_transition_velocities(water):
 
 
 def test_c2_equal_area_radii():
-    ref = cp.ChannelLayout(rows=2, channels_per_row=3, channel_length=0.48,
-                           shape=cp.Rectangular(0.010, 0.002),
-                           cover_thickness=1e-3, lateral_pitch=0.19 / 3)
-    r3 = cp.equal_area_radius(ref, 3)
-    r6 = cp.equal_area_radius(ref, 6)
+    row = cp.wetted_perimeter(cp.Rectangular(0.010, 0.002)) * 3
+    r3 = cp.equal_area_radius(row, 3)
+    r6 = cp.equal_area_radius(row, 6)
     ok = 4.6e-3 <= r3 <= 4.7e-3 and 2.3e-3 <= r6 <= 2.35e-3
     verdict("C2 equal-wetted-area channel radii", ok)
 

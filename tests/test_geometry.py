@@ -63,7 +63,7 @@ class TestTotalWettedArea:
         assert cp.total_wetted_area(layout(RECT)) == pytest.approx(0.06912)
 
     def test_equal_area_semicircle(self):
-        r = cp.equal_area_radius(layout(RECT), 3)
+        r = cp.equal_area_radius(cp.wetted_perimeter(RECT) * 3, 3)
         assert cp.total_wetted_area(
             layout(cp.Semicircular(r))) == pytest.approx(0.06912, rel=1e-12)
 
@@ -74,11 +74,11 @@ class TestTotalWettedArea:
 
 class TestEqualAreaRadius:
     def test_three_channels(self):
-        r = cp.equal_area_radius(layout(RECT), 3)
+        r = cp.equal_area_radius(cp.wetted_perimeter(RECT) * 3, 3)
         assert r == pytest.approx(4.668e-3, rel=1e-3)
 
     def test_six_channels(self):
-        r = cp.equal_area_radius(layout(RECT), 6)
+        r = cp.equal_area_radius(cp.wetted_perimeter(RECT) * 3, 6)
         assert r == pytest.approx(2.334e-3, rel=1e-3)
 
     def test_fixed_point(self):
@@ -86,18 +86,22 @@ class TestEqualAreaRadius:
         r = 0.004
         rect = cp.Rectangular(width=(math.pi + 2.0) * r / 2.0 - 0.001,
                               height=0.001)
-        assert cp.equal_area_radius(layout(rect), 3) == pytest.approx(
-            r, rel=1e-12)
+        assert cp.equal_area_radius(
+            cp.wetted_perimeter(rect) * 3, 3) == pytest.approx(r, rel=1e-12)
 
-    def test_requires_rectangular_reference(self):
-        with pytest.raises(ValueError):
-            cp.equal_area_radius(layout(cp.Semicircular(0.004)), 3)
+    def test_semicircle_row_maps_back_to_its_radius(self):
+        # a semicircular base's own row perimeter gives back its radius
+        semi = cp.Semicircular(0.004)
+        assert cp.equal_area_radius(
+            cp.wetted_perimeter(semi) * 6, 6) == pytest.approx(
+                semi.radius, rel=1e-12)
 
     @given(w=st.floats(1e-3, 0.05), h=st.floats(1e-3, 0.05),
            n_ref=st.integers(1, 8), n_new=st.integers(1, 8))
     def test_wetted_area_round_trip(self, w, h, n_ref, n_new):
         ref = layout(cp.Rectangular(w, h), n=n_ref, pitch=1.0)
-        r = cp.equal_area_radius(ref, n_new)
+        r = cp.equal_area_radius(cp.wetted_perimeter(ref.shape) * n_ref,
+                                 n_new)
         new = layout(cp.Semicircular(r), n=n_new, pitch=1.0)
         assert cp.total_wetted_area(new) == pytest.approx(
             cp.total_wetted_area(ref), rel=1e-12)
@@ -262,11 +266,19 @@ def test_non_finite_rejected(build):
     (lambda: cp.ModulePlacement(id="M", face="side", origin=(0.0, 0.0),
                                 footprint=(0.1, 0.1), dies=()),
      "face must be 'top' or 'bottom', got 'side'"),
-    (lambda: cp.equal_area_radius(layout(RECT), 0),
+    (lambda: cp.equal_area_radius(cp.wetted_perimeter(RECT) * 3, 0),
      "new_channels_per_row must be >= 1"),
-    (lambda: cp.equal_area_radius(layout(RECT), float("nan")),
+    (lambda: cp.equal_area_radius(cp.wetted_perimeter(RECT) * 3,
+                                  float("nan")),
      "new_channels_per_row must be >= 1"),
-], ids=["module-face", "zero-channels", "nan-channels"])
+    (lambda: cp.equal_area_radius(float("nan"), 3),
+     "row_perimeter must be finite and > 0"),
+    (lambda: cp.equal_area_radius(INF, 3),
+     "row_perimeter must be finite and > 0"),
+    (lambda: cp.equal_area_radius(0.0, 3),
+     "row_perimeter must be finite and > 0"),
+], ids=["module-face", "zero-channels", "nan-channels", "nan-perimeter",
+        "inf-perimeter", "zero-perimeter"])
 def test_out_of_domain_rejected(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()

@@ -2,7 +2,8 @@
 
 `perfbench/tracing.py` wraps package functions by module and name and
 reads some of their arguments by name; `perfbench/worker.py` builds a
-`DesignProblem` by keyword. A renamed or removed name would show only in
+`DesignProblem` by keyword and calls `optimize(problem, "network",
+prune=prune)`. A renamed or removed name would show only in
 the benchmark's own smoke test, as an unmeasured layer; these checks load
 the tracer module from its file, change nothing, and fail at once.
 """
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-import coldplate
+import coldplate.cli  # tracing.targets reads the cli submodule off coldplate
 from coldplate import fv, studies
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -50,3 +51,14 @@ def test_worker_design_problem_fields():
     assert {"base", "materials", "channel_counts", "cover_thicknesses",
             "v_min", "v_max", "v_step"} <= fields
     assert callable(studies.StudyResult.to_json)
+
+
+def test_call_shapes():
+    # the tracer counts CG iterations through cg's callback keyword
+    assert "callback" in inspect.signature(fv.cg).parameters
+    # the worker calls optimize(problem, "network", prune=prune)
+    positional = [p.name for p in
+                  inspect.signature(studies.optimize).parameters.values()
+                  if p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD]
+    assert positional[:2] == ["problem", "evaluator"]
+    assert "prune" in inspect.signature(studies.optimize).parameters

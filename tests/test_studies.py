@@ -139,6 +139,26 @@ class TestVariant:
         # the preset's channels follow the same equal-area rule, bit for bit
         assert variant(primary, **axis) == primary
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 4: variant takes a row of 6 reference rectangles, "
+        "the base count, where the preset was sized from 3, so "
+        "r = 4.67 mm against the preset's 2.33 mm"))
+    @pytest.mark.parametrize("axis", [{"channel_count": 6},
+                                      {"channel_shape": "semicircular"}],
+                             ids=["count", "shape"])
+    def test_secondary_preset_keeps_its_radius(self, secondary, axis):
+        assert variant(secondary, **axis).layout.shape.radius == pytest.approx(
+            secondary.layout.shape.radius, rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, raises=fv.GridResolutionError, reason=(
+        "ROADMAP items 4 and 5: the uniform 2 mm z-grid resolves neither "
+        "the 2 mm-high reference rectangle nor a 0.5 mm cover"))
+    @pytest.mark.parametrize("axis", [{"channel_shape": "rectangular"},
+                                      {"cover_thickness": 5e-4}],
+                             ids=["rectangular", "thin-cover"])
+    def test_primary_variant_builds_at_2mm(self, primary, axis):
+        fv.build_grid(variant(primary, **axis), 2e-3)
+
     def test_rectangular_is_the_reference(self, primary):
         design = variant(primary, channel_shape="rectangular")
         assert design.layout == replace(primary.layout, shape=REFERENCE_RECT)
