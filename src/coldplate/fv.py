@@ -18,6 +18,17 @@ table (cell, U*A, sink). The sink indexes one array of fluid
 temperatures: a row per channel, re-marched each outer iteration from the
 heat its faces remove, plus a last row fixed at the inlet temperature.
 
+What depends on the grid alone is built once per grid, by its first
+solve, and every later solve on the grid references it (`_Structure`): the
+CSR row starts and columns, a 7-bit mask per unknown of the stencil slots
+that hold a column, the face table's cells and sinks, the voxelized wetted
+area per channel, the imposed heat flux and the aggregate map. The grid's
+lock makes a solve that asks while another builds it wait for that one.
+Each solve builds what depends on the velocity or the material: the
+diagonal, each face's U*A, the matrix values, A P, the coarse factor and
+Q. A grid is not changed after its first solve, and keeps its structure
+until it is dropped.
+
 The outer (Picard) loop solves the conduction system against the sink
 temperatures, re-marches the coolant, and stops once no sink temperature
 changed by _FLUID_TOL or more. A pass that does not end the loop only
@@ -51,10 +62,11 @@ hundred thousand entries a threaded BLAS `ddot` spins every core for each
 call, which doubled the CPU time of a solve and left nothing for the
 sweep thread pool.
 
-CG runs in a fixed working set: x, r and p live across an iteration, and
-one scratch vector holds A p, then alpha A p and alpha p, so the updates
-allocate nothing and round as r -= alpha * q and x += alpha * p do. The
-first preconditioner output becomes p without a copy. An apply holds one
+CG runs in a fixed working set: x (the caller's start vector, updated in
+place), r and p live across an iteration, and one scratch vector holds
+A p, then alpha A p and alpha p, so the updates allocate nothing and round
+as r -= alpha * q and x += alpha * p do. The first preconditioner output
+becomes p without a copy. An apply holds one
 vector of its own, the residual written into its mat-vec's output, and
 one transient at a time; it restricts with np.bincount over the
 aggregate map rather than a stored P^T, which sums each aggregate's cells
@@ -66,7 +78,8 @@ call that did not converge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -80,11 +93,11 @@ from .properties import CoolantProps, SolidMaterial
 
 _SUBSAMPLE = 4  # per-axis samples for rasterization; even count keeps
                 # samples off the cell midlines
-# Largest grid built. The tracemalloc peak of one solve is 201 B per cell
-# on primary_side at 2 mm and 197 on secondary_side at 1.5 mm; its peak
+# Largest grid built. The tracemalloc peak of one solve is 195 B per cell
+# on primary_side at 2 mm and 190 on secondary_side at 1.5 mm; its peak
 # RSS growth (VmHWM in a fresh process, less after build_grid), which
-# counts SuperLU's factor, is 234 and 228 there and 255 on primary_side
-# at 1.0 mm. So 1e7 cells take about 2.0 GB by the first, 3 GB by RSS.
+# counts SuperLU's factor, is 225 and 223 there and 246 on primary_side
+# at 1.0 mm. So 1e7 cells take about 2.0 GB by the first, 2.5 GB by RSS.
 _MAX_CELLS = 10**7
 _FLUID_TOL = 1e-3  # K, largest coolant temperature change of a converged pass
 _MAX_OUTER = 100   # outer fluid-coupling passes before giving up
@@ -135,6 +148,12 @@ class Grid:
     # film coefficient of the exterior bottom face, W/(m^2*K), convecting
     # to fluid held at the flow inlet temperature (slab cases)
     h_bottom: float | None = None
+    # what the solver takes from the grid alone, built by the first solve
+    # on it (see `_structure`); the grid is not changed after that
+    _structure: _Structure | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False)
 
     @property
     def cell_count(self) -> int:
@@ -339,78 +358,60 @@ def _neighbour(values: np.ndarray, solid: np.ndarray, slot: int):
     return out[solid]
 
 
-def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
-    """Build the conduction matrix and the convective face table, whose
-    sinks index a (n_channels + 1, nx + 1) fluid-temperature array.
-    h is the channel film coefficient.
+@dataclass
+class _Structure:
+    """What the FV system and its preconditioner take from the grid alone.
+    One is built per grid, by the first solve on it (see `_structure`);
+    every solve on the grid references its arrays, which are read-only."""
+    indptr: np.ndarray      # int32 CSR row starts
+    indices: np.ndarray     # int32 CSR columns, each row's in slot order
+    # per unknown, bit s set where stencil slot s (-x, -y, -z, self, +z,
+    # +y, +x) holds a column: a solid neighbour, or the unknown itself
+    slots: np.ndarray       # uint8
+    # convective faces: the channel walls of each slot, + then - per axis,
+    # then the slab cases' exterior bottom faces; a wall's sink is
+    # channel * (nx + 1) + station, so it also names the channel
+    face_cell: np.ndarray   # int32 solid unknown
+    face_sink: np.ndarray   # flat index into the sink-temperature array
+    wall_ends: tuple[int, ...]  # where each slot's walls end in the table
+    voxel_area: np.ndarray  # voxelized wetted area per channel, m^2
+    rhs_fixed: np.ndarray   # imposed exterior heat flux, W
+    agg: np.ndarray         # aggregate of each unknown (see `_aggregates`)
+    n_agg: int
 
-    The column table, `_neighbour` of the index map per slot, compressed
-    past its -1 entries, gives the CSR indices; the same compression of the
-    per-slot conductances gives the values, into whose self slots the
-    diagonal goes. Per unknown the diagonal adds up from 0.0 in this order,
-    on which the output bits depend: for x, y and z in turn, conduction to
-    a solid + neighbour, to a solid - neighbour, the film of a + wall face,
-    of a - wall face; then the exterior bottom face's film (slab cases)."""
-    k = material.thermal_conductivity
+
+def _build_structure(grid: Grid) -> _Structure:
+    """The grid's `_Structure`: one `_neighbour` lookup of the index map
+    per slot gives the CSR columns, compressed past the -1 entries; one of
+    `channel_id` per slot gives that slot's wall faces."""
     solid = grid.channel_id < 0
     n = int(solid.sum())
-    index = np.full(solid.shape, -1, dtype=np.int32)  # 7 * _MAX_CELLS < 2**31
-    index[solid] = np.arange(n, dtype=np.int32)
-    n_ch = grid.n_channels
     stations = grid.nx + 1
-    spacing = (grid.dx, grid.dy, grid.dz)
     face_area = (grid.dy * grid.dz, grid.dx * grid.dz, grid.dx * grid.dy)
     # unknowns run x plane by x plane: a wall face's station is its plane
     plane_end = np.cumsum(solid.sum(axis=(1, 2)))
 
-    # channel-wall faces per slot, + then - per axis: (unknown, channel, sink)
-    walls = []
-    voxel_area = np.zeros(n_ch)
+    face_cell, face_sink, wall_ends = [], [], []
+    voxel_area = np.zeros(grid.n_channels)
     for axis in range(3):
         for slot in (6 - axis, axis):
             channel = _neighbour(grid.channel_id, solid, slot)
             cell = np.flatnonzero(channel >= 0).astype(np.int32)
             ids = channel[cell]
             np.add.at(voxel_area, ids, face_area[axis])
-            walls.append((cell, ids, ids * stations
-                          + np.searchsorted(plane_end, cell, side="right")))
+            face_cell.append(cell)
+            face_sink.append(ids * stations
+                             + np.searchsorted(plane_end, cell, side="right"))
+            wall_ends.append(sum(c.size for c in face_cell))
     del channel
 
-    # rescale h so h * (voxel wetted area) equals h * (analytic area)
-    analytic = (wetted_perimeter(grid.shape) * grid.nx * grid.dx
-                if n_ch else 0.0)
-    h_corr = h * analytic / voxel_area
-
-    # C-order numbering makes each row's columns ascend in slot order
-    columns = np.empty((n, 7), dtype=np.int32)
-    for slot in range(7):
-        columns[:, slot] = _neighbour(index, solid, slot)
-    present = columns >= 0
-
-    diag = np.zeros(n)
-    stencil = np.zeros(7)  # off-diagonal value per slot
-    face_cell, face_ua, face_sink = [], [], []
-    for axis in range(3):
-        g = k * face_area[axis] / spacing[axis]
-        stencil[[axis, 6 - axis]] = -g
-        for slot in (6 - axis, axis):
-            np.add(diag, g, out=diag, where=present[:, slot])
-        for cell, ids, sink in walls[2 * axis:2 * axis + 2]:
-            ua = _film(spacing[axis], k, h_corr[ids]) * face_area[axis]
-            diag[cell] += ua
-            face_cell.append(cell)
-            face_ua.append(ua)
-            face_sink.append(sink)
-
+    index = np.full(solid.shape, -1, dtype=np.int32)  # 7 * _MAX_CELLS < 2**31
+    index[solid] = np.arange(n, dtype=np.int32)
     # optional convective bottom face (slab cases), last sink row
     if grid.h_bottom is not None:
         cell = index[:, :, 0][solid[:, :, 0]]
-        ua = np.full(cell.size, _film(grid.dz, k, grid.h_bottom)
-                     * face_area[2])
-        diag[cell] += ua
         face_cell.append(cell)
-        face_ua.append(ua)
-        face_sink.append(np.full(ua.size, n_ch * stations))
+        face_sink.append(np.full(cell.size, grid.n_channels * stations))
     face_cell = np.concatenate(face_cell)
     if n and not face_cell.size:
         raise ValueError("grid has no convective faces; the steady problem "
@@ -422,17 +423,94 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
         m = solid[:, :, layer] & (flux != 0.0)
         rhs_fixed[index[:, :, layer][m]] += flux[m] * face_area[2]
 
+    # C-order numbering makes each row's columns ascend in slot order
+    columns = np.empty((n, 7), dtype=np.int32)
+    for slot in range(7):
+        columns[:, slot] = _neighbour(index, solid, slot)
+    del index
+    present = columns >= 0
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(present.sum(axis=1, dtype=np.int32), out=indptr[1:])
     indices = columns[present]
     del columns
+    slots = np.packbits(present, axis=1, bitorder="little").reshape(n)
+    del present
+    structure = _Structure(indptr, indices, slots, face_cell,
+                           np.concatenate(face_sink), tuple(wall_ends),
+                           voxel_area, rhs_fixed, *_aggregates(grid))
+    for array in vars(structure).values():
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return structure
+
+
+def _structure(grid: Grid) -> _Structure:
+    """The grid's `_Structure`, built by the first caller; a thread that
+    asks while another builds it waits for that one."""
+    with grid._lock:
+        if grid._structure is None:
+            grid._structure = _build_structure(grid)
+        return grid._structure
+
+
+def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
+    """Build the conduction matrix and the convective face table, whose
+    sinks index a (n_channels + 1, nx + 1) fluid-temperature array, on the
+    grid's `_Structure`. h is the channel film coefficient.
+
+    The per-slot conductances, compressed as the columns are, give the
+    values, into whose self slots the diagonal goes. Per unknown the
+    diagonal adds up from 0.0 in this order, on which the output bits
+    depend: for x, y and z in turn, conduction to a solid + neighbour, to
+    a solid - neighbour, the film of a + wall face, of a - wall face; then
+    the exterior bottom face's film (slab cases)."""
+    structure = _structure(grid)
+    k = material.thermal_conductivity
+    n = structure.slots.size
+    stations = grid.nx + 1
+    spacing = (grid.dx, grid.dy, grid.dz)
+    face_area = (grid.dy * grid.dz, grid.dx * grid.dz, grid.dx * grid.dy)
+
+    # rescale h so h * (voxel wetted area) equals h * (analytic area)
+    analytic = (wetted_perimeter(grid.shape) * grid.nx * grid.dx
+                if grid.n_channels else 0.0)
+    h_corr = h * analytic / structure.voxel_area
+
+    present = np.unpackbits(structure.slots[:, None], axis=1, count=7,
+                            bitorder="little").view(bool)
+    diag = np.zeros(n)
+    stencil = np.zeros(7)  # off-diagonal value per slot
+    face_ua = []
+    start = 0
+    for axis in range(3):
+        g = k * face_area[axis] / spacing[axis]
+        stencil[[axis, 6 - axis]] = -g
+        for slot in (6 - axis, axis):
+            np.add(diag, g, out=diag, where=present[:, slot])
+        for end in structure.wall_ends[2 * axis:2 * axis + 2]:
+            channel = structure.face_sink[start:end] // stations
+            ua = _film(spacing[axis], k, h_corr[channel]) * face_area[axis]
+            diag[structure.face_cell[start:end]] += ua
+            face_ua.append(ua)
+            start = end
+    if grid.h_bottom is not None:
+        cell = structure.face_cell[start:]
+        ua = np.full(cell.size, _film(grid.dz, k, grid.h_bottom)
+                     * face_area[2])
+        diag[cell] += ua
+        face_ua.append(ua)
+
     data = np.broadcast_to(stencil, present.shape)[present]
     # the diagonal's slot follows a row's minus neighbours
-    data[indptr[:-1] + present[:, :3].sum(axis=1, dtype=np.int32)] = diag
-    matrix = csr_matrix((data, indices, indptr), shape=(n, n))
-    return _System(matrix=matrix, diag=diag, rhs_fixed=rhs_fixed,
-                   face_cell=face_cell, face_ua=np.concatenate(face_ua),
-                   face_sink=np.concatenate(face_sink))
+    data[structure.indptr[:-1]
+         + present[:, :3].sum(axis=1, dtype=np.int32)] = diag
+    del present
+    matrix = csr_matrix((data, structure.indices, structure.indptr),
+                        shape=(n, n))
+    return _System(matrix=matrix, diag=diag, rhs_fixed=structure.rhs_fixed,
+                   face_cell=structure.face_cell,
+                   face_ua=np.concatenate(face_ua),
+                   face_sink=structure.face_sink)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -454,12 +532,14 @@ def cg(A, b, *, x0, rtol, M, maxiter, callback=None):
     (x, 0) on convergence, (x, -1) as soon as |b| or the residual norm is
     not finite (an overflow no later iterate recovers from), and
     (x, maxiter) otherwise; callback(x) runs after every iteration.
+    x is x0 itself, a float64 array that CG iterates in place, so a caller
+    that needs its start keeps a copy; for a zero b, x is b.
     """
     bnorm = _norm(b)
     if bnorm == 0:
         return b, 0
     stop = rtol * bnorm
-    x = np.array(x0, dtype=float)
+    x = x0
     r = A @ x
     np.subtract(b, r, out=r)
     p = rho_prev = None
@@ -527,7 +607,8 @@ def _two_level(system: _System, grid: Grid):
     res = r - A S r, e = coarse(P^T res), M r = S (r + res) + Q e.
     """
     a = system.matrix
-    agg, nc = _aggregates(grid)
+    structure = _structure(grid)
+    agg, nc = structure.agg, structure.n_agg
     n = agg.size
     p = csr_matrix((np.ones(n), agg, np.arange(n + 1, dtype=np.int32)),
                    shape=(n, nc))
@@ -576,10 +657,12 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
     if not np.all(np.isfinite(system.diag)):
         raise ValueError("non-finite conductance in the FV system; check "
                          "material, coolant and flow inputs")
+    precond = _two_level(system, grid)
+    # the field comes after the setup, whose peak it would raise; CG
+    # iterates in it
     inlet = flow.inlet_temperature
     t_sink = np.full((n_ch + 1, grid.nx + 1), inlet)
     temp = np.full(system.diag.size, inlet)
-    precond = _two_level(system, grid)
 
     def residual(x, rhs):
         """Recomputed relative residual |A x - rhs| / |rhs|."""
@@ -691,7 +774,8 @@ def mesh_study(grid_builder, coolant: CoolantProps, flow: FlowCondition,
 
     grid_builder(resolution) -> Grid voxelizes the case at each size; the
     resolutions take the place of solver.resolution. Successive sizes that
-    give the same cell counts are refused before any solve.
+    give the same cell counts are refused before any solve. Each grid, and
+    the structure its solve builds, is dropped after that solve.
     """
     if len(resolutions) < 3:
         raise ValueError("mesh study needs at least 3 resolutions")
@@ -699,13 +783,15 @@ def mesh_study(grid_builder, coolant: CoolantProps, flow: FlowCondition,
         raise ValueError("resolutions must be strictly descending")
 
     grids = [grid_builder(res) for res in resolutions]  # fail before solving
-    for i, (a, b) in enumerate(zip(grids, grids[1:])):
-        if (a.nx, a.ny, a.nz) == (b.nx, b.ny, b.nz):
+    shapes = [f"{g.nx} x {g.ny} x {g.nz}" for g in grids]
+    for i, (a, b) in enumerate(zip(shapes, shapes[1:])):
+        if a == b:
             raise ValueError(f"resolutions {resolutions[i]!r} m and "
                              f"{resolutions[i + 1]!r} m give the same "
-                             f"{b.nx} x {b.ny} x {b.nz} grid")
+                             f"{b} grid")
     rows = []
-    for grid in grids:
+    while grids:
+        grid = grids.pop(0)
         t_max = solve(grid, coolant, flow, material, tol=solver.tol,
                       max_iters=solver.max_iters).t_max
         delta = abs(t_max - rows[-1].t_max) if rows else None

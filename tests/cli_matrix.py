@@ -3,7 +3,8 @@
     python tests/cli_matrix.py OUT_DIR
 
 Each case runs `python -m coldplate.cli ACTION --echo-config` in a fresh
-process on the `src/` of the checkout this file lies in, and writes into
+process on the `src/` of the checkout this file lies in, with the case's
+entries of ENVIRONMENTS added to the environment, and writes into
 OUT_DIR/<case>/ its exit code (`exit_code`), stdout, stderr and whatever
 the run wrote: result.json, result.csv, field.txt. Outputs are byte-stable
 for a given config, so two checkouts compare with
@@ -19,7 +20,8 @@ study whose last two sizes give the same grid. A network sweep, a network
 optimize and an FV sweep run with a non-default coolant, die stack,
 minor-loss K and solver tolerance, so a setting lost on its way to a
 design point changes their outputs; an FV sweep whose `solver.max_iters`
-binds ends in the solver's convergence error.
+binds ends in the solver's convergence error. The secondary plate's FV
+velocity sweep runs a second time on a 2-thread pool.
 """
 
 from __future__ import annotations
@@ -82,6 +84,9 @@ def _cases() -> dict[str, tuple[str, dict]]:
             "preset": preset, "solver": fv_solver}
         cases[f"{preset}-mesh-study"] = "mesh-study", {
             "preset": preset, "mesh_study": {"resolutions_m": mesh}}
+    # the same sweep on the thread pool, from its ENVIRONMENTS entry
+    cases["secondary_side-sweep-velocity-fv-threads"] = cases[
+        "secondary_side-sweep-velocity-fv"]
     small = assembly_to_json(small_assembly())
     cases["small-report"] = "report", {"assembly": small}
     # an inlet at 0 C starts the first linear solve from an all-zero guess
@@ -128,15 +133,20 @@ def _cases() -> dict[str, tuple[str, dict]]:
 
 
 CASES = _cases()
+# case name -> variables added to the environment of its run
+ENVIRONMENTS = {"secondary_side-sweep-velocity-fv-threads":
+                {"COLDPLATE_THREADS": "2"}}
 
 
-def run_case(action: str, doc: dict, out: Path) -> int:
+def run_case(action: str, doc: dict, out: Path,
+             environment: dict[str, str] | None = None) -> int:
     """Run one case into the new directory `out`; returns its exit code."""
     out.mkdir(parents=True)
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(doc))
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        env = {**os.environ, **(environment or {}),
+               "PYTHONPATH": str(ROOT / "src")}
         proc = subprocess.run(
             [sys.executable, "-m", "coldplate.cli", action, "--config",
              str(config), "--out", str(out), "--echo-config"],
@@ -153,7 +163,7 @@ def main(argv: list[str]) -> int:
         return 2
     out_dir = Path(argv[0])
     for name, (action, doc) in CASES.items():
-        code = run_case(action, doc, out_dir / name)
+        code = run_case(action, doc, out_dir / name, ENVIRONMENTS.get(name))
         print(f"{name}: exit {code}", flush=True)
     return 0
 

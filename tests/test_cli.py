@@ -1033,8 +1033,9 @@ def test_cli_matrix_covers_every_action():
     # presets, every sweep axis, a first linear solve from an all-zero
     # guess (inlet at 0 C), a network sweep, a network optimize and an FV
     # sweep with every evaluation setting off its default, and an FV sweep
-    # whose max_iters binds; the configs parse, none is run here
-    from cli_matrix import CASES
+    # whose max_iters binds, and an FV sweep on a 2-thread pool; the configs
+    # parse, none is run here
+    from cli_matrix import CASES, ENVIRONMENTS
     default = parse_config(json.dumps({"preset": "primary_side"}),
                            action="report").evaluation
     covered, with_settings, max_iters = set(), set(), set()
@@ -1061,3 +1062,5 @@ def test_cli_matrix_covers_every_action():
             assert {(preset, action, *a) for a in axes} <= covered
     assert ("solve-fv", {"inlet_C": 0.0}) in [
         (action, doc.get("flow")) for action, doc in CASES.values()]
+    assert [(CASES[name][1]["sweep"]["evaluator"], env["COLDPLATE_THREADS"])
+            for name, env in ENVIRONMENTS.items()] == [("fv", "2")]

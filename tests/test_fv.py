@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -251,6 +252,27 @@ class TestSolve:
             solve(grid, water, FLOW, small.plate.material,
                   tol=1e-14, max_iters=3)
 
+    def test_solves_share_the_grid_structure(self, small, water,
+                                             monkeypatch):
+        # a second solve on a grid references its structure: the CSR
+        # matrices of two velocities hold the same index arrays. scipy's
+        # constructor keeps indptr itself and a view of indices (it slices
+        # them to nnz), never a copy
+        calls, built = record_cg(monkeypatch), []
+        real_build = fv._build_structure
+        monkeypatch.setattr(fv, "_build_structure",
+                            lambda grid: built.append(1) or real_build(grid))
+        grid = build_grid(small, 2.5e-3)
+        for v in (1.1, 2.9):
+            solve(grid, water, cp.FlowCondition(v, 49.0),
+                  small.plate.material)
+        first, last = calls[0][0], calls[-1][0]
+        structure = grid._structure
+        assert built == [1] and first is not last
+        assert first.indptr is last.indptr is structure.indptr
+        assert first.indices.base is last.indices.base is structure.indices
+        assert not structure.indices.flags.writeable
+
     def test_overflow_stops_at_once(self, small, water, monkeypatch):
         # a finite 1e200 W die overflows |b|; CG must not run to max_iters
         module = small.modules[0]
@@ -401,17 +423,22 @@ class TestAssemble:
     ])
     def test_matches_coo_oracle(self, grid):
         # the same bits as the COO reference, so every output stays
-        # byte-identical
+        # byte-identical; also for a second film coefficient, assembled on
+        # the structure that the first one's assembly built
         grid, h, system = assembled(grid)
-        matrix, *arrays = coo_assembly(grid, cp.get_material("copper"), h)
-        ours = (system.matrix.indptr, system.matrix.indices,
-                system.matrix.data, system.diag, system.rhs_fixed,
-                system.face_cell, system.face_ua, system.face_sink)
-        theirs = (matrix.indptr, matrix.indices, matrix.data, *arrays)
-        for a, b in zip(ours, theirs):
-            assert a.shape == b.shape and np.array_equal(a, b)
-            if a.dtype.kind == "f":
-                assert a.tobytes() == b.tobytes()
+        copper = cp.get_material("copper")
+        again = fv._assemble(grid, copper, 3.0 * h)
+        assert again.matrix.indptr is system.matrix.indptr
+        for h, system in ((h, system), (3.0 * h, again)):
+            matrix, *arrays = coo_assembly(grid, copper, h)
+            ours = (system.matrix.indptr, system.matrix.indices,
+                    system.matrix.data, system.diag, system.rhs_fixed,
+                    system.face_cell, system.face_ua, system.face_sink)
+            theirs = (matrix.indptr, matrix.indices, matrix.data, *arrays)
+            for a, b in zip(ours, theirs):
+                assert a.shape == b.shape and np.array_equal(a, b)
+                if a.dtype.kind == "f":
+                    assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("grid", GRIDS)
     def test_csr_structure(self, grid):
@@ -429,10 +456,14 @@ class TestAssemble:
         # two-level setup trimmed as well (O(n) aggregate numbering, no
         # spare room in Q), 203 B with CG in a fixed working set and the
         # restriction by bincount; primary_side at 2 mm reads 398, 244,
-        # 216 and 201. Now, per phase: 117 B in _assemble (125 B before it
-        # found each face by one lookup per stencil slot), 203 B in the
-        # two-level setup (the peak) and 195 B in the CG loop. The bound
-        # is the peak plus about 5%.
+        # 216 and 201. Per phase it read 117 B in _assemble (125 B before
+        # it found each face by one lookup per stencil slot), 203 B in the
+        # two-level setup (the peak) and 195 B in the CG loop. Now 73 B in
+        # building the grid's structure, 117 B in _assemble, 197 B in the
+        # two-level setup (the peak; the field is made after it) and 189 B
+        # in the CG loop (which iterates in that field, not a copy);
+        # primary_side at 2 mm reads 195. The bound is the old peak plus
+        # about 5%.
         grid = build_grid(small, 1.5e-3)
         tracemalloc.start()
         try:
@@ -448,8 +479,10 @@ class TestAssemble:
         # the resident-set growth of one solve in a fresh process, which
         # counts what tracemalloc does not see (SuperLU's factor, allocator
         # growth): the peak RSS after the solve less the peak RSS after
-        # build_grid. It reads 249-251 B per cell here (267 before CG ran in
-        # a fixed working set); the bound is 251 B plus 5%. The peak is
+        # build_grid. It read 249-251 B per cell here (267 before CG ran in
+        # a fixed working set), and 238-239 B since the field is made after
+        # the two-level setup and CG iterates in it; the bound is 251 B plus
+        # 5%. The peak is
         # VmHWM, the process image's own: ru_maxrss would carry this
         # test process's peak across the exec.
         script = (
@@ -621,14 +654,23 @@ class TestCg:
                             (scipy_cg, LinearOperator(system.matrix.shape,
                                                       matvec=precond),
                              {"atol": 0.0})):
+            # fv.cg iterates in its x0, so each solver starts from a copy
             count = []
-            x, info = cg(system.matrix, rhs, x0=x0, rtol=1e-10, M=M,
+            x, info = cg(system.matrix, rhs, x0=x0.copy(), rtol=1e-10, M=M,
                          maxiter=1000, callback=count.append, **atol)
             assert info == 0
             runs.append((x, len(count)))
         (ours, n_ours), (theirs, n_theirs) = runs
         assert n_ours == n_theirs > 0
         assert np.max(np.abs(ours - theirs)) <= 1e-10
+
+    def test_iterates_in_x0(self, water):
+        # no copy of the start: the caller's array holds the result
+        system, precond, rhs, x0 = self.small_system(water)
+        start = x0.copy()
+        x, info = fv.cg(system.matrix, rhs, x0=x0, rtol=1e-10, M=precond,
+                        maxiter=1000)
+        assert info == 0 and x is x0 and not np.array_equal(x, start)
 
     def test_zero_rhs_returns_it(self, water):
         system, precond, rhs, x0 = self.small_system(water)
@@ -674,6 +716,20 @@ class TestMeshStudy:
     def study(assembly, water, resolutions):
         return mesh_study(lambda r: build_grid(assembly, r), water, FLOW,
                           assembly.plate.material, resolutions)
+
+    def test_solved_grids_are_released(self, small, water, monkeypatch):
+        # a coarser grid's structure is not held through a finer solve
+        structures, real_solve = [], fv.solve
+
+        def solve_one(grid, *args, **kwargs):
+            assert all(ref() is None for ref in structures)
+            solution = real_solve(grid, *args, **kwargs)
+            structures.append(weakref.ref(grid._structure))
+            return solution
+        monkeypatch.setattr(fv, "solve", solve_one)
+        self.study(small, water, [2.5e-3, 2.2e-3, 2e-3])
+        assert len(structures) == 3
+        assert all(ref() is None for ref in structures)
 
     def test_requires_three_resolutions(self, small, water):
         with pytest.raises(ValueError):

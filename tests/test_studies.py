@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -451,6 +452,51 @@ class TestPrunedSearch:
         # the probes at 2.9 and 2.6 m/s show the rise, so both cover
         # variants of the lightest geometry evaluate every velocity
         assert [r.v_mps for r in pruned.rows] == list(prob.velocities) * 2
+
+
+class TestSharedFvGrid:
+    """The FV points of a study on one assembly share its grid, whose
+    structure the first solve builds and the others reuse."""
+
+    def test_threaded_fv_sweep_matches_serial(self, small, monkeypatch):
+        spec = SweepSpec(base=small, axis="velocity",
+                         values=(0.6, 1.1, 1.7, 2.3))
+        serial = run_sweep(spec, "fv")
+        monkeypatch.setenv("COLDPLATE_THREADS", "2")
+        assert run_sweep(spec, "fv") == serial
+
+    def test_velocity_sweep_builds_one_structure(self, small, monkeypatch):
+        # more threads than cores and frequent switches: two first solves
+        # that both saw no structure would both build one
+        grids = _count_calls(monkeypatch, fv, "build_grid")
+        structures = _count_calls(monkeypatch, fv, "_build_structure")
+        solves = _count_calls(monkeypatch, fv, "solve")
+        monkeypatch.setenv("COLDPLATE_THREADS", "4")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_sweep(SweepSpec(base=small, axis="velocity",
+                                values=(0.6, 1.1, 1.7, 2.3)), "fv")
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(solves) == 4 and len(grids) == len(structures) == 1
+        assert all(args[0] is structures[0][0] for args in solves)
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_optimize_builds_one_structure_per_design(self, small, prune,
+                                                      monkeypatch):
+        grids = _count_calls(monkeypatch, fv, "build_grid")
+        structures = _count_calls(monkeypatch, fv, "_build_structure")
+        solves = _count_calls(monkeypatch, fv, "solve")
+        # two cover variants of one mass: the pruned search visits both
+        optimize(DesignProblem(base=small, materials=("aluminum",),
+                               channel_counts=(2,),
+                               cover_thicknesses=(1e-3, 1.5e-3),
+                               v_min=0.5, v_max=1.5, v_step=0.5), "fv",
+                 prune=prune)
+        # pruned, each design is probed at v_hi and the point below it
+        assert len(solves) == (4 if prune else 6)
+        assert len(grids) == len(structures) == 2
 
 
 _PRINTABLE = st.text(max_size=6).filter(str.isprintable)
