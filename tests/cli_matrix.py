@@ -13,7 +13,8 @@ for a given config, so two checkouts compare with
     diff -r a b
 
 The cases cover every action on both presets, including the ones that
-end in an error, and the small inline plate of `conftest.small_assembly`:
+end in an error, an FV solve of the primary plate at 2.9 m/s (3 outer
+passes), and the small inline plate of `conftest.small_assembly`:
 its FV solve, an FV optimize over 2 geometries and 3 velocities, an FV
 shape sweep and a one-row FV solve on its rectangular variant, and a mesh
 study whose last two sizes give the same grid. A network sweep, a network
@@ -84,6 +85,11 @@ def _cases() -> dict[str, tuple[str, dict]]:
             "preset": preset, "solver": fv_solver}
         cases[f"{preset}-mesh-study"] = "mesh-study", {
             "preset": preset, "mesh_study": {"resolutions_m": mesh}}
+    # at 2.9 m/s the coolant settles in 3 outer passes, the fewest of the
+    # primary plate's solves (4 at 1.1 m/s)
+    cases["primary_side-solve-fv-2.9"] = "solve-fv", {
+        "preset": "primary_side", "flow": {"v_mps": 2.9},
+        "solver": {"resolution_m": _FV["primary_side"][0]}}
     # the same sweep on the thread pool, from its ENVIRONMENTS entry
     cases["secondary_side-sweep-velocity-fv-threads"] = cases[
         "secondary_side-sweep-velocity-fv"]

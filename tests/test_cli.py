@@ -1031,10 +1031,10 @@ def test_main_fuzz(action, base, pinned, overlay):
 def test_cli_matrix_covers_every_action():
     # the byte-identity matrix of tests/cli_matrix.py: every action on both
     # presets, every sweep axis, a first linear solve from an all-zero
-    # guess (inlet at 0 C), a network sweep, a network optimize and an FV
-    # sweep with every evaluation setting off its default, and an FV sweep
-    # whose max_iters binds, and an FV sweep on a 2-thread pool; the configs
-    # parse, none is run here
+    # guess (inlet at 0 C), a 3-pass FV solve at 2.9 m/s, a network sweep,
+    # a network optimize and an FV sweep with every evaluation setting off
+    # its default, and an FV sweep whose max_iters binds, and an FV sweep
+    # on a 2-thread pool; the configs parse, none is run here
     from cli_matrix import CASES, ENVIRONMENTS
     default = parse_config(json.dumps({"preset": "primary_side"}),
                            action="report").evaluation
@@ -1060,7 +1060,8 @@ def test_cli_matrix_covers_every_action():
                     + [("velocity", "fv")] if action == "sweep"
                     else [(None, "network")])
             assert {(preset, action, *a) for a in axes} <= covered
-    assert ("solve-fv", {"inlet_C": 0.0}) in [
-        (action, doc.get("flow")) for action, doc in CASES.values()]
+    flows = [(action, doc.get("flow")) for action, doc in CASES.values()]
+    assert ("solve-fv", {"inlet_C": 0.0}) in flows
+    assert ("solve-fv", {"v_mps": 2.9}) in flows
     assert [(CASES[name][1]["sweep"]["evaluator"], env["COLDPLATE_THREADS"])
             for name, env in ENVIRONMENTS.items()] == [("fv", "2")]
