@@ -2,9 +2,10 @@
 coolant energy march.
 
 Uniform Cartesian cells; channels are rasterized as void cells
-(stair-step). One lookup through each stencil slot classes every face of
-a solid cell: a solid neighbour makes it a conduction link, a void one a
-channel wall with a Robin condition against the local coolant bulk
+(stair-step) and run the whole plate length, so every x plane holds the
+same solid cells. One lookup through each stencil slot classes every face
+of a solid cell: a solid neighbour makes it a conduction link, a void one
+a channel wall with a Robin condition against the local coolant bulk
 temperature, and none an exterior face. The film coefficient is rescaled
 per channel so that h * (voxelized wetted area) equals h * (analytic
 wetted area), which keeps the total convective conductance independent of
@@ -17,68 +18,45 @@ Every convective face, channel wall or exterior, is one row of a single
 table (cell, U*A, sink). The sink indexes one array of fluid
 temperatures: a row per channel, re-marched each outer iteration from the
 heat its faces remove, plus a last row fixed at the inlet temperature.
+The outer (Picard) loop solves the conduction system against the sink
+temperatures, re-marches the coolant, and stops once no sink temperature
+changed by _FLUID_TOL or more.
+
+The conduction matrix is separable. Unknown x * m + c is solid cell c of
+x plane x, a plane's m solid cells in C order (z fastest). Then
+A = g_x T_x (x) I + I (x) K exactly: T_x is the 1-D Laplacian with
+adiabatic ends, g_x the conductance of an x face, and K the matrix of one
+plane (y and z conduction, channel-wall and bottom films), the same in
+every plane because the void map, the wall U*A and the cell sizes do not
+vary along x. The orthonormal DCT-II Q diagonalizes T_x, with eigenvalues
+lambda_k = 4 sin^2(pi k / 2 nx), so A^-1 = (Q^T (x) I) blockdiag_k
+(K + g_x lambda_k I)^-1 (Q (x) I): a transform along x, one plane solve
+per mode and the inverse transform (the fast diagonalization method;
+Lynch, Rice & Thomas, Numer. Math. 6:185, 1964). Each mode's matrix is
+banded with half-bandwidth kd <= nz; one Cholesky factorization of the
+block-diagonal band of all nx modes costs O(n kd^2) per solve and holds
+(kd + 1) * 8 B per cell, and an apply costs O(n kd) plus two real FFTs
+along x. No 3-D matrix is stored: A p applies K to every plane plus the
+x differences.
+
+Conjugate gradients (`cg`, this module's own loop with scipy's algorithm
+and stopping rule) runs with that exact inverse as its preconditioner, so
+one iteration brings a pass's recurrence residual to rounding level, far
+below solver.tol; CG stays as the safeguard that holds every pass to tol.
+Its dot products and norms avoid BLAS: on vectors of a few hundred
+thousand entries a threaded BLAS `ddot` spins every core for each call,
+which doubled the CPU time of a solve and left nothing for the sweep
+thread pool. The relative residual |A x - b| / |b| is recomputed only for
+the returned field and for a CG call that did not converge.
 
 What depends on the grid alone is built once per grid, by its first
 solve, and every later solve on the grid references it (`_Structure`): the
-CSR row starts and columns, a 7-bit mask per unknown of the stencil slots
-that hold a column, the face table's cells and sinks, the voxelized wetted
-area per channel, the imposed heat flux and the aggregate map. The grid's
-lock makes a solve that asks while another builds it wait for that one.
-Each solve builds what depends on the velocity or the material: the
-diagonal, each face's U*A, the matrix values, A P, the coarse factor and
-Q. A grid is not changed after its first solve, and keeps its structure
-until it is dropped.
-
-The outer (Picard) loop solves the conduction system against the sink
-temperatures, re-marches the coolant, and stops once no sink temperature
-changed by _FLUID_TOL or more. A pass that does not end the loop only
-feeds the march, so holding its solve to tol would be oversolving in the
-sense of inexact Newton methods (Dembo, Eisenstat & Steihaug, SIAM J.
-Numer. Anal. 1982; Eisenstat & Walker, SIAM J. Sci. Comput. 1996). Each
-pass is one CG call with the checkpoints of _PASS_LADDER: at 1e4, 1e3 and
-1e2 x tol it re-marches the coolant from the iterate and ends the pass
-if the coolant moved by at least 0.5 K, 0.05 K or _FLUID_TOL; otherwise
-the same recurrence runs on to tol, and the loop stops only if the coolant
-re-marched from that field changes by less than _FLUID_TOL. So the
-returned field, and its residual, are held to tol. A gate scales with its
-level because a looser field carries a larger error into the march: on
-primary_side at 2.5 mm and 2.9 m/s, a 1e4 x tol exit gated at 0.1 K moved
-t_max by 3.9e-7 K from every pass held to tol, and a 1e3 x tol exit gated
-at 0.01 K by 2.2e-6 K. The ladder kept the pass count of every pass held
-to tol, and t_max within 7.7e-8 K of it, at the perfbench and test
-points; test_loose_passes_keep_the_schedule bounds that gap at 1e-7 K.
-
-The linear system is symmetric positive definite and is solved by
-conjugate gradients with a two-level aggregation preconditioner (Vanek,
-Mandel & Brezina, Computing 1996): damped-Jacobi smoothing with weight
-0.9 around an exact coarse solve on aggregates of 4x4 cell columns, split
-through the thickness into slabs 3 cells deep. The weight must stay below
-1 for the preconditioner to be SPD (D^-1 A has eigenvalues up to 2, and
-near 2 on the grid's checkerboard mode). The aggregation is plain, not
-smoothed: a smoothed prolongator was measured with no gain (one or two CG
-iterations fewer, a third more time per first pass). Each apply costs one
-full mat-vec; the post-smoothing is fused into one sparse product with the
-precomputed P - S A P, whose rows have a few non-zeros. A P is a sparse
-product, which leaves out its exact zeros. The contract is the residual
-tolerance, not the method.
-
-The CG loop is this module's own (`cg`), with scipy's algorithm and
-stopping rule. Its dot products and norms avoid BLAS: on vectors of a few
-hundred thousand entries a threaded BLAS `ddot` spins every core for each
-call, which doubled the CPU time of a solve and left nothing for the
-sweep thread pool.
-
-CG runs in a fixed working set: x (the caller's start vector, updated in
-place), r and p live across an iteration, and one scratch vector holds
-A p, then alpha A p and alpha p, so the updates allocate nothing and round
-as r -= alpha * q and x += alpha * p do. The first preconditioner output
-becomes p without a copy. An apply holds one
-vector of its own, the residual written into its mat-vec's output, and
-one transient at a time; it restricts with np.bincount over the
-aggregate map rather than a stored P^T, which sums each aggregate's cells
-in the same order and so gives the same bits. The relative residual
-|A x - b| / |b| is recomputed only for the returned field and for a CG
-call that did not converge.
+CSR pattern of K, the face table's cells and sinks, the voxelized wetted
+area per channel and the imposed heat flux. The grid's lock makes a solve
+that asks while another builds it wait for that one. Each solve builds
+what depends on the velocity or the material: K's values, each face's
+U*A and the band factor. A grid is not changed after its first solve, and
+keeps its structure until it is dropped.
 """
 
 from __future__ import annotations
@@ -86,11 +64,10 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import splu
 
 from . import thermal
 from .geometry import (Assembly, ChannelShape, Semicircular,
@@ -100,26 +77,13 @@ from .properties import CoolantProps, SolidMaterial
 
 _SUBSAMPLE = 4  # per-axis samples for rasterization; even count keeps
                 # samples off the cell midlines
-# Largest grid built. The tracemalloc peak of one solve is 195 B per cell
-# on primary_side at 2 mm and 190 on secondary_side at 1.5 mm; its peak
-# RSS growth (VmHWM in a fresh process, less after build_grid), which
-# counts SuperLU's factor, is 225 and 223 there and 246 on primary_side
-# at 1.0 mm. So 1e7 cells take about 2.0 GB by the first, 2.5 GB by RSS.
+# Largest grid built, and largest band factor: (nz + 1) * 8 B per cell
+# bounds it (see the module docstring). The README states what one solve
+# holds per cell; test_solve_peak_memory and test_solve_peak_rss bound it.
 _MAX_CELLS = 10**7
+_MAX_FACTOR_BYTES = 2 * 10**9
 _FLUID_TOL = 1e-3  # K, largest coolant temperature change of a converged pass
 _MAX_OUTER = 100   # outer fluid-coupling passes before giving up
-# where each outer pass's CG may stop: (relative residual / tol, least
-# coolant change / _FLUID_TOL) per level, loosest first; a pass that no
-# level ends runs to tol (see the module docstring)
-_PASS_LADDER = ((1e4, 500), (1e3, 50), (1e2, 1))
-# coarse aggregates of the preconditioner: blocks of _AGG_COLUMNS x
-# _AGG_COLUMNS (x, y) cell columns, _AGG_LAYERS cells deep; on isotropic
-# cells, splitting the thickness is what cuts the CG iterations
-_AGG_COLUMNS = 4
-_AGG_LAYERS = 3
-# damped-Jacobi weight of the preconditioner's smoother; below 1 keeps it SPD
-# (see _two_level), and 0.9 took 13% fewer CG iterations than 2/3
-_SMOOTH_WEIGHT = 0.9
 
 
 class GridResolutionError(ValueError):
@@ -134,9 +98,7 @@ class ConvergenceError(RuntimeError):
 class SolverSettings:
     """Settings of every FV solve of a run: the config's `solver` section."""
     resolution: float = 2e-3   # m, target cell size
-    # relative residual of the returned field; an outer pass that does not
-    # end the loop may stop at a looser level of _PASS_LADDER
-    tol: float = 1e-8
+    tol: float = 1e-8          # relative residual of every pass's CG
     max_iters: int = 20000     # iterations of each CG call
 
 
@@ -206,7 +168,8 @@ def _inside_channel(shape: ChannelShape, y, s):
 def _cells(extent: tuple[float, float, float], resolution: float):
     """Cell counts (at least 2 per axis) and cell sizes of a box gridded at
     a target cell size. Raises before any array exists when the grid would
-    have more than _MAX_CELLS cells."""
+    have more than _MAX_CELLS cells or a band factor of more than
+    _MAX_FACTOR_BYTES."""
     if not resolution > 0:
         raise ValueError("resolution must be > 0")
     # an axis at or above the bound needs no rounding, which would fail on
@@ -216,6 +179,11 @@ def _cells(extent: tuple[float, float, float], resolution: float):
     if (cells := math.prod(counts)) > _MAX_CELLS:
         raise ValueError(f"resolution {resolution!r} m gives {cells:.3g} "
                          f"cells; the limit is {_MAX_CELLS:.0e}")
+    if (factor := cells * (counts[2] + 1) * 8) > _MAX_FACTOR_BYTES:
+        raise ValueError(f"resolution {resolution!r} m gives a "
+                         f"{factor / 1e9:.3g} GB band factor ({counts[2]} "
+                         f"cells through the thickness); the limit is "
+                         f"{_MAX_FACTOR_BYTES / 1e9:g} GB")
     return counts, [e / n for e, n in zip(extent, counts)]
 
 
@@ -338,9 +306,33 @@ def _shifted(axis: int):
 
 
 @dataclass
+class _Operator:
+    """The conduction matrix A = g_x T_x (x) I + I (x) K, applied without
+    forming it (see the module docstring): K on every x plane, plus the
+    conduction across each x face."""
+    plane: csr_matrix   # K, symmetric, on one x plane's m solid cells
+    gx: float           # conductance of an x face, W/K
+    nx: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.nx * self.plane.shape[0]
+        return n, n
+
+    def __matmul__(self, p: np.ndarray) -> np.ndarray:
+        p = p.reshape(self.nx, -1)
+        # a plane per column, so that one sparse product serves them all
+        out = np.ascontiguousarray((self.plane @ p.T).T)
+        flow = np.diff(p, axis=0)
+        flow *= self.gx
+        out[1:] += flow
+        out[:-1] -= flow
+        return out.reshape(-1)
+
+
+@dataclass
 class _System:
-    matrix: object            # csr
-    diag: np.ndarray
+    operator: _Operator
     rhs_fixed: np.ndarray     # imposed exterior heat flux, W
     # convective face table, one row per Robin face
     face_cell: np.ndarray     # solid unknown index
@@ -368,84 +360,84 @@ def _neighbour(values: np.ndarray, solid: np.ndarray, slot: int):
 
 @dataclass
 class _Structure:
-    """What the FV system and its preconditioner take from the grid alone.
-    One is built per grid, by the first solve on it (see `_structure`);
-    every solve on the grid references its arrays, which are read-only."""
-    indptr: np.ndarray      # int32 CSR row starts
-    indices: np.ndarray     # int32 CSR columns, each row's in slot order
-    # per unknown, bit s set where stencil slot s (-x, -y, -z, self, +z,
-    # +y, +x) holds a column: a solid neighbour, or the unknown itself
-    slots: np.ndarray       # uint8
+    """What the FV operator takes from the grid alone. One is built per
+    grid, by the first solve on it (see `_structure`); every solve on the
+    grid references its arrays, which are read-only. K's rows are one x
+    plane's solid cells; the face table and the heat flux are per unknown
+    (see the module docstring for the numbering)."""
+    indptr: np.ndarray      # int32 CSR row starts of K
+    indices: np.ndarray     # int32 CSR columns of K, each row's in slot order
+    # per plane cell, where stencil slot s (-x, -y, -z, self, +z, +y, +x)
+    # holds a column of K: a solid y or z neighbour, or the cell itself
+    present: np.ndarray     # bool (m, 7)
     # convective faces: the channel walls of each slot, + then - per axis,
-    # then the slab cases' exterior bottom faces; a wall's sink is
-    # channel * (nx + 1) + station, so it also names the channel
+    # then the slab cases' exterior bottom faces, each slot's x plane by x
+    # plane; a wall's sink is channel * (nx + 1) + x, so it also names the
+    # channel
     face_cell: np.ndarray   # int32 solid unknown
     face_sink: np.ndarray   # flat index into the sink-temperature array
     wall_ends: tuple[int, ...]  # where each slot's walls end in the table
     voxel_area: np.ndarray  # voxelized wetted area per channel, m^2
     rhs_fixed: np.ndarray   # imposed exterior heat flux, W
-    agg: np.ndarray         # aggregate of each unknown (see `_aggregates`)
-    n_agg: int
 
 
 def _build_structure(grid: Grid) -> _Structure:
-    """The grid's `_Structure`: one `_neighbour` lookup of the index map
-    per slot gives the CSR columns, compressed past the -1 entries; one of
-    `channel_id` per slot gives that slot's wall faces."""
-    solid = grid.channel_id < 0
-    n = int(solid.sum())
+    """The grid's `_Structure`, from its first x plane as a grid one cell
+    long: one `_neighbour` lookup of the plane's index map per slot gives
+    K's columns, compressed past the -1 entries; one of its channel map per
+    slot gives that slot's wall faces, which repeat in every plane."""
+    plane = grid.channel_id[:1]
+    if not np.array_equal(grid.channel_id, np.broadcast_to(
+            plane, grid.channel_id.shape)):
+        raise ValueError("the FV solver needs the same channel "
+                         "cross-section in every x plane")
+    solid = plane < 0
+    m = int(solid.sum())
     stations = grid.nx + 1
     face_area = (grid.dy * grid.dz, grid.dx * grid.dz, grid.dx * grid.dy)
-    # unknowns run x plane by x plane: a wall face's station is its plane
-    plane_end = np.cumsum(solid.sum(axis=(1, 2)))
+    planes = np.arange(grid.nx, dtype=np.int32)[:, None]
 
     face_cell, face_sink, wall_ends = [], [], []
     voxel_area = np.zeros(grid.n_channels)
     for axis in range(3):
-        for slot in (6 - axis, axis):
-            channel = _neighbour(grid.channel_id, solid, slot)
+        for slot in (6 - axis, axis):  # none on the x slots
+            channel = _neighbour(plane, solid, slot)
             cell = np.flatnonzero(channel >= 0).astype(np.int32)
             ids = channel[cell]
-            np.add.at(voxel_area, ids, face_area[axis])
-            face_cell.append(cell)
-            face_sink.append(ids * stations
-                             + np.searchsorted(plane_end, cell, side="right"))
+            np.add.at(voxel_area, ids, face_area[axis] * grid.nx)
+            face_cell.append((planes * m + cell).ravel())
+            face_sink.append((ids * stations + planes).ravel())
             wall_ends.append(sum(c.size for c in face_cell))
-    del channel
 
-    index = np.full(solid.shape, -1, dtype=np.int32)  # 7 * _MAX_CELLS < 2**31
-    index[solid] = np.arange(n, dtype=np.int32)
+    index = np.full(solid.shape, -1, dtype=np.int32)
+    index[solid] = np.arange(m, dtype=np.int32)
     # optional convective bottom face (slab cases), last sink row
     if grid.h_bottom is not None:
-        cell = index[:, :, 0][solid[:, :, 0]]
-        face_cell.append(cell)
-        face_sink.append(np.full(cell.size, grid.n_channels * stations))
+        cell = index[0, :, 0][solid[0, :, 0]]
+        face_cell.append((planes * m + cell).ravel())
+        face_sink.append(np.full(grid.nx * cell.size,
+                                 grid.n_channels * stations))
     face_cell = np.concatenate(face_cell)
-    if n and not face_cell.size:
+    if m and not face_cell.size:
         raise ValueError("grid has no convective faces; the steady problem "
                          "is singular")
 
     # exterior top/bottom heat flux
-    rhs_fixed = np.zeros(n)
+    rhs_fixed = np.zeros(grid.nx * m)
     for layer, flux in ((grid.nz - 1, grid.flux_top), (0, grid.flux_bottom)):
-        m = solid[:, :, layer] & (flux != 0.0)
-        rhs_fixed[index[:, :, layer][m]] += flux[m] * face_area[2]
+        cell = index[0, :, layer]
+        heated = (cell >= 0) & (flux != 0.0)
+        rhs_fixed[(planes * m + cell)[heated]] += flux[heated] * face_area[2]
 
     # C-order numbering makes each row's columns ascend in slot order
-    columns = np.empty((n, 7), dtype=np.int32)
-    for slot in range(7):
-        columns[:, slot] = _neighbour(index, solid, slot)
-    del index
+    columns = np.stack([_neighbour(index, solid, slot) for slot in range(7)],
+                       axis=1)
     present = columns >= 0
-    indptr = np.zeros(n + 1, dtype=np.int32)
+    indptr = np.zeros(m + 1, dtype=np.int32)
     np.cumsum(present.sum(axis=1, dtype=np.int32), out=indptr[1:])
-    indices = columns[present]
-    del columns
-    slots = np.packbits(present, axis=1, bitorder="little").reshape(n)
-    del present
-    structure = _Structure(indptr, indices, slots, face_cell,
+    structure = _Structure(indptr, columns[present], present, face_cell,
                            np.concatenate(face_sink), tuple(wall_ends),
-                           voxel_area, rhs_fixed, *_aggregates(grid))
+                           voxel_area, rhs_fixed)
     for array in vars(structure).values():
         if isinstance(array, np.ndarray):
             array.flags.writeable = False
@@ -462,19 +454,19 @@ def _structure(grid: Grid) -> _Structure:
 
 
 def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
-    """Build the conduction matrix and the convective face table, whose
+    """Build the conduction operator and the convective face table, whose
     sinks index a (n_channels + 1, nx + 1) fluid-temperature array, on the
     grid's `_Structure`. h is the channel film coefficient.
 
-    The per-slot conductances, compressed as the columns are, give the
-    values, into whose self slots the diagonal goes. Per unknown the
-    diagonal adds up from 0.0 in this order, on which the output bits
-    depend: for x, y and z in turn, conduction to a solid + neighbour, to
-    a solid - neighbour, the film of a + wall face, of a - wall face; then
-    the exterior bottom face's film (slab cases)."""
+    K's per-slot conductances, compressed as its columns are, give its
+    values, into whose self slots its diagonal goes: for y and z in turn,
+    conduction to a solid + neighbour, to a solid - neighbour, the film of
+    a + wall face, of a - wall face; then the exterior bottom face's film
+    (slab cases)."""
     structure = _structure(grid)
     k = material.thermal_conductivity
-    n = structure.slots.size
+    present = structure.present
+    m = present.shape[0]
     stations = grid.nx + 1
     spacing = (grid.dx, grid.dy, grid.dz)
     face_area = (grid.dy * grid.dz, grid.dx * grid.dz, grid.dx * grid.dy)
@@ -484,9 +476,7 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
                 if grid.n_channels else 0.0)
     h_corr = h * analytic / structure.voxel_area
 
-    present = np.unpackbits(structure.slots[:, None], axis=1, count=7,
-                            bitorder="little").view(bool)
-    diag = np.zeros(n)
+    diag = np.zeros(m)
     stencil = np.zeros(7)  # off-diagonal value per slot
     face_ua = []
     start = 0
@@ -498,24 +488,27 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
         for end in structure.wall_ends[2 * axis:2 * axis + 2]:
             channel = structure.face_sink[start:end] // stations
             ua = _film(spacing[axis], k, h_corr[channel]) * face_area[axis]
-            diag[structure.face_cell[start:end]] += ua
+            # the first x plane's faces are K's
+            first = (end - start) // grid.nx
+            diag[structure.face_cell[start:start + first]] += ua[:first]
             face_ua.append(ua)
             start = end
     if grid.h_bottom is not None:
         cell = structure.face_cell[start:]
         ua = np.full(cell.size, _film(grid.dz, k, grid.h_bottom)
                      * face_area[2])
-        diag[cell] += ua
+        diag[cell[:cell.size // grid.nx]] += ua[0]
         face_ua.append(ua)
 
     data = np.broadcast_to(stencil, present.shape)[present]
     # the diagonal's slot follows a row's minus neighbours
     data[structure.indptr[:-1]
          + present[:, :3].sum(axis=1, dtype=np.int32)] = diag
-    del present
-    matrix = csr_matrix((data, structure.indices, structure.indptr),
-                        shape=(n, n))
-    return _System(matrix=matrix, diag=diag, rhs_fixed=structure.rhs_fixed,
+    plane = csr_matrix((data, structure.indices, structure.indptr),
+                       shape=(m, m))
+    return _System(operator=_Operator(plane, k * face_area[0] / grid.dx,
+                                      grid.nx),
+                   rhs_fixed=structure.rhs_fixed,
                    face_cell=structure.face_cell,
                    face_ua=np.concatenate(face_ua),
                    face_sink=structure.face_sink)
@@ -531,7 +524,7 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
 
-def cg(A, b, *, x0, rtol, M, maxiter, callback=None, checkpoints=()):
+def cg(A, b, *, x0, rtol, M, maxiter, callback=None):
     """Preconditioned conjugate gradients for a symmetric positive definite
     A, with M(r) applying the preconditioner.
 
@@ -542,18 +535,11 @@ def cg(A, b, *, x0, rtol, M, maxiter, callback=None, checkpoints=()):
     (x, maxiter) otherwise; callback(x) runs after every iteration.
     x is x0 itself, a float64 array that CG iterates in place, so a caller
     that needs its start keeps a copy; for a zero b, x is b.
-
-    checkpoints are (level, ends) pairs in descending level. At the first
-    iterate whose recurrence residual norm is below level * |b|, x0
-    included, ends(x) runs once; CG returns (x, 0) there if it returns
-    true, and otherwise goes on with the same recurrence, so a call that
-    no checkpoint ends gives the bits of one without them.
     """
     bnorm = _norm(b)
     if bnorm == 0:
         return b, 0
     stop = rtol * bnorm
-    pending = list(checkpoints)
     x = x0
     r = A @ x
     np.subtract(b, r, out=r)
@@ -561,10 +547,6 @@ def cg(A, b, *, x0, rtol, M, maxiter, callback=None, checkpoints=()):
     for _ in range(maxiter):
         if not math.isfinite(rnorm := _norm(r)):  # or |b| is not finite
             return x, -1
-        while pending and rnorm < pending[0][0] * bnorm:
-            _, ends = pending.pop(0)
-            if ends(x):
-                return x, 0
         if rnorm < stop:
             return x, 0
         z = M(r)
@@ -590,68 +572,77 @@ def cg(A, b, *, x0, rtol, M, maxiter, callback=None, checkpoints=()):
     return x, maxiter
 
 
-def _aggregates(grid: Grid):
-    """Aggregate of each solid cell (see `_two_level`), in unknown order,
-    and the aggregate count. An aggregate's number is the rank of its
-    block, in C order, among the blocks holding a solid cell."""
-    solid = grid.channel_id < 0
-    blocks = [np.arange(m) // size for m, size in zip(
-        solid.shape, (_AGG_COLUMNS, _AGG_COLUMNS, _AGG_LAYERS))]
-    shape = [b[-1] + 1 for b in blocks]
-    block = np.ravel_multi_index(np.ix_(*blocks), shape)[solid]
-    occupied = np.zeros(math.prod(shape), dtype=bool)
-    occupied[block] = True
-    rank = np.cumsum(occupied, dtype=np.int32) - 1
-    return rank[block], int(rank[-1]) + 1
+def _dct_weights(n: int) -> np.ndarray:
+    """w_k = c_k exp(-i pi k / 2n), k < n, as a column: c_k scales the
+    DCT-II of length n to an orthonormal one."""
+    c = np.full(n, math.sqrt(2.0 / n))
+    c[0] = math.sqrt(1.0 / n)
+    return (c * np.exp(-0.5j * np.pi * np.arange(n) / n))[:, None]
 
 
-def _two_level(system: _System, grid: Grid):
-    """Symmetric two-level preconditioner for CG, as a function r -> M r.
+def _dct(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II of each column of x, by one real FFT of the
+    column's even entries followed by its odd ones reversed (Makhoul, IEEE
+    Trans. Acoust. Speech Signal Process. 28:27, 1980): X_k = Re(w_k V_k),
+    where V_{n-k} = conj(V_k) gives the modes above the FFT's half."""
+    n = x.shape[0]
+    half = n // 2 + 1
+    spec = np.fft.rfft(np.concatenate((x[::2], x[1::2][::-1])), axis=0)
+    w = _dct_weights(n)
+    out = np.empty(x.shape)
+    out[:half] = (spec * w[:half]).real
+    out[half:] = (spec[n - half:0:-1].conj() * w[half:]).real
+    return out
 
-    Aggregates are the solid cells of each block of _AGG_COLUMNS x
-    _AGG_COLUMNS (x, y) cell columns and _AGG_LAYERS cells through the
-    thickness; P is the aggregate indicator (plain aggregation). A P and
-    the Galerkin coarse matrix P^T A P are sparse products; the product
-    stores no exact zero, so the entry (i, agg(i)) of a cell whose whole
-    stencil lies in its own aggregate is left out. The coarse matrix is
-    factored once, which serves every outer pass because A does not change
-    between them.
 
-    The smoother is damped Jacobi S = _SMOOTH_WEIGHT D^-1 before and after
-    the coarse solve. M is SPD exactly when the weight times the largest
-    eigenvalue of D^-1 A is below 2; that eigenvalue is at most 2 and comes
-    near it on the checkerboard mode of the 7-point grid, so the weight
-    stays below 1. An apply makes one full mat-vec and fuses the
-    post-smoothing into Q = P - S A P:
-    res = r - A S r, e = coarse(P^T res), M r = S (r + res) + Q e.
-    """
-    a = system.matrix
-    structure = _structure(grid)
-    agg, nc = structure.agg, structure.n_agg
-    n = agg.size
-    p = csr_matrix((np.ones(n), agg, np.arange(n + 1, dtype=np.int32)),
-                   shape=(n, nc))
-    q = a @ p
-    coarse = splu((p.T.tocsr() @ q).tocsc(), permc_spec="MMD_AT_PLUS_A")
-    smooth = _SMOOTH_WEIGHT / system.diag
-    # Q = P - S A P, scaling A P in place so no second copy of it is held;
-    # the sum's arrays have room for nnz(A P) + n entries, a copy of it
-    # only for its own, and A P and P are freed before that copy is made
-    q.data *= np.repeat(-smooth, np.diff(q.indptr))
-    q = q + p
-    del p
-    q = q.copy()
+def _idct(y: np.ndarray) -> np.ndarray:
+    """Inverse of `_dct`, which is its transpose: the spectrum
+    V_k = y_k / w_k + y_{n-k} / conj(w_{n-k}) (y_n = 0) gives the
+    reordered column by one inverse real FFT."""
+    n = y.shape[0]
+    half = n // 2 + 1
+    u = 1.0 / _dct_weights(n)
+    spec = u[:half] * y[:half]
+    spec[1:] += u[n - 1:n - half:-1].conj() * y[n - 1:n - half:-1]
+    v = np.fft.irfft(spec, n, axis=0)
+    out = np.empty(v.shape)
+    out[::2] = v[:(n + 1) // 2]
+    out[1::2] = v[(n + 1) // 2:][::-1]
+    return out
+
+
+def _inverse(system: _System):
+    """A^-1 as a function r -> A^-1 r, by the fast diagonalization of the
+    module docstring.
+
+    The band holds every mode's K + g_x lambda_k I in LAPACK's upper form,
+    mode after mode, in Fortran order so that the factorization runs in
+    place; no entry couples two modes. Raises ConvergenceError where the
+    factorization finds a matrix that is not numerically positive
+    definite."""
+    op = system.operator
+    plane, nx = op.plane, op.nx
+    m = plane.shape[0]
+    # K's lower triangle, row by row, is its upper triangle column by column
+    rows = np.repeat(np.arange(m), np.diff(plane.indptr))
+    lower = plane.indices <= rows
+    offset = (rows - plane.indices)[lower]
+    kd = int(offset.max(initial=0))
+    band = np.zeros((kd + 1, nx * m), order="F")
+    modes = band.reshape(kd + 1, m, nx, order="F")  # a view of band
+    modes[kd - offset, rows[lower]] = plane.data[lower, None]
+    modes[kd] += op.gx * 4.0 * np.sin(0.5 * np.pi * np.arange(nx) / nx) ** 2
+    try:
+        factor = cholesky_banded(band, overwrite_ab=True, check_finite=False)
+    except LinAlgError as exc:
+        raise ConvergenceError(f"the FV system's band factorization failed "
+                               f"({exc})") from None
 
     def apply(r):
-        res = a @ (smooth * r)
-        np.subtract(r, res, out=res)
-        # P^T res: like the CSR product, bincount sums each aggregate's
-        # cells in ascending order from 0.0, so the bits are the same
-        e = coarse.solve(np.bincount(agg, weights=res, minlength=nc))
-        res += r
-        res *= smooth
-        res += q @ e
-        return res
+        y = _dct(r.reshape(nx, m)).reshape(-1)
+        y = cho_solve_banded((factor, False), y, overwrite_b=True,
+                             check_finite=False)
+        return _idct(y.reshape(nx, m)).reshape(-1)
     return apply
 
 
@@ -673,58 +664,42 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
                  * cross_section_area(grid.shape))
 
     system = _assemble(grid, material, h)
-    if not np.all(np.isfinite(system.diag)):
+    op = system.operator
+    if not (math.isfinite(op.gx) and np.all(np.isfinite(op.plane.data))):
         raise ValueError("non-finite conductance in the FV system; check "
                          "material, coolant and flow inputs")
-    precond = _two_level(system, grid)
-    # the field comes after the setup, whose peak it would raise; CG
+    precond = _inverse(system)
+    # the field comes after the factor, whose build it would add to; CG
     # iterates in it
     inlet = flow.inlet_temperature
     t_sink = np.full((n_ch + 1, grid.nx + 1), inlet)
-    temp = np.full(system.diag.size, inlet)
+    temp = np.full(op.shape[0], inlet)
 
     def residual(x, rhs):
         """Recomputed relative residual |A x - rhs| / |rhs|."""
         bnorm = _norm(rhs)
-        return _norm(system.matrix @ x - rhs) / bnorm if bnorm > 0 else 0.0
-
-    def march(temp, t_sink):
-        """Sink temperatures re-marched from a solid field's wall heat, and
-        their largest change, K."""
-        q_sink = np.bincount(system.face_sink,
-                             system.face_heat(temp, t_sink),
-                             minlength=t_sink.size).reshape(t_sink.shape)
-        rise = q_sink[:n_ch, :-1] / (m_dot * coolant.specific_heat)
-        t_new = t_sink.copy()
-        t_new[:n_ch, 1:] = inlet + np.cumsum(rise, axis=1)
-        return t_new, float(np.max(np.abs(t_new - t_sink)))
-
-    def ends_pass(gate, x):
-        """Checkpoint of a pass's CG: whether the coolant re-marched from
-        iterate x moved by gate or more; if so the pass keeps that march."""
-        nonlocal marched
-        t_new, change = march(x, t_sink)
-        if change >= gate:
-            marched = t_new, change
-        return change >= gate
-    checkpoints = [(factor * tol, partial(ends_pass, gate * _FLUID_TOL))
-                   for factor, gate in _PASS_LADDER]
+        return _norm(op @ x - rhs) / bnorm if bnorm > 0 else 0.0
 
     for outer in range(1, _MAX_OUTER + 1):
         rhs = system.rhs_fixed.copy()
         np.add.at(rhs, system.face_cell,
                   system.face_ua * t_sink.flat[system.face_sink])
-        marched = None
-        temp, info = cg(system.matrix, rhs, x0=temp, rtol=tol, M=precond,
-                        maxiter=max_iters, checkpoints=checkpoints)
+        temp, info = cg(op, rhs, x0=temp, rtol=tol, M=precond,
+                        maxiter=max_iters)
         if info != 0:
             raise ConvergenceError(
                 "linear solve stopped: the residual is not finite" if info < 0
                 else f"linear solve did not reach tol {tol:g} in {max_iters} "
                 f"iterations (residual {residual(temp, rhs):.3e})")
-        # a pass that a checkpoint ended moved the coolant by at least
-        # _FLUID_TOL, so only a field held to tol ends the loop
-        t_sink, change = marched or march(temp, t_sink)
+        # sink temperatures re-marched from the field's wall heat
+        q_sink = np.bincount(system.face_sink,
+                             system.face_heat(temp, t_sink),
+                             minlength=t_sink.size).reshape(t_sink.shape)
+        t_new = t_sink.copy()
+        t_new[:n_ch, 1:] = inlet + np.cumsum(
+            q_sink[:n_ch, :-1] / (m_dot * coolant.specific_heat), axis=1)
+        change = float(np.max(np.abs(t_new - t_sink)))
+        t_sink = t_new
         if change < _FLUID_TOL:
             break
     else:

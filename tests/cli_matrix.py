@@ -21,7 +21,8 @@ study whose last two sizes give the same grid. A network sweep, a network
 optimize and an FV sweep run with a non-default coolant, die stack,
 minor-loss K and solver tolerance, so a setting lost on its way to a
 design point changes their outputs; an FV sweep whose `solver.max_iters`
-binds ends in the solver's convergence error. The secondary plate's FV
+binds, under a `solver.tol` below what CG's recurrence reaches in that
+many iterations, ends in the solver's convergence error. The secondary plate's FV
 velocity sweep runs a second time on a 2-thread pool.
 """
 
@@ -129,7 +130,8 @@ def _cases() -> dict[str, tuple[str, dict]]:
         "sweep": {"axis": "velocity", "values": [0.5, 1.5],
                   "evaluator": "fv"}}
     cases["small-sweep-velocity-fv-max-iters"] = "sweep", {
-        "assembly": small, "solver": {"resolution_m": 2e-3, "max_iters": 3},
+        "assembly": small,
+        "solver": {"resolution_m": 2e-3, "max_iters": 3, "tol": 1e-300},
         "sweep": {"axis": "velocity", "values": [1.1], "evaluator": "fv"}}
     # 2 mm and 1.999 mm give the same grid, which the study refuses
     cases["small-mesh-study-same-grid"] = "mesh-study", {

@@ -356,6 +356,36 @@ class TestMain:
         assert main(["report", "--config", str(cfg),
                      "--out", str(out)]) == 0
 
+    def test_band_factor_bound_is_an_error(self, tmp_path, capsys):
+        # 800 x 317 x 31 cells are within the cell limit, but the FV
+        # solver's band factor would hold 32 doubles per cell
+        cfg = write_config(tmp_path, {"preset": "primary_side",
+                                      "solver": {"resolution_m": 5.8e-4}})
+        out = tmp_path / "out"
+        assert main(["solve-fv", "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: resolution 0.00058 m gives a 2.16 GB band factor (31 "
+            "cells through the thickness); the limit is 2 GB\n")
+        assert not (out / "result.json").exists()
+
+    def test_failed_band_factorization_is_an_error(self, tmp_path, capsys):
+        # conduction 29 orders of magnitude above the films leaves a plane
+        # matrix that is singular in floating point
+        materials = tmp_path / "materials.json"
+        materials.write_text(json.dumps(
+            {"copper": {"thermal_conductivity": 1e30}}))
+        doc = small_doc("solve-fv", solver={"resolution_m": 2.5e-3})
+        cfg = write_config(tmp_path, {**doc,
+                                      "materials_file": str(materials)})
+        out = tmp_path / "out"
+        assert main(["solve-fv", "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the FV system's band factorization "
+                              "failed (") and err.count("\n") == 1
+        assert not (out / "result.json").exists()
+
     @pytest.mark.parametrize("section, message", [
         ({"flow": {"v_mps": float("nan")}},
          "flow.v_mps must be a finite number > 0"),

@@ -465,6 +465,18 @@ class TestSharedFvGrid:
         monkeypatch.setenv("COLDPLATE_THREADS", "2")
         assert run_sweep(spec, "fv") == serial
 
+    def test_threaded_secondary_sweep_matches_serial(self, monkeypatch):
+        # the benchmark's threaded sweep: 12 channels at 1.5 mm, where the
+        # two pool threads share one grid and run its factorizations and
+        # transforms side by side
+        spec = SweepSpec(base=cp.secondary_side(), axis="velocity",
+                         values=(0.8, 1.1, 1.4, 2.9),
+                         evaluation=studies.Evaluation(
+                             solver=fv.SolverSettings(resolution=1.5e-3)))
+        serial = run_sweep(spec, "fv")
+        monkeypatch.setenv("COLDPLATE_THREADS", "2")
+        assert run_sweep(spec, "fv") == serial
+
     def test_velocity_sweep_builds_one_structure(self, small, monkeypatch):
         # more threads than cores and frequent switches: two first solves
         # that both saw no structure would both build one
