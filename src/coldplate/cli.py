@@ -8,8 +8,10 @@ violations are reported together, with those `geometry.validate` finds in
 the assembly. Lengths carry an explicit _m suffix in key names. The
 assembly's and the materials file's document formats live here alone.
 Every action writes result.json and result.csv into the output
-directory; solve-fv additionally writes field.txt. Outputs are
-byte-stable for a given config.
+directory; solve-fv additionally writes field.txt, one line per cell in
+"% .16e" (17 significant digits: each value reads back bit for bit; the
+bytes changed after 409ecd4, which wrote repr, the values did not).
+Outputs are byte-stable for a given config.
 """
 
 from __future__ import annotations

@@ -12,6 +12,11 @@ for a given config, so two checkouts compare with
     python A/tests/cli_matrix.py a && python B/tests/cli_matrix.py b
     diff -r a b
 
+field.txt holds one value per line as "% .16e" (17 significant digits,
+an exact round trip); up to commit 409ecd4 it held repr, so against such
+a checkout its bytes differ while the float64 values it holds do not:
+compare those files with np.loadtxt(path, skiprows=10).
+
 The cases cover every action on both presets, including the ones that
 end in an error, an FV solve of the primary plate at 2.9 m/s (3 outer
 passes), and the small inline plate of `conftest.small_assembly`:

@@ -386,6 +386,24 @@ class TestMain:
                               "failed (") and err.count("\n") == 1
         assert not (out / "result.json").exists()
 
+    @pytest.mark.parametrize("conductivity", [1e10, 1e20])
+    def test_rounding_swamped_solve_is_an_error(self, tmp_path, capsys,
+                                                conductivity):
+        # fv.solve refuses a field whose recomputed residual exceeds tol
+        materials = tmp_path / "materials.json"
+        materials.write_text(json.dumps(
+            {"copper": {"thermal_conductivity": conductivity}}))
+        doc = small_doc("solve-fv", solver={"resolution_m": 2.5e-3})
+        cfg = write_config(tmp_path, {**doc,
+                                      "materials_file": str(materials)})
+        out = tmp_path / "out"
+        assert main(["solve-fv", "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the field's recomputed residual ")
+        assert err.count("\n") == 1
+        assert not (out / "result.json").exists()
+
     @pytest.mark.parametrize("section, message", [
         ({"flow": {"v_mps": float("nan")}},
          "flow.v_mps must be a finite number > 0"),

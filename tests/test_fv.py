@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse import coo_matrix, diags, identity, kron
 from scipy.sparse.linalg import LinearOperator, spsolve
 from scipy.sparse.linalg import cg as scipy_cg
@@ -260,6 +262,20 @@ class TestSolve:
                            r"\(residual \d\.\d{3}e[+-]\d\d\)$"):
             solve(grid, water, FLOW, small.plate.material,
                   tol=1e-300, max_iters=3)
+
+    @pytest.mark.parametrize("conductivity", [1e10, 1e20])
+    def test_rounding_swamped_solve_refused(self, small, water,
+                                            conductivity):
+        # conduction far stronger than the films: CG's recurrence meets tol
+        # while A x - b, recomputed, is 6.5e-7 of b at 1e10 W/(m K), and at
+        # 1e20 the field fell below the 49 C inlet with a residual of 2
+        stiff = cp.SolidMaterial("stiff", conductivity, 8900.0, 385.0)
+        grid = build_grid(small, 2.5e-3)
+        with pytest.raises(ConvergenceError, match=(
+                r"^the field's recomputed residual \d\.\d{3}e[+-]\d\d exceeds "
+                r"2 x tol 1e-08: rounding in the conduction system swamps "
+                r"the solve$")):
+            solve(grid, water, FLOW, stiff)
 
     def test_solves_share_the_grid_structure(self, small, water,
                                              monkeypatch):
@@ -809,10 +825,11 @@ class TestFieldOutput:
         assert lines[4] == (
             f"DIMENSIONS {grid.nx + 1} {grid.ny + 1} {grid.nz + 1}")
         assert lines[7] == f"CELL_DATA {grid.cell_count}"
-        values = lines[10:]
-        assert len(values) == grid.cell_count
-        # x varies fastest in the flat ordering
-        assert float(values[1]) == sol.temperature[1, 0, 0]
+        assert len(lines) == 10 + grid.cell_count
+        # every value reads back to its float64, x fastest
+        values = np.loadtxt(path, skiprows=10)
+        order = np.transpose(sol.temperature, (2, 1, 0)).ravel()
+        assert np.array_equal(values.view(np.uint64), order.view(np.uint64))
 
     def test_byte_stable(self, water, tmp_path):
         grid, sol = slab_solution(0.004)
@@ -820,3 +837,88 @@ class TestFieldOutput:
         write_structured_points(sol, grid, a)
         write_structured_points(sol, grid, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def spelt(field: np.ndarray) -> bytes:
+    """The field writer's bytes for a (nx, ny, nz) array."""
+    fh = io.BytesIO()
+    fv._write_field(fh, field)
+    return fh.getvalue()
+
+
+def oracle(values) -> bytes:
+    """Python's own spelling of each value, in order."""
+    return "".join("% .16e\n" % v for v in np.ravel(values).tolist()).encode()
+
+
+# any float64: drawn as a float, as a bit pattern, or in the range the
+# writer spells itself
+_FLOAT64 = (st.floats(allow_subnormal=True)
+            | st.integers(0, 2**64 - 1).map(
+                lambda bits: float(np.uint64(bits).view(np.float64)))
+            | st.floats(1e-5, 1e16))
+
+
+class TestFieldSpelling:
+    """The field writer against "% .16e" % v, its oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(_FLOAT64, max_size=60))
+    def test_any_float64(self, values):
+        values = np.array(values, dtype=np.float64)
+        assert spelt(values.reshape(-1, 1, 1)) == oracle(values)
+
+    def test_edge_values(self):
+        powers = np.array([float(f"1e{k}") for k in range(-6, 17)])
+        neighbours = [powers]
+        for toward in (0.0, math.inf):
+            step = powers
+            for _ in range(20):
+                step = np.nextafter(step, toward)
+                neighbours.append(step)
+        values = np.concatenate(neighbours + [np.array([
+            0.0, 5e-324, 2.2250738585072014e-308, math.nan, math.inf,
+            1e-300, 1e300, 1.7976931348623157e308, 9.999999999999998e15,
+            2.0**53, 54.390322314085246,
+            # halfway between two 17-digit spellings: ties go to even
+            1e15 + 0.25, 1e15 + 0.75, 2e15 + 0.25, 1e14 + 0.125])])
+        values = np.concatenate([values, -values])
+        assert spelt(values.reshape(-1, 1, 1)) == oracle(values)
+        assert spelt(np.array([54.390322314085246]).reshape(1, 1, 1)) == (
+            b" 5.4390322314085246e+01\n")
+
+    @pytest.mark.parametrize("size", [
+        0, 1, fv._CHUNK - 1, fv._CHUNK, fv._CHUNK + 1, 3 * fv._CHUNK + 7])
+    def test_chunk_boundaries(self, size):
+        rng = np.random.default_rng(size)
+        values = rng.uniform(-100.0, 100.0, size)
+        # values spelt by "% .16e" itself on both sides of the boundaries
+        values[[i for i in (0, fv._CHUNK - 1, fv._CHUNK, size - 1)
+                if 0 <= i < size]] = 0.0
+        body = spelt(values.reshape(-1, 1, 1))
+        assert body == oracle(values)
+        assert len(body) == 24 * size
+
+    def test_cell_order(self):
+        # x fastest, then y, then z, in chunks that span several z planes
+        field = np.random.default_rng(0).uniform(40.0, 90.0, (7, 11, 300))
+        assert spelt(field) == oracle(np.transpose(field, (2, 1, 0)))
+
+    def test_peak_memory_per_chunk(self):
+        # the writer holds one chunk of records and its temporaries, never
+        # a copy of the field: 1.33 MB measured at _CHUNK = 2**13, plus 10%
+        def peak(shape):
+            field = np.random.default_rng(1).uniform(40.0, 90.0, shape)
+            with open(os.devnull, "wb") as fh:
+                tracemalloc.start()
+                try:
+                    fv._write_field(fh, field)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        small = peak((16, 32, 64))          # 4 chunks
+        large = peak((16, 32, 640))         # 40 chunks
+        primary = peak((240, 95, 9))        # primary_side at 2 mm
+        # one byte per cell more over 36 more chunks would add 22%
+        assert large <= 1.05 * small
+        assert primary <= 1.46e6

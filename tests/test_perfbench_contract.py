@@ -2,15 +2,18 @@
 
 `perfbench/tracing.py` wraps package functions by module and name and
 reads some of their arguments by name; `perfbench/worker.py` builds a
-`DesignProblem` by keyword and calls `optimize(problem, "network",
-prune=prune)`. A renamed or removed name would show only in
-the benchmark's own smoke test, as an unmeasured layer; these checks load
-the tracer module from its file, change nothing, and fail at once.
+`DesignProblem` by keyword, calls `optimize(problem, "network",
+prune=prune)` and counts the lines of each `solve-fv` field file. A
+renamed or removed name, or a field file of another shape, would show
+only in the benchmark's own smoke test, as an unmeasured layer or a
+failed point; these checks load the tracer module from its file, change
+nothing, and fail at once.
 """
 
 import dataclasses
 import importlib.util
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -18,6 +21,7 @@ import pytest
 
 import coldplate.cli  # tracing.targets reads the cli submodule off coldplate
 from coldplate import fv, studies
+from conftest import small_assembly
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -62,3 +66,18 @@ def test_call_shapes():
                   if p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD]
     assert positional[:2] == ["problem", "evaluator"]
     assert "prune" in inspect.signature(studies.optimize).parameters
+
+
+def test_field_file_lines(tmp_path):
+    # the worker refuses a solve-fv point unless field.txt holds exactly
+    # 10 + cells newline bytes, cells read from result.csv as it does
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "assembly": coldplate.cli.assembly_to_json(small_assembly()),
+        "solver": {"resolution_m": 2.5e-3}}))
+    assert coldplate.cli.main(["solve-fv", "--config", str(config),
+                               "--out", str(tmp_path)]) == 0
+    cells = int((tmp_path / "result.csv").read_text().splitlines()[1]
+                .split(",")[-1])
+    assert cells == fv.build_grid(small_assembly(), 2.5e-3).cell_count
+    assert (tmp_path / "field.txt").read_bytes().count(b"\n") == 10 + cells
