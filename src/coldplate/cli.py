@@ -9,8 +9,7 @@ the assembly. Lengths carry an explicit _m suffix in key names. The
 assembly's and the materials file's document formats live here alone.
 Every action writes result.json and result.csv into the output
 directory; solve-fv additionally writes field.txt, one line per cell in
-"% .16e" (17 significant digits: each value reads back bit for bit; the
-bytes changed after 409ecd4, which wrote repr, the values did not).
+"% .16e" (17 significant digits: each value reads back bit for bit).
 Outputs are byte-stable for a given config.
 """
 

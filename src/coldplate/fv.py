@@ -50,21 +50,14 @@ thread pool. The relative residual |A x - b| / |b| is recomputed only for
 the returned field, which is refused above _RESIDUAL_SLACK * tol, and for
 a CG call that did not converge.
 
-What depends on the grid alone is built once per grid, by its first
-solve, and every later solve on the grid references it (`_Structure`): the
-CSR pattern of K, the face table's cells and sinks, the voxelized wetted
-area per channel and the imposed heat flux. The grid's lock makes a solve
-that asks while another builds it wait for that one. Each solve builds
-what depends on the velocity or the material: K's values, each face's
-U*A and the band factor. A grid is not changed after its first solve, and
-keeps its structure until it is dropped.
+Each solve assembles its whole system from the grid and leaves the grid
+as it found it, so solves on one grid need no synchronization.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
@@ -125,12 +118,6 @@ class Grid:
     # film coefficient of the exterior bottom face, W/(m^2*K), convecting
     # to fluid held at the flow inlet temperature (slab cases)
     h_bottom: float | None = None
-    # what the solver takes from the grid alone, built by the first solve
-    # on it (see `_structure`); the grid is not changed after that
-    _structure: _Structure | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False)
 
     @property
     def cell_count(self) -> int:
@@ -340,7 +327,9 @@ class _Operator:
 @dataclass
 class _System:
     operator: _Operator
-    rhs_fixed: np.ndarray     # imposed exterior heat flux, W
+    # imposed exterior heat flux: the heated unknowns and their power, W
+    heated: np.ndarray
+    power: np.ndarray
     # convective face table, one row per Robin face
     face_cell: np.ndarray     # solid unknown index
     face_ua: np.ndarray       # U*A, W/K
@@ -365,34 +354,22 @@ def _neighbour(values: np.ndarray, solid: np.ndarray, slot: int):
     return out[solid]
 
 
-@dataclass
-class _Structure:
-    """What the FV operator takes from the grid alone. One is built per
-    grid, by the first solve on it (see `_structure`); every solve on the
-    grid references its arrays, which are read-only. K's rows are one x
-    plane's solid cells; the face table and the heat flux are per unknown
-    (see the module docstring for the numbering)."""
-    indptr: np.ndarray      # int32 CSR row starts of K
-    indices: np.ndarray     # int32 CSR columns of K, each row's in slot order
-    # per plane cell, where stencil slot s (-x, -y, -z, self, +z, +y, +x)
-    # holds a column of K: a solid y or z neighbour, or the cell itself
-    present: np.ndarray     # bool (m, 7)
-    # convective faces: the channel walls of each slot, + then - per axis,
-    # then the slab cases' exterior bottom faces, each slot's x plane by x
-    # plane; a wall's sink is channel * (nx + 1) + x, so it also names the
-    # channel
-    face_cell: np.ndarray   # int32 solid unknown
-    face_sink: np.ndarray   # flat index into the sink-temperature array
-    wall_ends: tuple[int, ...]  # where each slot's walls end in the table
-    voxel_area: np.ndarray  # voxelized wetted area per channel, m^2
-    rhs_fixed: np.ndarray   # imposed exterior heat flux, W
+def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
+    """Build the conduction operator, the heated unknowns and the
+    convective face table, whose sinks index a (n_channels + 1, nx + 1)
+    fluid-temperature array; h is the channel film coefficient.
 
-
-def _build_structure(grid: Grid) -> _Structure:
-    """The grid's `_Structure`, from its first x plane as a grid one cell
-    long: one `_neighbour` lookup of the plane's index map per slot gives
-    K's columns, compressed past the -1 entries; one of its channel map per
-    slot gives that slot's wall faces, which repeat in every plane."""
+    K and the faces come from the grid's first x plane as a grid one cell
+    long: one `_neighbour` lookup of its index map per stencil slot gives
+    K's columns, compressed past the -1 entries, and one of its channel map
+    per slot gives that slot's wall faces, which repeat in every plane. The
+    face table holds the walls of each slot, + then - per axis, then the
+    slab cases' exterior bottom faces, each slot's x plane by x plane.
+    K's per-slot conductances, compressed as its columns are, give its
+    values, into whose self slots its diagonal goes: for y and z in turn,
+    conduction to a solid + neighbour, to a solid - neighbour, the film of
+    a + wall face, of a - wall face; then the exterior bottom face's film
+    (slab cases)."""
     plane = grid.channel_id[:1]
     if not np.array_equal(grid.channel_id, np.broadcast_to(
             plane, grid.channel_id.shape)):
@@ -400,28 +377,56 @@ def _build_structure(grid: Grid) -> _Structure:
                          "cross-section in every x plane")
     solid = plane < 0
     m = int(solid.sum())
+    k = material.thermal_conductivity
     stations = grid.nx + 1
+    spacing = (grid.dx, grid.dy, grid.dz)
     face_area = (grid.dy * grid.dz, grid.dx * grid.dz, grid.dx * grid.dy)
     planes = np.arange(grid.nx, dtype=np.int32)[:, None]
 
-    face_cell, face_sink, wall_ends = [], [], []
+    # each y and z slot's walls (a plane has none on its x slots): the
+    # plane cell and the channel beyond it
+    walls = [[], [], []]
     voxel_area = np.zeros(grid.n_channels)
-    for axis in range(3):
-        for slot in (6 - axis, axis):  # none on the x slots
+    for axis in (1, 2):
+        for slot in (6 - axis, axis):
             channel = _neighbour(plane, solid, slot)
             cell = np.flatnonzero(channel >= 0).astype(np.int32)
             ids = channel[cell]
+            walls[axis].append((cell, ids))
             np.add.at(voxel_area, ids, face_area[axis] * grid.nx)
-            face_cell.append((planes * m + cell).ravel())
-            face_sink.append((ids * stations + planes).ravel())
-            wall_ends.append(sum(c.size for c in face_cell))
+    # rescale h so h * (voxel wetted area) equals h * (analytic area)
+    analytic = (wetted_perimeter(grid.shape) * grid.nx * grid.dx
+                if grid.n_channels else 0.0)
+    h_corr = h * analytic / voxel_area
 
     index = np.full(solid.shape, -1, dtype=np.int32)
     index[solid] = np.arange(m, dtype=np.int32)
+    # C-order numbering makes each row's columns ascend in slot order
+    columns = np.stack([_neighbour(index, solid, slot) for slot in range(7)],
+                       axis=1)
+    present = columns >= 0
+
+    diag = np.zeros(m)
+    stencil = np.zeros(7)  # off-diagonal value per slot
+    face_cell, face_ua, face_sink = [], [], []
+    for axis in range(3):
+        g = k * face_area[axis] / spacing[axis]
+        stencil[[axis, 6 - axis]] = -g
+        for slot in (6 - axis, axis):
+            np.add(diag, g, out=diag, where=present[:, slot])
+        for cell, channel in walls[axis]:
+            ua = _film(spacing[axis], k, h_corr[channel]) * face_area[axis]
+            diag[cell] += ua
+            face_cell.append((planes * m + cell).ravel())
+            face_ua.append(np.tile(ua, grid.nx))
+            face_sink.append((channel * stations + planes).ravel())
     # optional convective bottom face (slab cases), last sink row
     if grid.h_bottom is not None:
         cell = index[0, :, 0][solid[0, :, 0]]
+        ua = _film(grid.dz, k, grid.h_bottom) * face_area[2]
+        diag[cell] += ua
         face_cell.append((planes * m + cell).ravel())
+        face_ua.append(np.full(grid.nx * cell.size, ua))
         face_sink.append(np.full(grid.nx * cell.size,
                                  grid.n_channels * stations))
     face_cell = np.concatenate(face_cell)
@@ -430,95 +435,26 @@ def _build_structure(grid: Grid) -> _Structure:
                          "is singular")
 
     # exterior top/bottom heat flux
-    rhs_fixed = np.zeros(grid.nx * m)
+    heated, power = [], []
     for layer, flux in ((grid.nz - 1, grid.flux_top), (0, grid.flux_bottom)):
         cell = index[0, :, layer]
-        heated = (cell >= 0) & (flux != 0.0)
-        rhs_fixed[(planes * m + cell)[heated]] += flux[heated] * face_area[2]
-
-    # C-order numbering makes each row's columns ascend in slot order
-    columns = np.stack([_neighbour(index, solid, slot) for slot in range(7)],
-                       axis=1)
-    present = columns >= 0
-    indptr = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(present.sum(axis=1, dtype=np.int32), out=indptr[1:])
-    structure = _Structure(indptr, columns[present], present, face_cell,
-                           np.concatenate(face_sink), tuple(wall_ends),
-                           voxel_area, rhs_fixed)
-    for array in vars(structure).values():
-        if isinstance(array, np.ndarray):
-            array.flags.writeable = False
-    return structure
-
-
-def _structure(grid: Grid) -> _Structure:
-    """The grid's `_Structure`, built by the first caller; a thread that
-    asks while another builds it waits for that one."""
-    with grid._lock:
-        if grid._structure is None:
-            grid._structure = _build_structure(grid)
-        return grid._structure
-
-
-def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
-    """Build the conduction operator and the convective face table, whose
-    sinks index a (n_channels + 1, nx + 1) fluid-temperature array, on the
-    grid's `_Structure`. h is the channel film coefficient.
-
-    K's per-slot conductances, compressed as its columns are, give its
-    values, into whose self slots its diagonal goes: for y and z in turn,
-    conduction to a solid + neighbour, to a solid - neighbour, the film of
-    a + wall face, of a - wall face; then the exterior bottom face's film
-    (slab cases)."""
-    structure = _structure(grid)
-    k = material.thermal_conductivity
-    present = structure.present
-    m = present.shape[0]
-    stations = grid.nx + 1
-    spacing = (grid.dx, grid.dy, grid.dz)
-    face_area = (grid.dy * grid.dz, grid.dx * grid.dz, grid.dx * grid.dy)
-
-    # rescale h so h * (voxel wetted area) equals h * (analytic area)
-    analytic = (wetted_perimeter(grid.shape) * grid.nx * grid.dx
-                if grid.n_channels else 0.0)
-    h_corr = h * analytic / structure.voxel_area
-
-    diag = np.zeros(m)
-    stencil = np.zeros(7)  # off-diagonal value per slot
-    face_ua = []
-    start = 0
-    for axis in range(3):
-        g = k * face_area[axis] / spacing[axis]
-        stencil[[axis, 6 - axis]] = -g
-        for slot in (6 - axis, axis):
-            np.add(diag, g, out=diag, where=present[:, slot])
-        for end in structure.wall_ends[2 * axis:2 * axis + 2]:
-            channel = structure.face_sink[start:end] // stations
-            ua = _film(spacing[axis], k, h_corr[channel]) * face_area[axis]
-            # the first x plane's faces are K's
-            first = (end - start) // grid.nx
-            diag[structure.face_cell[start:start + first]] += ua[:first]
-            face_ua.append(ua)
-            start = end
-    if grid.h_bottom is not None:
-        cell = structure.face_cell[start:]
-        ua = np.full(cell.size, _film(grid.dz, k, grid.h_bottom)
-                     * face_area[2])
-        diag[cell[:cell.size // grid.nx]] += ua[0]
-        face_ua.append(ua)
+        on = (cell >= 0) & (flux != 0.0)
+        heated.append((planes * m + cell)[on])
+        power.append(flux[on] * face_area[2])
 
     data = np.broadcast_to(stencil, present.shape)[present]
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1, dtype=np.int32), out=indptr[1:])
     # the diagonal's slot follows a row's minus neighbours
-    data[structure.indptr[:-1]
-         + present[:, :3].sum(axis=1, dtype=np.int32)] = diag
-    plane = csr_matrix((data, structure.indices, structure.indptr),
-                       shape=(m, m))
-    return _System(operator=_Operator(plane, k * face_area[0] / grid.dx,
+    data[indptr[:-1] + present[:, :3].sum(axis=1, dtype=np.int32)] = diag
+    matrix = csr_matrix((data, columns[present], indptr), shape=(m, m))
+    return _System(operator=_Operator(matrix, k * face_area[0] / grid.dx,
                                       grid.nx),
-                   rhs_fixed=structure.rhs_fixed,
-                   face_cell=structure.face_cell,
+                   heated=np.concatenate(heated),
+                   power=np.concatenate(power),
+                   face_cell=face_cell,
                    face_ua=np.concatenate(face_ua),
-                   face_sink=structure.face_sink)
+                   face_sink=np.concatenate(face_sink))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -688,7 +624,9 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
         return _norm(op @ x - rhs) / bnorm if bnorm > 0 else 0.0
 
     for outer in range(1, _MAX_OUTER + 1):
-        rhs = system.rhs_fixed.copy()
+        rhs = np.zeros(op.shape[0])
+        # added, not set: a grid one cell thick heats a cell from both sides
+        np.add.at(rhs, system.heated, system.power)
         np.add.at(rhs, system.face_cell,
                   system.face_ua * t_sink.flat[system.face_sink])
         temp, info = cg(op, rhs, x0=temp, rtol=tol, M=precond,
@@ -781,8 +719,8 @@ def mesh_study(grid_builder, coolant: CoolantProps, flow: FlowCondition,
 
     grid_builder(resolution) -> Grid voxelizes the case at each size; the
     resolutions take the place of solver.resolution. Successive sizes that
-    give the same cell counts are refused before any solve. Each grid, and
-    the structure its solve builds, is dropped after that solve.
+    give the same cell counts are refused before any solve. Each grid is
+    dropped after its solve.
     """
     if len(resolutions) < 3:
         raise ValueError("mesh study needs at least 3 resolutions")

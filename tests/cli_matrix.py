@@ -28,7 +28,8 @@ minor-loss K and solver tolerance, so a setting lost on its way to a
 design point changes their outputs; an FV sweep whose `solver.max_iters`
 binds, under a `solver.tol` below what CG's recurrence reaches in that
 many iterations, ends in the solver's convergence error. The secondary plate's FV
-velocity sweep runs a second time on a 2-thread pool.
+velocity sweep runs a second time on a 2-thread pool, and so does an FV
+material sweep of the small plate, whose points each build their own grid.
 """
 
 from __future__ import annotations
@@ -134,6 +135,13 @@ def _cases() -> dict[str, tuple[str, dict]]:
         "solver": {**_SETTINGS["solver"], "resolution_m": 2e-3},
         "sweep": {"axis": "velocity", "values": [0.5, 1.5],
                   "evaluator": "fv"}}
+    # each material is a design of its own, whose FV point builds its own
+    # grid on a pool thread (ENVIRONMENTS)
+    cases["small-sweep-material-fv"] = "sweep", {
+        "assembly": small, "solver": {"resolution_m": 2e-3},
+        "sweep": {"axis": "material",
+                  "values": ["copper", "aluminum", "stainless-steel"],
+                  "evaluator": "fv"}}
     cases["small-sweep-velocity-fv-max-iters"] = "sweep", {
         "assembly": small,
         "solver": {"resolution_m": 2e-3, "max_iters": 3, "tol": 1e-300},
@@ -148,7 +156,8 @@ def _cases() -> dict[str, tuple[str, dict]]:
 CASES = _cases()
 # case name -> variables added to the environment of its run
 ENVIRONMENTS = {"secondary_side-sweep-velocity-fv-threads":
-                {"COLDPLATE_THREADS": "2"}}
+                {"COLDPLATE_THREADS": "2"},
+                "small-sweep-material-fv": {"COLDPLATE_THREADS": "2"}}
 
 
 def run_case(action: str, doc: dict, out: Path,

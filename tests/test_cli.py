@@ -1081,8 +1081,9 @@ def test_cli_matrix_covers_every_action():
     # presets, every sweep axis, a first linear solve from an all-zero
     # guess (inlet at 0 C), a 3-pass FV solve at 2.9 m/s, a network sweep,
     # a network optimize and an FV sweep with every evaluation setting off
-    # its default, and an FV sweep whose max_iters binds, and an FV sweep
-    # on a 2-thread pool; the configs parse, none is run here
+    # its default, and an FV sweep whose max_iters binds, and FV velocity
+    # and material sweeps on a 2-thread pool; the configs parse, none is
+    # run here
     from cli_matrix import CASES, ENVIRONMENTS
     default = parse_config(json.dumps({"preset": "primary_side"}),
                            action="report").evaluation
@@ -1111,5 +1112,8 @@ def test_cli_matrix_covers_every_action():
     flows = [(action, doc.get("flow")) for action, doc in CASES.values()]
     assert ("solve-fv", {"inlet_C": 0.0}) in flows
     assert ("solve-fv", {"v_mps": 2.9}) in flows
-    assert [(CASES[name][1]["sweep"]["evaluator"], env["COLDPLATE_THREADS"])
-            for name, env in ENVIRONMENTS.items()] == [("fv", "2")]
+    assert sorted((CASES[name][1]["sweep"]["axis"],
+                   CASES[name][1]["sweep"]["evaluator"],
+                   env["COLDPLATE_THREADS"])
+                  for name, env in ENVIRONMENTS.items()) == [
+        ("material", "fv", "2"), ("velocity", "fv", "2")]

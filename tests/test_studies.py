@@ -2,7 +2,6 @@ import csv
 import io
 import math
 import random
-import sys
 from dataclasses import replace
 
 import pytest
@@ -351,6 +350,17 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+def _record_grids(monkeypatch) -> list:
+    """Replace fv.build_grid by a wrapper that records each grid built."""
+    grids, real = [], fv.build_grid
+
+    def recorded(*args):
+        grids.append(real(*args))
+        return grids[-1]
+    monkeypatch.setattr(fv, "build_grid", recorded)
+    return grids
+
+
 class TestPrunedSearch:
     def test_premise_holds_on_c7_grid(self, primary):
         # the pruned search is exact because, for every geometry, t_max
@@ -455,8 +465,8 @@ class TestPrunedSearch:
 
 
 class TestSharedFvGrid:
-    """The FV points of a study on one assembly share its grid, whose
-    structure the first solve builds and the others reuse."""
+    """The FV points of a study on one assembly share its grid, from
+    which each solve assembles its own system."""
 
     def test_threaded_fv_sweep_matches_serial(self, small, monkeypatch):
         spec = SweepSpec(base=small, axis="velocity",
@@ -477,28 +487,21 @@ class TestSharedFvGrid:
         monkeypatch.setenv("COLDPLATE_THREADS", "2")
         assert run_sweep(spec, "fv") == serial
 
-    def test_velocity_sweep_builds_one_structure(self, small, monkeypatch):
-        # more threads than cores and frequent switches: two first solves
-        # that both saw no structure would both build one
-        grids = _count_calls(monkeypatch, fv, "build_grid")
-        structures = _count_calls(monkeypatch, fv, "_build_structure")
+    def test_velocity_sweep_builds_one_grid(self, small, monkeypatch):
+        # more threads than points: every pool thread solves on the
+        # sweep's one grid
+        grids = _record_grids(monkeypatch)
         solves = _count_calls(monkeypatch, fv, "solve")
         monkeypatch.setenv("COLDPLATE_THREADS", "4")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            run_sweep(SweepSpec(base=small, axis="velocity",
-                                values=(0.6, 1.1, 1.7, 2.3)), "fv")
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(solves) == 4 and len(grids) == len(structures) == 1
-        assert all(args[0] is structures[0][0] for args in solves)
+        run_sweep(SweepSpec(base=small, axis="velocity",
+                            values=(0.6, 1.1, 1.7, 2.3)), "fv")
+        assert len(solves) == 4 and len(grids) == 1
+        assert all(args[0] is grids[0] for args in solves)
 
     @pytest.mark.parametrize("prune", [True, False])
-    def test_optimize_builds_one_structure_per_design(self, small, prune,
-                                                      monkeypatch):
-        grids = _count_calls(monkeypatch, fv, "build_grid")
-        structures = _count_calls(monkeypatch, fv, "_build_structure")
+    def test_optimize_builds_one_grid_per_design(self, small, prune,
+                                                 monkeypatch):
+        grids = _record_grids(monkeypatch)
         solves = _count_calls(monkeypatch, fv, "solve")
         # two cover variants of one mass: the pruned search visits both
         optimize(DesignProblem(base=small, materials=("aluminum",),
@@ -507,8 +510,10 @@ class TestSharedFvGrid:
                                v_min=0.5, v_max=1.5, v_step=0.5), "fv",
                  prune=prune)
         # pruned, each design is probed at v_hi and the point below it
-        assert len(solves) == (4 if prune else 6)
-        assert len(grids) == len(structures) == 2
+        per_design = 2 if prune else 3
+        assert len(grids) == 2 and len(solves) == 2 * per_design
+        assert [sum(args[0] is grid for args in solves)
+                for grid in grids] == [per_design, per_design]
 
 
 _PRINTABLE = st.text(max_size=6).filter(str.isprintable)
