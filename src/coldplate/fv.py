@@ -15,12 +15,13 @@ face against fluid held at the inlet temperature (slab verification
 cases).
 
 Every convective face, channel wall or exterior, is one row of a single
-table (cell, U*A, sink). The sink indexes one array of fluid
-temperatures: a row per channel, re-marched each outer iteration from the
-heat its faces remove, plus a last row fixed at the inlet temperature.
-The outer (Picard) loop solves the conduction system against the sink
-temperatures, re-marches the coolant, and stops once no sink temperature
-changed by _FLUID_TOL or more.
+table of one x plane (cell, U*A, sink row), the same in every plane. The
+sink row indexes one array of fluid temperatures: a row per channel,
+re-marched each outer iteration from the heat its faces remove, plus a
+last row fixed at the inlet temperature; a face of plane x sinks to its
+row's station x. The outer (Picard) loop solves the conduction system
+against the sink temperatures, re-marches the coolant, and stops once no
+sink temperature changed by _FLUID_TOL or more.
 
 The conduction matrix is separable. Unknown x * m + c is solid cell c of
 x plane x, a plane's m solid cells in C order (z fastest). Then
@@ -39,16 +40,20 @@ block-diagonal band of all nx modes costs O(n kd^2) per solve and holds
 along x. No 3-D matrix is stored: A p applies K to every plane plus the
 x differences.
 
-Conjugate gradients (`cg`, this module's own loop with scipy's algorithm
-and stopping rule) runs with that exact inverse as its preconditioner, so
-one iteration brings a pass's recurrence residual to rounding level, far
-below solver.tol; CG stays as the safeguard that holds every pass to tol.
-Its dot products and norms avoid BLAS: on vectors of a few hundred
-thousand entries a threaded BLAS `ddot` spins every core for each call,
-which doubled the CPU time of a solve and left nothing for the sweep
-thread pool. The relative residual |A x - b| / |b| is recomputed only for
-the returned field, which is refused above _RESIDUAL_SLACK * tol, and for
-a CG call that did not converge.
+The Picard passes run in those modes. The imposed heat is transformed
+once per solve; a pass transforms only the sink rows, adds their U*A to
+the wall columns (the plane cells with a convective face), solves the
+band in place and transforms back only the wall columns, from which the
+coolant is re-marched. The returned field is then solved once by
+conjugate gradients (`cg`, this module's own loop with scipy's algorithm
+and stopping rule) against the last pass's right-hand side, with the
+exact inverse as its preconditioner: one iteration brings its recurrence
+residual below solver.tol, and max_iters bounds it. Its dot products and
+norms avoid BLAS: on vectors of a few hundred thousand entries a threaded
+BLAS `ddot` spins every core for each call, which doubled the CPU time of
+a solve and left nothing for the sweep thread pool. The relative residual
+|A x - b| / |b| is recomputed for the returned field, which is refused
+above _RESIDUAL_SLACK * tol.
 
 Each solve assembles its whole system from the grid and leaves the grid
 as it found it, so solves on one grid need no synchronization.
@@ -98,11 +103,11 @@ class ConvergenceError(RuntimeError):
 class SolverSettings:
     """Settings of every FV solve of a run: the config's `solver` section."""
     resolution: float = 2e-3   # m, target cell size
-    tol: float = 1e-8          # relative residual of every pass's CG
-    max_iters: int = 20000     # iterations of each CG call
+    tol: float = 1e-8          # relative residual of the returned field's CG
+    max_iters: int = 20000     # iterations of that CG call
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: its fields are arrays
 class Grid:
     nx: int
     ny: int
@@ -129,7 +134,7 @@ class Grid:
         return float((self.flux_top.sum() + self.flux_bottom.sum()) * area)
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: its fields are arrays
 class FvSolution:
     temperature: np.ndarray       # (nx, ny, nz) deg C; coolant temp in voids
     t_max: float                  # deg C, surface-corrected
@@ -330,15 +335,25 @@ class _System:
     # imposed exterior heat flux: the heated unknowns and their power, W
     heated: np.ndarray
     power: np.ndarray
-    # convective face table, one row per Robin face
-    face_cell: np.ndarray     # solid unknown index
+    # convective face table of one x plane, one row per Robin face
+    face_cell: np.ndarray     # plane cell index
     face_ua: np.ndarray       # U*A, W/K
-    face_sink: np.ndarray     # flat index into the sink-temperature array
+    face_row: np.ndarray      # row of the sink-temperature array
 
-    def face_heat(self, temp: np.ndarray, t_sink: np.ndarray) -> np.ndarray:
-        """Heat leaving the solid through each convective face, W."""
-        return self.face_ua * (temp[self.face_cell]
-                               - t_sink.flat[self.face_sink])
+    def heat(self) -> np.ndarray:
+        """The imposed heat of every unknown, W."""
+        out = np.zeros(self.operator.shape[0])
+        # added, not set: a grid one cell thick heats a cell from both sides
+        np.add.at(out, self.heated, self.power)
+        return out
+
+    def rhs(self, t_sink: np.ndarray) -> np.ndarray:
+        """The right-hand side against the sink temperatures t_sink."""
+        out = self.heat()
+        nx = self.operator.nx
+        np.add.at(out.reshape(nx, -1).T, self.face_cell,
+                  self.face_ua[:, None] * t_sink[self.face_row, :nx])
+        return out
 
 
 def _neighbour(values: np.ndarray, solid: np.ndarray, slot: int):
@@ -356,20 +371,20 @@ def _neighbour(values: np.ndarray, solid: np.ndarray, slot: int):
 
 def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
     """Build the conduction operator, the heated unknowns and the
-    convective face table, whose sinks index a (n_channels + 1, nx + 1)
-    fluid-temperature array; h is the channel film coefficient.
+    convective face table of one x plane, whose rows index a
+    (n_channels + 1, nx + 1) fluid-temperature array; h is the channel
+    film coefficient.
 
     K and the faces come from the grid's first x plane as a grid one cell
     long: one `_neighbour` lookup of its index map per stencil slot gives
     K's columns, compressed past the -1 entries, and one of its channel map
-    per slot gives that slot's wall faces, which repeat in every plane. The
-    face table holds the walls of each slot, + then - per axis, then the
-    slab cases' exterior bottom faces, each slot's x plane by x plane.
-    K's per-slot conductances, compressed as its columns are, give its
-    values, into whose self slots its diagonal goes: for y and z in turn,
-    conduction to a solid + neighbour, to a solid - neighbour, the film of
-    a + wall face, of a - wall face; then the exterior bottom face's film
-    (slab cases)."""
+    per slot gives that slot's wall faces. The face table holds the walls
+    of each slot, + then - per axis, then the slab cases' exterior bottom
+    faces. K's per-slot conductances, compressed as its columns are, give
+    its values, into whose self slots its diagonal goes: for y and z in
+    turn, conduction to a solid + neighbour, to a solid - neighbour, the
+    film of a + wall face, of a - wall face; then the exterior bottom
+    face's film (slab cases)."""
     plane = grid.channel_id[:1]
     if not np.array_equal(grid.channel_id, np.broadcast_to(
             plane, grid.channel_id.shape)):
@@ -378,7 +393,6 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
     solid = plane < 0
     m = int(solid.sum())
     k = material.thermal_conductivity
-    stations = grid.nx + 1
     spacing = (grid.dx, grid.dy, grid.dz)
     face_area = (grid.dy * grid.dz, grid.dx * grid.dz, grid.dx * grid.dy)
     planes = np.arange(grid.nx, dtype=np.int32)[:, None]
@@ -408,7 +422,7 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
 
     diag = np.zeros(m)
     stencil = np.zeros(7)  # off-diagonal value per slot
-    face_cell, face_ua, face_sink = [], [], []
+    face_cell, face_ua, face_row = [], [], []
     for axis in range(3):
         g = k * face_area[axis] / spacing[axis]
         stencil[[axis, 6 - axis]] = -g
@@ -417,18 +431,17 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
         for cell, channel in walls[axis]:
             ua = _film(spacing[axis], k, h_corr[channel]) * face_area[axis]
             diag[cell] += ua
-            face_cell.append((planes * m + cell).ravel())
-            face_ua.append(np.tile(ua, grid.nx))
-            face_sink.append((channel * stations + planes).ravel())
+            face_cell.append(cell)
+            face_ua.append(ua)
+            face_row.append(channel)
     # optional convective bottom face (slab cases), last sink row
     if grid.h_bottom is not None:
         cell = index[0, :, 0][solid[0, :, 0]]
         ua = _film(grid.dz, k, grid.h_bottom) * face_area[2]
         diag[cell] += ua
-        face_cell.append((planes * m + cell).ravel())
-        face_ua.append(np.full(grid.nx * cell.size, ua))
-        face_sink.append(np.full(grid.nx * cell.size,
-                                 grid.n_channels * stations))
+        face_cell.append(cell)
+        face_ua.append(np.full(cell.size, ua))
+        face_row.append(np.full(cell.size, grid.n_channels, dtype=np.int32))
     face_cell = np.concatenate(face_cell)
     if m and not face_cell.size:
         raise ValueError("grid has no convective faces; the steady problem "
@@ -454,7 +467,7 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
                    power=np.concatenate(power),
                    face_cell=face_cell,
                    face_ua=np.concatenate(face_ua),
-                   face_sink=np.concatenate(face_sink))
+                   face_row=np.concatenate(face_row))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -533,8 +546,13 @@ def _dct(x: np.ndarray) -> np.ndarray:
     spec = np.fft.rfft(np.concatenate((x[::2], x[1::2][::-1])), axis=0)
     w = _dct_weights(n)
     out = np.empty(x.shape)
-    out[:half] = (spec * w[:half]).real
-    out[half:] = (spec[n - half:0:-1].conj() * w[half:]).real
+    # in place, so that no more than one spectrum-sized temporary lives
+    upper = spec[n - half:0:-1].conj()
+    upper *= w[half:]
+    out[half:] = upper.real
+    del upper
+    spec *= w[:half]
+    out[:half] = spec.real
     return out
 
 
@@ -548,15 +566,33 @@ def _idct(y: np.ndarray) -> np.ndarray:
     spec = u[:half] * y[:half]
     spec[1:] += u[n - 1:n - half:-1].conj() * y[n - 1:n - half:-1]
     v = np.fft.irfft(spec, n, axis=0)
+    del spec  # before out: a solve's memory peaks in these transforms
     out = np.empty(v.shape)
     out[::2] = v[:(n + 1) // 2]
     out[1::2] = v[(n + 1) // 2:][::-1]
     return out
 
 
-def _inverse(system: _System):
-    """A^-1 as a function r -> A^-1 r, by the fast diagonalization of the
-    module docstring.
+@dataclass(eq=False)
+class _Inverse:
+    """A^-1 by the fast diagonalization of the module docstring; called on
+    r, it returns A^-1 r."""
+    factor: np.ndarray   # Cholesky factor of every mode's band, upper form
+    nx: int
+
+    def solve_modes(self, b: np.ndarray) -> np.ndarray:
+        """Overwrite b, the DCT along x of a right-hand side, mode after
+        mode, with the DCT of its solution; returns b."""
+        return cho_solve_banded((self.factor, False), b, overwrite_b=True,
+                                check_finite=False)
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        y = self.solve_modes(_dct(r.reshape(self.nx, -1)).reshape(-1))
+        return _idct(y.reshape(self.nx, -1)).reshape(-1)
+
+
+def _inverse(system: _System) -> _Inverse:
+    """Factor A for `_Inverse`.
 
     The band holds every mode's K + g_x lambda_k I in LAPACK's upper form,
     mode after mode, in Fortran order so that the factorization runs in
@@ -580,13 +616,7 @@ def _inverse(system: _System):
     except LinAlgError as exc:
         raise ConvergenceError(f"the FV system's band factorization failed "
                                f"({exc})") from None
-
-    def apply(r):
-        y = _dct(r.reshape(nx, m)).reshape(-1)
-        y = cho_solve_banded((factor, False), y, overwrite_b=True,
-                             check_finite=False)
-        return _idct(y.reshape(nx, m)).reshape(-1)
-    return apply
+    return _Inverse(factor, nx)
 
 
 def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
@@ -611,55 +641,77 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
     if not (math.isfinite(op.gx) and np.all(np.isfinite(op.plane.data))):
         raise ValueError("non-finite conductance in the FV system; check "
                          "material, coolant and flow inputs")
-    precond = _inverse(system)
-    # the field comes after the factor, whose build it would add to; CG
-    # iterates in it
+    inverse = _inverse(system)
+    nx = grid.nx
     inlet = flow.inlet_temperature
-    t_sink = np.full((n_ch + 1, grid.nx + 1), inlet)
-    temp = np.full(op.shape[0], inlet)
+    t_sink = np.full((n_ch + 1, nx + 1), inlet)
+    # the wall columns, plane cells with a convective face, and the U*A
+    # from wall column j to sink row r in ua[r, j]
+    walls, face_wall = np.unique(system.face_cell, return_inverse=True)
+    ua = np.zeros((n_ch + 1, walls.size))
+    np.add.at(ua, (system.face_row, face_wall), system.face_ua)
+    ua_row = ua.sum(axis=1)[:, None]
 
-    def residual(x, rhs):
-        """Recomputed relative residual |A x - rhs| / |rhs|."""
-        bnorm = _norm(rhs)
-        return _norm(op @ x - rhs) / bnorm if bnorm > 0 else 0.0
+    def sink_heat(wall_temp, sinks):
+        """Heat into each row of the sink temperatures `sinks` at each x
+        plane, W, from the wall columns' (nx, walls) temperatures."""
+        return (np.einsum("xj,rj->rx", wall_temp, ua)
+                - ua_row * sinks[:, :nx])
 
+    # the imposed heat in the modes, transformed in the plane cells that
+    # take some; from the inlet field a pass's residual is that heat,
+    # whose norm the orthonormal DCT keeps
+    heated = np.unique(system.heated % op.plane.shape[0])
+    heat = _dct(system.heat().reshape(nx, -1)[:, heated])
+    if not math.isfinite(_norm(heat.reshape(-1))):
+        raise ConvergenceError("the first pass's residual is not finite: "
+                               "the imposed heat overflows")
+    modes = np.empty((nx, op.plane.shape[0]))
     for outer in range(1, _MAX_OUTER + 1):
-        rhs = np.zeros(op.shape[0])
-        # added, not set: a grid one cell thick heats a cell from both sides
-        np.add.at(rhs, system.heated, system.power)
-        np.add.at(rhs, system.face_cell,
-                  system.face_ua * t_sink.flat[system.face_sink])
-        temp, info = cg(op, rhs, x0=temp, rtol=tol, M=precond,
-                        maxiter=max_iters)
-        if info != 0:
-            raise ConvergenceError(
-                "linear solve stopped: the residual is not finite" if info < 0
-                else f"linear solve did not reach tol {tol:g} in {max_iters} "
-                f"iterations (residual {residual(temp, rhs):.3e})")
-        # sink temperatures re-marched from the field's wall heat
-        q_sink = np.bincount(system.face_sink,
-                             system.face_heat(temp, t_sink),
-                             minlength=t_sink.size).reshape(t_sink.shape)
+        modes.fill(0.0)
+        modes[:, heated] = heat
+        modes[:, walls] += np.einsum("kr,rj->kj", _dct(t_sink[:, :nx].T), ua)
+        inverse.solve_modes(modes.reshape(-1))
+        q_sink = sink_heat(_idct(modes[:, walls]), t_sink)
+        # sink temperatures re-marched from the walls' heat
         t_new = t_sink.copy()
         t_new[:n_ch, 1:] = inlet + np.cumsum(
-            q_sink[:n_ch, :-1] / (m_dot * coolant.specific_heat), axis=1)
+            q_sink[:n_ch] / (m_dot * coolant.specific_heat), axis=1)
         change = float(np.max(np.abs(t_new - t_sink)))
-        t_sink = t_new
+        if not math.isfinite(change):
+            raise ConvergenceError(f"coolant pass {outer} stopped: the sink "
+                                   f"temperatures are not finite")
+        t_solved, t_sink = t_sink, t_new
         if change < _FLUID_TOL:
             break
     else:
         raise ConvergenceError(
             f"coolant march did not converge in {_MAX_OUTER} outer "
             f"iterations (last change {change:.3e} K)")
-    rel = residual(temp, rhs)
+
+    # the field against the sinks the last pass solved with; the passes
+    # transformed back only the wall columns, so CG starts from the inlet
+    del heat, modes
+    rhs = system.rhs(t_solved)
+    temp, info = cg(op, rhs, x0=np.full(op.shape[0], inlet), rtol=tol,
+                    M=inverse, maxiter=max_iters)
+    if info < 0:
+        raise ConvergenceError("linear solve stopped: the residual is not "
+                               "finite")
+    bnorm = _norm(rhs)
+    rel = _norm(op @ temp - rhs) / bnorm if bnorm > 0 else 0.0
+    if info > 0:
+        raise ConvergenceError(
+            f"linear solve did not reach tol {tol:g} in {max_iters} "
+            f"iterations (residual {rel:.3e})")
     if not rel <= _RESIDUAL_SLACK * tol:
         raise ConvergenceError(
             f"the field's recomputed residual {rel:.3e} exceeds "
             f"{_RESIDUAL_SLACK:g} x tol {tol:g}: rounding in the conduction "
             f"system swamps the solve")
 
-    imbalance = grid.total_power - float(np.sum(
-        system.face_heat(temp, t_sink)))
+    imbalance = grid.total_power - float(np.sum(sink_heat(
+        temp.reshape(nx, -1)[:, walls], t_sink)))
 
     # field with the sink temperature of each void cell's station
     void = grid.channel_id >= 0

@@ -1,6 +1,6 @@
 """Run the CLI on a fixed matrix of cases and keep every output.
 
-    python tests/cli_matrix.py OUT_DIR
+    python tests/cli_matrix.py OUT_DIR [--against OTHER_OUT_DIR]
 
 Each case runs `python -m coldplate.cli ACTION --echo-config` in a fresh
 process on the `src/` of the checkout this file lies in, with the case's
@@ -11,6 +11,11 @@ for a given config, so two checkouts compare with
 
     python A/tests/cli_matrix.py a && python B/tests/cli_matrix.py b
     diff -r a b
+
+or, with `--against a` on the second run, by one line per case: whether
+its files are byte-identical to those of the same case under a, and for
+each file that is not, the largest absolute change of any number in it
+(or "text differs" where more than numbers changed).
 
 field.txt holds one value per line as "% .16e" (17 significant digits,
 an exact round trip); up to commit 409ecd4 it held repr, so against such
@@ -34,8 +39,10 @@ material sweep of the small plate, whose points each build their own grid.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -179,14 +186,48 @@ def run_case(action: str, doc: dict, out: Path,
     return proc.returncode
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def difference(path: Path, other: Path) -> str | None:
+    """None where the two files are byte-identical, else how they differ:
+    the largest absolute change of a number in them when only numbers
+    changed."""
+    if not (path.exists() and other.exists()):
+        return None if path.exists() == other.exists() else "only one side"
+    a, b = path.read_bytes(), other.read_bytes()
+    if a == b:
+        return None
+    a, b = a.decode(), b.decode()
+    if _NUMBER.sub("#", a) != _NUMBER.sub("#", b):
+        return "text differs"
+    change = max(abs(float(x) - float(y)) for x, y in
+                 zip(_NUMBER.findall(a), _NUMBER.findall(b)))
+    return f"max |change| {change:.3g}"
+
+
+def compare(case: Path, other: Path) -> str:
+    """One line on how the case's files differ from those of `other`."""
+    names = sorted({p.name for p in case.iterdir()}
+                   | {p.name for p in other.iterdir()})
+    found = [f"{name} {d}" for name in names
+             if (d := difference(case / name, other / name)) is not None]
+    return "; ".join(found) or "identical"
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__, file=sys.stderr)
-        return 2
-    out_dir = Path(argv[0])
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("out_dir", type=Path)
+    parser.add_argument("--against", type=Path, metavar="OTHER_OUT_DIR")
+    args = parser.parse_args(argv)
     for name, (action, doc) in CASES.items():
-        code = run_case(action, doc, out_dir / name, ENVIRONMENTS.get(name))
-        print(f"{name}: exit {code}", flush=True)
+        code = run_case(action, doc, args.out_dir / name,
+                        ENVIRONMENTS.get(name))
+        line = f"{name}: exit {code}"
+        if args.against is not None:
+            line += ", " + compare(args.out_dir / name, args.against / name)
+        print(line, flush=True)
     return 0
 
 
