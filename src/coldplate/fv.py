@@ -659,8 +659,8 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
                 - ua_row * sinks[:, :nx])
 
     # the imposed heat in the modes, transformed in the plane cells that
-    # take some; from the inlet field a pass's residual is that heat,
-    # whose norm the orthonormal DCT keeps
+    # take some; from the inlet field the first pass's residual is that
+    # heat, whose norm the orthonormal DCT keeps
     heated = np.unique(system.heated % op.plane.shape[0])
     heat = _dct(system.heat().reshape(nx, -1)[:, heated])
     if not math.isfinite(_norm(heat.reshape(-1))):
@@ -671,8 +671,8 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
         modes.fill(0.0)
         modes[:, heated] = heat
         modes[:, walls] += np.einsum("kr,rj->kj", _dct(t_sink[:, :nx].T), ua)
-        inverse.solve_modes(modes.reshape(-1))
-        q_sink = sink_heat(_idct(modes[:, walls]), t_sink)
+        solved = inverse.solve_modes(modes.reshape(-1)).reshape(nx, -1)
+        q_sink = sink_heat(_idct(solved[:, walls]), t_sink)
         # sink temperatures re-marched from the walls' heat
         t_new = t_sink.copy()
         t_new[:n_ch, 1:] = inlet + np.cumsum(
@@ -691,7 +691,7 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
 
     # the field against the sinks the last pass solved with; the passes
     # transformed back only the wall columns, so CG starts from the inlet
-    del heat, modes
+    del heat, modes, solved
     rhs = system.rhs(t_solved)
     temp, info = cg(op, rhs, x0=np.full(op.shape[0], inlet), rtol=tol,
                     M=inverse, maxiter=max_iters)

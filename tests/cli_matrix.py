@@ -208,6 +208,8 @@ def difference(path: Path, other: Path) -> str | None:
 
 def compare(case: Path, other: Path) -> str:
     """One line on how the case's files differ from those of `other`."""
+    if not other.is_dir():
+        return f"no case {other.name} under {other.parent}"
     names = sorted({p.name for p in case.iterdir()}
                    | {p.name for p in other.iterdir()})
     found = [f"{name} {d}" for name in names
