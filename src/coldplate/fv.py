@@ -2,8 +2,9 @@
 coolant energy march.
 
 Uniform Cartesian cells; channels are rasterized as void cells
-(stair-step) and run the whole plate length, so every x plane holds the
-same solid cells. One lookup through each stencil slot classes every face
+(stair-step) and run the whole plate length, so the grid stores one x
+plane: a (ny, nz) map of the cross-section that every plane shares. One
+lookup through each stencil slot of that plane classes every y and z face
 of a solid cell: a solid neighbour makes it a conduction link, a void one
 a channel wall with a Robin condition against the local coolant bulk
 temperature, and none an exterior face. The film coefficient is rescaled
@@ -14,14 +15,15 @@ footprints impose heat flux, and except for an optional convective bottom
 face against fluid held at the inlet temperature (slab verification
 cases).
 
-Every convective face, channel wall or exterior, is one row of a single
-table of one x plane (cell, U*A, sink row), the same in every plane. The
-sink row indexes one array of fluid temperatures: a row per channel,
-re-marched each outer iteration from the heat its faces remove, plus a
-last row fixed at the inlet temperature; a face of plane x sinks to its
-row's station x. The outer (Picard) loop solves the conduction system
-against the sink temperatures, re-marches the coolant, and stops once no
-sink temperature changed by _FLUID_TOL or more.
+The convective faces, channel walls and exterior, become one (n_channels
++ 1, walls) table of U*A from each wall (a plane cell with a convective
+face) to each sink row, the same in every x plane. The sink row indexes
+one array of fluid temperatures: a row per channel, re-marched each outer
+iteration from the heat its walls remove, plus a last row fixed at the
+inlet temperature; a wall of plane x sinks to its row's station x. The
+outer (Picard) loop solves the conduction system against the sink
+temperatures, re-marches the coolant, and stops once no sink temperature
+changed by _FLUID_TOL or more.
 
 The conduction matrix is separable. Unknown x * m + c is solid cell c of
 x plane x, a plane's m solid cells in C order (z fastest). Then
@@ -42,9 +44,8 @@ x differences.
 
 The Picard passes run in those modes. The imposed heat is transformed
 once per solve; a pass transforms only the sink rows, adds their U*A to
-the wall columns (the plane cells with a convective face), solves the
-band in place and transforms back only the wall columns, from which the
-coolant is re-marched. The returned field is then solved once by
+the walls' columns, solves the band in place and transforms back only
+the walls' columns, from which the coolant is re-marched. The returned field is then solved once by
 conjugate gradients (`cg`, this module's own loop with scipy's algorithm
 and stopping rule) against the last pass's right-hand side, with the
 exact inverse as its preconditioner: one iteration brings its recurrence
@@ -115,7 +116,7 @@ class Grid:
     dx: float
     dy: float
     dz: float
-    channel_id: np.ndarray   # int (nx, ny, nz), -1 for solid
+    channel_id: np.ndarray   # int32 (ny, nz), every x plane; -1 for solid
     n_channels: int          # each of cross-section `shape`
     flux_top: np.ndarray     # (nx, ny) W/m^2 on the exterior top face
     flux_bottom: np.ndarray  # (nx, ny) W/m^2 on the exterior bottom face
@@ -223,7 +224,7 @@ def build_grid(assembly: Assembly, resolution: float) -> Grid:
                          f"channel_length {layout.channel_length!r} m, plate "
                          f"length {plate.length!r} m")
 
-    channel_id = np.full((nx, ny, nz), -1, dtype=np.int32)
+    channel_id = np.full((ny, nz), -1, dtype=np.int32)
 
     # symmetric sample offsets within a cell
     offs = (np.arange(_SUBSAMPLE) + 0.5) / _SUBSAMPLE - 0.5
@@ -248,9 +249,9 @@ def build_grid(assembly: Assembly, resolution: float) -> Grid:
             raise GridResolutionError(
                 f"resolution {resolution} m cannot resolve channel at "
                 f"y = {y_center * 1e3:.2f} mm")
-        channel_id[:, mask] = channel
+        channel_id[mask] = channel
 
-    if (channel_id[:, :, [0, -1]] >= 0).any():
+    if (channel_id[:, [0, -1]] >= 0).any():
         raise GridResolutionError(
             "resolution too coarse to resolve cover_thickness: channel void "
             "reaches an exterior cell layer")
@@ -284,7 +285,7 @@ def make_slab_grid(length: float, width: float, thickness: float,
     top = np.zeros((nx, ny))
     _deposit(top, dx, dy, (cx, cy), (pdx, pdy), flux_top * pdx * pdy)
     return Grid(nx=nx, ny=ny, nz=nz, dx=dx, dy=dy, dz=dz,
-                channel_id=np.full((nx, ny, nz), -1, dtype=np.int32),
+                channel_id=np.full((ny, nz), -1, dtype=np.int32),
                 n_channels=0, flux_top=top, flux_bottom=np.zeros((nx, ny)),
                 h_bottom=h_bottom)
 
@@ -298,8 +299,9 @@ def _film(d: float, k: float, h):
 
 
 def _shifted(axis: int):
-    """Slices picking the low and high cell of every interior face."""
-    lo, hi = [slice(None)] * 3, [slice(None)] * 3
+    """Slices of a plane picking the low and high cell of every interior
+    face across one axis (0 for y, 1 for z)."""
+    lo, hi = [slice(None)] * 2, [slice(None)] * 2
     lo[axis], hi[axis] = slice(None, -1), slice(1, None)
     return tuple(lo), tuple(hi)
 
@@ -332,81 +334,64 @@ class _Operator:
 @dataclass
 class _System:
     operator: _Operator
-    # imposed exterior heat flux: the heated unknowns and their power, W
-    heated: np.ndarray
-    power: np.ndarray
-    # convective face table of one x plane, one row per Robin face
-    face_cell: np.ndarray     # plane cell index
-    face_ua: np.ndarray       # U*A, W/K
-    face_row: np.ndarray      # row of the sink-temperature array
-
-    def heat(self) -> np.ndarray:
-        """The imposed heat of every unknown, W."""
-        out = np.zeros(self.operator.shape[0])
-        # added, not set: a grid one cell thick heats a cell from both sides
-        np.add.at(out, self.heated, self.power)
-        return out
+    heated: np.ndarray   # plane cells that take imposed heat, ascending
+    heat: np.ndarray     # (nx, heated) imposed heat of each x plane, W
+    walls: np.ndarray    # plane cells with a convective face, ascending
+    ua: np.ndarray       # (n_channels + 1, walls) U*A from wall to sink row
 
     def rhs(self, t_sink: np.ndarray) -> np.ndarray:
         """The right-hand side against the sink temperatures t_sink."""
-        out = self.heat()
         nx = self.operator.nx
-        np.add.at(out.reshape(nx, -1).T, self.face_cell,
-                  self.face_ua[:, None] * t_sink[self.face_row, :nx])
-        return out
+        out = np.zeros((nx, self.operator.plane.shape[0]))
+        out[:, self.heated] = self.heat
+        out[:, self.walls] += np.einsum("xr,rj->xj", t_sink[:, :nx].T,
+                                        self.ua)
+        return out.reshape(-1)
 
 
 def _neighbour(values: np.ndarray, solid: np.ndarray, slot: int):
-    """For every unknown, the value of the grid-shaped `values` at its
-    neighbour through one stencil slot (-x, -y, -z, self, +z, +y, +x), or
-    -1 where that neighbour is off the grid."""
-    if slot == 3:
+    """For every solid cell of a plane, the value of the plane-shaped
+    `values` at its neighbour through one stencil slot (-y, -z, self, +z,
+    +y), or -1 where that neighbour is off the plane."""
+    if slot == 2:
         return values[solid]
-    lo, hi = _shifted(min(slot, 6 - slot))
-    cell, other = (lo, hi) if slot > 3 else (hi, lo)
+    lo, hi = _shifted(min(slot, 4 - slot))
+    cell, other = (lo, hi) if slot > 2 else (hi, lo)
     out = np.full(values.shape, -1, dtype=values.dtype)
     out[cell] = values[other]
     return out[solid]
 
 
 def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
-    """Build the conduction operator, the heated unknowns and the
-    convective face table of one x plane, whose rows index a
-    (n_channels + 1, nx + 1) fluid-temperature array; h is the channel
-    film coefficient.
+    """Build the conduction operator, the imposed heat and the wall U*A
+    table, whose rows index a (n_channels + 1, nx + 1) fluid-temperature
+    array; h is the channel film coefficient.
 
-    K and the faces come from the grid's first x plane as a grid one cell
-    long: one `_neighbour` lookup of its index map per stencil slot gives
-    K's columns, compressed past the -1 entries, and one of its channel map
-    per slot gives that slot's wall faces. The face table holds the walls
-    of each slot, + then - per axis, then the slab cases' exterior bottom
-    faces. K's per-slot conductances, compressed as its columns are, give
-    its values, into whose self slots its diagonal goes: for y and z in
-    turn, conduction to a solid + neighbour, to a solid - neighbour, the
-    film of a + wall face, of a - wall face; then the exterior bottom
-    face's film (slab cases)."""
-    plane = grid.channel_id[:1]
-    if not np.array_equal(grid.channel_id, np.broadcast_to(
-            plane, grid.channel_id.shape)):
-        raise ValueError("the FV solver needs the same channel "
-                         "cross-section in every x plane")
+    K and the walls come from the grid's plane map: one `_neighbour`
+    lookup of its index map per stencil slot gives K's columns, compressed
+    past the -1 entries, and one of the map itself per slot gives that
+    slot's wall faces. K's per-slot conductances, compressed as its
+    columns are, give its values, into whose self slots its diagonal goes:
+    for y and z in turn, conduction to a solid + neighbour, to a solid -
+    neighbour, the film of a + wall face, of a - wall face; then the
+    exterior bottom face's film (slab cases). Each wall's U*A to a sink
+    row sums its faces in that order."""
+    plane = grid.channel_id
     solid = plane < 0
     m = int(solid.sum())
     k = material.thermal_conductivity
-    spacing = (grid.dx, grid.dy, grid.dz)
-    face_area = (grid.dy * grid.dz, grid.dx * grid.dz, grid.dx * grid.dy)
-    planes = np.arange(grid.nx, dtype=np.int32)[:, None]
+    spacing = (grid.dy, grid.dz)
+    face_area = (grid.dx * grid.dz, grid.dx * grid.dy)
 
-    # each y and z slot's walls (a plane has none on its x slots): the
-    # plane cell and the channel beyond it
-    walls = [[], [], []]
+    # each slot's wall faces: the plane cell and the channel beyond it
+    faces = [[], []]
     voxel_area = np.zeros(grid.n_channels)
-    for axis in (1, 2):
-        for slot in (6 - axis, axis):
+    for axis in (0, 1):
+        for slot in (4 - axis, axis):
             channel = _neighbour(plane, solid, slot)
             cell = np.flatnonzero(channel >= 0).astype(np.int32)
             ids = channel[cell]
-            walls[axis].append((cell, ids))
+            faces[axis].append((cell, ids))
             np.add.at(voxel_area, ids, face_area[axis] * grid.nx)
     # rescale h so h * (voxel wetted area) equals h * (analytic area)
     analytic = (wetted_perimeter(grid.shape) * grid.nx * grid.dx
@@ -416,58 +401,56 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
     index = np.full(solid.shape, -1, dtype=np.int32)
     index[solid] = np.arange(m, dtype=np.int32)
     # C-order numbering makes each row's columns ascend in slot order
-    columns = np.stack([_neighbour(index, solid, slot) for slot in range(7)],
+    columns = np.stack([_neighbour(index, solid, slot) for slot in range(5)],
                        axis=1)
     present = columns >= 0
 
     diag = np.zeros(m)
-    stencil = np.zeros(7)  # off-diagonal value per slot
-    face_cell, face_ua, face_row = [], [], []
-    for axis in range(3):
+    stencil = np.zeros(5)  # off-diagonal value per slot
+    ua = np.zeros((grid.n_channels + 1, m))  # U*A from cell to sink row
+    wall = np.zeros(m, dtype=bool)
+    for axis in (0, 1):
         g = k * face_area[axis] / spacing[axis]
-        stencil[[axis, 6 - axis]] = -g
-        for slot in (6 - axis, axis):
+        stencil[[axis, 4 - axis]] = -g
+        for slot in (4 - axis, axis):
             np.add(diag, g, out=diag, where=present[:, slot])
-        for cell, channel in walls[axis]:
-            ua = _film(spacing[axis], k, h_corr[channel]) * face_area[axis]
-            diag[cell] += ua
-            face_cell.append(cell)
-            face_ua.append(ua)
-            face_row.append(channel)
+        for cell, channel in faces[axis]:
+            film = _film(spacing[axis], k, h_corr[channel]) * face_area[axis]
+            diag[cell] += film
+            ua[channel, cell] += film
+            wall[cell] = True
     # optional convective bottom face (slab cases), last sink row
     if grid.h_bottom is not None:
-        cell = index[0, :, 0][solid[0, :, 0]]
-        ua = _film(grid.dz, k, grid.h_bottom) * face_area[2]
-        diag[cell] += ua
-        face_cell.append(cell)
-        face_ua.append(np.full(cell.size, ua))
-        face_row.append(np.full(cell.size, grid.n_channels, dtype=np.int32))
-    face_cell = np.concatenate(face_cell)
-    if m and not face_cell.size:
+        cell = index[:, 0][solid[:, 0]]
+        film = _film(grid.dz, k, grid.h_bottom) * face_area[1]
+        diag[cell] += film
+        ua[-1, cell] += film
+        wall[cell] = True
+    walls = np.flatnonzero(wall)
+    if m and not walls.size:
         raise ValueError("grid has no convective faces; the steady problem "
                          "is singular")
 
-    # exterior top/bottom heat flux
-    heated, power = [], []
+    # exterior top/bottom heat flux, added: a plane one cell thick takes
+    # the heat of both faces
+    heat = np.zeros((grid.nx, m))
     for layer, flux in ((grid.nz - 1, grid.flux_top), (0, grid.flux_bottom)):
-        cell = index[0, :, layer]
-        on = (cell >= 0) & (flux != 0.0)
-        heated.append((planes * m + cell)[on])
-        power.append(flux[on] * face_area[2])
+        on = solid[:, layer]
+        heat[:, index[on, layer]] += flux[:, on] * face_area[1]
+    heated = np.flatnonzero(heat.any(axis=0))
 
     data = np.broadcast_to(stencil, present.shape)[present]
     indptr = np.zeros(m + 1, dtype=np.int32)
     np.cumsum(present.sum(axis=1, dtype=np.int32), out=indptr[1:])
     # the diagonal's slot follows a row's minus neighbours
-    data[indptr[:-1] + present[:, :3].sum(axis=1, dtype=np.int32)] = diag
+    data[indptr[:-1] + present[:, :2].sum(axis=1, dtype=np.int32)] = diag
     matrix = csr_matrix((data, columns[present], indptr), shape=(m, m))
-    return _System(operator=_Operator(matrix, k * face_area[0] / grid.dx,
-                                      grid.nx),
-                   heated=np.concatenate(heated),
-                   power=np.concatenate(power),
-                   face_cell=face_cell,
-                   face_ua=np.concatenate(face_ua),
-                   face_row=np.concatenate(face_row))
+    return _System(operator=_Operator(matrix, k * (grid.dy * grid.dz)
+                                      / grid.dx, grid.nx),
+                   heated=heated, heat=heat[:, heated], walls=walls,
+                   # C order: the rounding of einsum's sums follows
+                   # the layout
+                   ua=np.ascontiguousarray(ua[:, walls]))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -645,38 +628,34 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
     nx = grid.nx
     inlet = flow.inlet_temperature
     t_sink = np.full((n_ch + 1, nx + 1), inlet)
-    # the wall columns, plane cells with a convective face, and the U*A
-    # from wall column j to sink row r in ua[r, j]
-    walls, face_wall = np.unique(system.face_cell, return_inverse=True)
-    ua = np.zeros((n_ch + 1, walls.size))
-    np.add.at(ua, (system.face_row, face_wall), system.face_ua)
+    walls, ua = system.walls, system.ua
     ua_row = ua.sum(axis=1)[:, None]
 
     def sink_heat(wall_temp, sinks):
         """Heat into each row of the sink temperatures `sinks` at each x
-        plane, W, from the wall columns' (nx, walls) temperatures."""
+        plane, W, from the walls' (nx, walls) temperatures."""
         return (np.einsum("xj,rj->rx", wall_temp, ua)
                 - ua_row * sinks[:, :nx])
 
-    # the imposed heat in the modes, transformed in the plane cells that
-    # take some; from the inlet field the first pass's residual is that
-    # heat, whose norm the orthonormal DCT keeps
-    heated = np.unique(system.heated % op.plane.shape[0])
-    heat = _dct(system.heat().reshape(nx, -1)[:, heated])
+    # the imposed heat in the modes; from the inlet field the first pass's
+    # residual is that heat, whose norm the orthonormal DCT keeps
+    heat = _dct(system.heat)
     if not math.isfinite(_norm(heat.reshape(-1))):
         raise ConvergenceError("the first pass's residual is not finite: "
                                "the imposed heat overflows")
     modes = np.empty((nx, op.plane.shape[0]))
     for outer in range(1, _MAX_OUTER + 1):
         modes.fill(0.0)
-        modes[:, heated] = heat
+        modes[:, system.heated] = heat
         modes[:, walls] += np.einsum("kr,rj->kj", _dct(t_sink[:, :nx].T), ua)
         solved = inverse.solve_modes(modes.reshape(-1)).reshape(nx, -1)
         q_sink = sink_heat(_idct(solved[:, walls]), t_sink)
-        # sink temperatures re-marched from the walls' heat
+        # sink temperatures re-marched from the walls' heat; a flow too
+        # weak to carry it gives non-finite ones, refused below
         t_new = t_sink.copy()
-        t_new[:n_ch, 1:] = inlet + np.cumsum(
-            q_sink[:n_ch] / (m_dot * coolant.specific_heat), axis=1)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            t_new[:n_ch, 1:] = inlet + np.cumsum(
+                q_sink[:n_ch] / (m_dot * coolant.specific_heat), axis=1)
         change = float(np.max(np.abs(t_new - t_sink)))
         if not math.isfinite(change):
             raise ConvergenceError(f"coolant pass {outer} stopped: the sink "
@@ -690,7 +669,7 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
             f"iterations (last change {change:.3e} K)")
 
     # the field against the sinks the last pass solved with; the passes
-    # transformed back only the wall columns, so CG starts from the inlet
+    # transformed back only the walls' columns, so CG starts from the inlet
     del heat, modes, solved
     rhs = system.rhs(t_solved)
     temp, info = cg(op, rhs, x0=np.full(op.shape[0], inlet), rtol=tol,
@@ -716,21 +695,21 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
     # field with the sink temperature of each void cell's station
     void = grid.channel_id >= 0
     solid = ~void
-    field3d = np.empty(void.shape)
-    field3d[solid] = temp
-    field3d[void] = t_sink[grid.channel_id[void], np.nonzero(void)[0]]
+    field = np.empty((nx, grid.ny, grid.nz))
+    field[:, solid] = temp.reshape(nx, -1)
+    field[:, void] = t_sink[grid.channel_id[void], :nx].T
 
     # surface extrapolation under imposed flux
     k = material.thermal_conductivity
     t_max = float(np.max(temp))
     for layer, flux in ((grid.nz - 1, grid.flux_top), (0, grid.flux_bottom)):
-        m = solid[:, :, layer] & (flux > 0.0)
+        m = solid[:, layer] & (flux > 0.0)
         if m.any():
-            surf = field3d[:, :, layer][m] + flux[m] * grid.dz / (2.0 * k)
+            surf = field[:, :, layer][m] + flux[m] * grid.dz / (2.0 * k)
             t_max = max(t_max, float(surf.max()))
 
     return FvSolution(
-        temperature=field3d,
+        temperature=field,
         t_max=t_max,
         coolant_profile=t_sink[:n_ch],
         residual=rel,

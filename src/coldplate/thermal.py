@@ -109,15 +109,20 @@ def nusselt(re: float, pr: float) -> float:
     return 0.023 * re**0.8 * pr**0.4
 
 
+def _channel_film(coolant: CoolantProps, shape: ChannelShape,
+                  v: float) -> tuple[float, float]:
+    """(Nu, h) of the channel wall at velocity v > 0, h = Nu*k_f/D_h."""
+    d_h = hydraulic_diameter(shape)
+    nu = nusselt(hydraulics.reynolds(coolant, v, d_h), coolant.prandtl)
+    return nu, nu * coolant.thermal_conductivity / d_h
+
+
 def heat_transfer_coefficient(coolant: CoolantProps, shape: ChannelShape,
                               v: float) -> float:
     """Channel-wall film coefficient h = Nu*k_f/D_h, W/(m^2*K)."""
     if v <= 0:
         raise ValueError("velocity must be > 0")
-    d_h = hydraulic_diameter(shape)
-    re = hydraulics.reynolds(coolant, v, d_h)
-    nu = nusselt(re, coolant.prandtl)
-    return nu * coolant.thermal_conductivity / d_h
+    return _channel_film(coolant, shape, v)[1]
 
 
 def coolant_outlet(coolant: CoolantProps, mass_flow: float, inlet: float,
@@ -177,11 +182,7 @@ def solve_network(assembly: Assembly, coolant: CoolantProps,
     plate = assembly.plate
     k_plate = plate.material.thermal_conductivity
 
-    # the flow terms of heat_transfer_coefficient, kept for the report
-    d_h = hydraulic_diameter(layout.shape)
-    re = hydraulics.reynolds(coolant, flow.inlet_velocity, d_h)
-    nu = nusselt(re, coolant.prandtl)
-    h = nu * coolant.thermal_conductivity / d_h
+    nu, h = _channel_film(coolant, layout.shape, flow.inlet_velocity)
     m_dot = hydraulics.mass_flow_total(coolant, layout, flow.inlet_velocity)
 
     # spreading depth: to the mid-plane for a double-sided plate

@@ -15,7 +15,9 @@ for a given config, so two checkouts compare with
 or, with `--against a` on the second run, by one line per case: whether
 its files are byte-identical to those of the same case under a, and for
 each file that is not, the largest absolute change of any number in it
-(or "text differs" where more than numbers changed).
+(or "text differs" where more than numbers changed). With `--against`
+the run exits 1 when any case is not byte-identical to, or has no
+counterpart in, the other directory, and 0 when all are identical.
 
 field.txt holds one value per line as "% .16e" (17 significant digits,
 an exact round trip); up to commit 409ecd4 it held repr, so against such
@@ -223,14 +225,17 @@ def main(argv: list[str]) -> int:
     parser.add_argument("out_dir", type=Path)
     parser.add_argument("--against", type=Path, metavar="OTHER_OUT_DIR")
     args = parser.parse_args(argv)
+    same = True
     for name, (action, doc) in CASES.items():
         code = run_case(action, doc, args.out_dir / name,
                         ENVIRONMENTS.get(name))
         line = f"{name}: exit {code}"
         if args.against is not None:
-            line += ", " + compare(args.out_dir / name, args.against / name)
+            found = compare(args.out_dir / name, args.against / name)
+            same &= found == "identical"
+            line += ", " + found
         print(line, flush=True)
-    return 0
+    return 0 if same else 1
 
 
 if __name__ == "__main__":

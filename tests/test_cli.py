@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -420,6 +424,27 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("velocity", [5e-324, 1e-310, 1e-300, 1e-200])
+    def test_tiny_velocity_is_one_error_line(self, tmp_path, velocity):
+        # the coolant march's quotient by the mass flow divides by zero or
+        # overflows, and its cumulative sum overflows or turns NaN; the
+        # solve refuses the sinks with no numpy warning ahead of the error.
+        # pytest records warnings instead of printing them, so the CLI
+        # runs in a process of its own
+        cfg = write_config(tmp_path, small_doc(
+            "solve-fv", solver={"resolution_m": 2.5e-3},
+            flow={"v_mps": velocity}))
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "coldplate.cli", "solve-fv", "--config",
+             str(cfg), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: coolant pass ")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        assert not (tmp_path / "out" / "result.json").exists()
 
     @pytest.mark.parametrize("action, section", [
         ("sweep", {"sweep": {"axis": "velocity", "values": [1.1, 2.9],
@@ -1117,3 +1142,25 @@ def test_cli_matrix_covers_every_action():
                    env["COLDPLATE_THREADS"])
                   for name, env in ENVIRONMENTS.items()) == [
         ("material", "fv", "2"), ("velocity", "fv", "2")]
+
+
+def test_cli_matrix_against_exits_1_unless_identical(tmp_path, monkeypatch,
+                                                     capsys):
+    # one case of the matrix, run four times: against a run of the same
+    # code it exits 0; against a run with a changed file, or without the
+    # case, it exits 1
+    import cli_matrix
+    monkeypatch.setattr(cli_matrix, "CASES",
+                        {"small-report": cli_matrix.CASES["small-report"]})
+    runs = [tmp_path / name for name in "abcd"]
+    assert cli_matrix.main([str(runs[0])]) == 0
+    assert cli_matrix.main([str(runs[1]), "--against", str(runs[0])]) == 0
+    assert capsys.readouterr().out.endswith(
+        "small-report: exit 0, identical\n")
+    (runs[0] / "small-report" / "stdout").write_text("changed\n")
+    assert cli_matrix.main([str(runs[2]), "--against", str(runs[0])]) == 1
+    assert "stdout text differs" in capsys.readouterr().out
+    shutil.rmtree(runs[1] / "small-report")
+    assert cli_matrix.main([str(runs[3]), "--against", str(runs[1])]) == 1
+    assert capsys.readouterr().out == (
+        f"small-report: exit 0, no case small-report under {runs[1]}\n")

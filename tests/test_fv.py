@@ -67,7 +67,8 @@ class TestSlabOracle:
 class TestBuildGrid:
     def test_void_fraction_close_to_analytic(self, primary):
         grid = build_grid(primary, 1.5e-3)
-        voxel = (grid.channel_id >= 0).sum() * grid.dx * grid.dy * grid.dz
+        voxel = ((grid.channel_id >= 0).sum() * grid.nx
+                 * grid.dx * grid.dy * grid.dz)
         analytic = (cp.cross_section_area(primary.layout.shape)
                     * primary.layout.channel_length * 6)
         assert abs(voxel - analytic) / analytic <= 0.15
@@ -90,10 +91,11 @@ class TestBuildGrid:
         rect = small_rectangular()
         grid = build_grid(rect, 1.5e-3)
         assert (grid.nx, grid.ny, grid.nz) == (80, 40, 8)
-        voxel = (grid.channel_id >= 0).sum() * grid.dx * grid.dy * grid.dz
+        voxel = ((grid.channel_id >= 0).sum() * grid.nx
+                 * grid.dx * grid.dy * grid.dz)
         assert voxel == pytest.approx(2 * 0.006 * 0.003 * 0.12, rel=1e-12)
         for channel, z_cells in ((0, {1, 2}), (1, {5, 6})):  # bottom, top
-            _, y, z = np.nonzero(grid.channel_id == channel)
+            y, z = np.nonzero(grid.channel_id == channel)
             assert set(y) == {18, 19, 20, 21} and set(z) == z_cells
         sol = solve(grid, water, FLOW, rect.plate.material)
         assert abs(sol.energy_imbalance) <= 1e-6 * grid.total_power
@@ -112,7 +114,7 @@ class TestBuildGrid:
         # so that rounding alone decides whether a face sample is inside;
         # secondary_side builds no grid at 2.5 mm
         void = build_grid(assembly(), resolution).channel_id >= 0
-        assert np.array_equal(void, void[:, :, ::-1])
+        assert np.array_equal(void, void[:, ::-1])
 
     @pytest.mark.parametrize("build", [
         lambda r: build_grid(small_assembly(), r),
@@ -192,10 +194,10 @@ class TestSolve:
     def test_void_cells_hold_coolant_profile(self, small, water):
         grid = build_grid(small, 1.5e-3)
         sol = solve(grid, water, FLOW, small.plate.material)
-        x, y, z = np.nonzero(grid.channel_id >= 0)
-        assert x.size
-        expected = sol.coolant_profile[grid.channel_id[x, y, z], x]
-        assert np.array_equal(sol.temperature[x, y, z], expected)
+        y, z = np.nonzero(grid.channel_id >= 0)
+        assert y.size
+        expected = sol.coolant_profile[grid.channel_id[y, z], :grid.nx].T
+        assert np.array_equal(sol.temperature[:, y, z], expected)
         assert expected.max() > FLOW.inlet_temperature
 
     def test_coolant_outlet_energy(self, small, water):
@@ -383,12 +385,23 @@ GRIDS = [
 ]
 
 
+def face_slices(axis):
+    """Slices of a 3-D grid picking the low and high cell of every interior
+    face across one axis."""
+    lo, hi = [slice(None)] * 3, [slice(None)] * 3
+    lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+    return tuple(lo), tuple(hi)
+
+
 def coo_assembly(grid, material, h):
-    """Assembly through a COO matrix and scipy's conversion to CSR, the
+    """Assembly of the whole 3-D grid, its plane map repeated in every x
+    plane, through a COO matrix and scipy's conversion to CSR: the
     reference for the bits of fv._assemble.
-    Returns (matrix, diag, rhs_fixed, face_cell, face_ua, face_sink)."""
+    Returns (matrix, diag, rhs_fixed, face_cell, face_ua, face_sink), each
+    face with its unknown and its flat index into the sink array."""
     k = material.thermal_conductivity
-    void = grid.channel_id >= 0
+    channel_id = np.broadcast_to(grid.channel_id, (grid.nx, grid.ny, grid.nz))
+    void = channel_id >= 0
     solid = ~void
     n = int(solid.sum())
     index = np.full(void.shape, -1, dtype=np.int64)
@@ -403,10 +416,10 @@ def coo_assembly(grid, material, h):
     voxel_area = np.zeros(n_ch)
     for axis in range(3):
         blocks = []
-        for solid_sl, void_sl in (fv._shifted(axis),
-                                  fv._shifted(axis)[::-1]):
+        for solid_sl, void_sl in (face_slices(axis),
+                                  face_slices(axis)[::-1]):
             m = solid[solid_sl] & void[void_sl]
-            ids = grid.channel_id[void_sl][m]
+            ids = channel_id[void_sl][m]
             np.add.at(voxel_area, ids, face_area[axis])
             blocks.append((index[solid_sl][m], ids,
                            ids * stations + xidx[solid_sl][m]))
@@ -419,7 +432,7 @@ def coo_assembly(grid, material, h):
     diag = np.zeros(n)
     face_cell, face_ua, face_sink = [], [], []
     for axis in range(3):
-        lo, hi = fv._shifted(axis)
+        lo, hi = face_slices(axis)
         g = k * face_area[axis] / spacing[axis]
         both = solid[lo] & solid[hi]
         ia, ib = index[lo][both], index[hi][both]
@@ -466,16 +479,6 @@ def assembled(grid):
     return grid, h, fv._assemble(grid, cp.get_material("copper"), h)
 
 
-def tiled_faces(grid, system):
-    """fv's face table of one plane repeated in every x plane: each face's
-    unknown, flat sink-array index and U*A, plane by plane."""
-    planes = np.arange(grid.nx)[:, None]
-    m = system.operator.plane.shape[0]
-    return ((planes * m + system.face_cell).ravel(),
-            (system.face_row * (grid.nx + 1) + planes).ravel(),
-            np.tile(system.face_ua, grid.nx))
-
-
 def one_row_rectangular():
     """small_rectangular with its channels in one row."""
     rect = small_rectangular()
@@ -509,10 +512,11 @@ class TestAssemble:
         # the separable operator is the COO reference's matrix: its
         # Kronecker form entry by entry to 1e-15 of the largest entry,
         # and its apply on random vectors to that for each of a row's 7
-        # terms. The face table and the heat flux bit for bit; U*A to
-        # 1e-13, since the voxelized area is one product per plane face
-        # here and a sum face by face there. Also for a second film
-        # coefficient on the same grid
+        # terms. The walls, the heated cells and their heat bit for bit;
+        # each wall's U*A to each sink row, the reference's faces summed
+        # per plane, to 1e-13, since the voxelized area is one product per
+        # plane face here and a sum face by face there. Also for a second
+        # film coefficient on the same grid
         grid, h, system = assembled(grid)
         copper = cp.get_material("copper")
         again = fv._assemble(grid, copper, 3.0 * h)
@@ -527,16 +531,19 @@ class TestAssemble:
             for v in rng.standard_normal((3, matrix.shape[0])):
                 assert (np.max(np.abs(op @ v - matrix @ v))
                         <= 1e-15 * scale * np.max(np.abs(v)) * 7)
-            # the pass right-hand side's heat, as solve builds it
-            assert system.heat().tobytes() == rhs_fixed.tobytes()
-            # the plane's face table in every plane, as a set of rows
-            ours = tiled_faces(grid, system)
-            theirs = face_cell, face_sink, face_ua
-            ours, theirs = ([col[np.lexsort(t[::-1])] for col in t]
-                            for t in (ours, theirs))
-            for a, b in zip(ours[:2], theirs[:2]):
-                assert a.tobytes() == b.astype(a.dtype).tobytes()
-            assert np.allclose(ours[2], theirs[2], rtol=1e-13, atol=0)
+            m = op.plane.shape[0]
+            heat = rhs_fixed.reshape(grid.nx, m)
+            heated = np.flatnonzero((heat != 0.0).any(axis=0))
+            assert system.heated.tobytes() == heated.tobytes()
+            assert system.heat.tobytes() == heat[:, heated].tobytes()
+            row, x = np.divmod(face_sink, grid.nx + 1)
+            assert np.array_equal(face_cell // m, x)
+            table = np.zeros((grid.nx, grid.n_channels + 1, m))
+            np.add.at(table, (x, row, face_cell % m), face_ua)
+            walls = np.unique(face_cell % m)
+            assert system.walls.tobytes() == walls.tobytes()
+            assert np.allclose(table[:, :, walls], system.ua, rtol=1e-13,
+                               atol=0)
             # and the right-hand side of a pass against varied sinks
             t_sink = rng.uniform(40.0, 60.0,
                                  (grid.n_channels + 1, grid.nx + 1))
@@ -665,14 +672,6 @@ class TestExactInverse:
                         primary.plate.material, tol=1e-8)
             assert [c[3] for c in calls[start:]] == [1]
             assert len(band_solves) - band_start == sol.iterations + 1
-
-    def test_channels_varying_along_x_refused(self, small, water):
-        # the inverse needs the same plane in every x plane
-        grid = build_grid(small, 2.5e-3)
-        grid.channel_id[0] = -1
-        with pytest.raises(ValueError, match="the same channel "
-                           "cross-section in every x plane"):
-            solve(grid, water, FLOW, small.plate.material)
 
     def test_failed_factorization_is_a_convergence_error(self, small,
                                                          water):
