@@ -51,10 +51,9 @@ and stopping rule) against the last pass's right-hand side, with the
 exact inverse as its preconditioner: one iteration brings its recurrence
 residual below solver.tol, and max_iters bounds it. Its dot products and
 norms avoid BLAS: on vectors of a few hundred thousand entries a threaded
-BLAS `ddot` spins every core for each call, which doubled the CPU time of
-a solve and left nothing for the sweep thread pool. The relative residual
-|A x - b| / |b| is recomputed for the returned field, which is refused
-above _RESIDUAL_SLACK * tol.
+BLAS `ddot` spins every core for each call, which leaves nothing for the
+sweep thread pool. The relative residual |A x - b| / |b| is recomputed
+for the returned field, which is refused above _RESIDUAL_SLACK * tol.
 
 Each solve assembles its whole system from the grid and leaves the grid
 as it found it, so solves on one grid need no synchronization.
@@ -750,8 +749,7 @@ def mesh_study(grid_builder, coolant: CoolantProps, flow: FlowCondition,
 
     grid_builder(resolution) -> Grid voxelizes the case at each size; the
     resolutions take the place of solver.resolution. Successive sizes that
-    give the same cell counts are refused before any solve. Each grid is
-    dropped after its solve.
+    give the same cell counts are refused before any solve.
     """
     if len(resolutions) < 3:
         raise ValueError("mesh study needs at least 3 resolutions")
@@ -766,8 +764,7 @@ def mesh_study(grid_builder, coolant: CoolantProps, flow: FlowCondition,
                              f"{resolutions[i + 1]!r} m give the same "
                              f"{b} grid")
     rows = []
-    while grids:
-        grid = grids.pop(0)
+    for grid in grids:
         t_max = solve(grid, coolant, flow, material, tol=solver.tol,
                       max_iters=solver.max_iters).t_max
         delta = abs(t_max - rows[-1].t_max) if rows else None

@@ -55,8 +55,8 @@ class StudyRow:
     feasible: bool
 
     def to_json(self) -> dict:
-        # by hand: dataclasses.asdict deep-copies every value (15 times
-        # slower per row), and vars() gives each row a dict that it keeps
+        # by hand: dataclasses.asdict deep-copies every value, and vars()
+        # gives each row a dict that it keeps
         return {"descriptor": self.descriptor, "v_mps": self.v_mps,
                 "t_max_C": self.t_max_C, "dp_Pa": self.dp_Pa,
                 "mass_kg": self.mass_kg, "feasible": self.feasible}
@@ -181,11 +181,9 @@ def variant(base: Assembly, material: str | SolidMaterial | None = None,
 
 def evaluate_design(assembly: Assembly, flow: FlowCondition,
                     evaluation: Evaluation = Evaluation(),
-                    evaluator: str = "network",
-                    grid: fv.Grid | None = None) -> tuple[float, float, float]:
+                    evaluator: str = "network") -> tuple[float, float, float]:
     """Returns (t_max deg C, pressure drop Pa, plate mass kg). An "fv"
-    point solves on `grid`, the assembly's grid at the solver resolution,
-    when the caller built one to share between points; else on its own."""
+    point builds its own grid at the solver resolution and solves on it."""
     coolant, solver = evaluation.coolant, evaluation.solver
     dp = hydraulics.pressure_drop(coolant, assembly.layout,
                                   flow.inlet_velocity, evaluation.minor_loss_K)
@@ -194,8 +192,7 @@ def evaluate_design(assembly: Assembly, flow: FlowCondition,
         t_max = thermal.solve_network(assembly, coolant, flow,
                                       evaluation.stack).t_max
     elif evaluator == "fv":
-        if grid is None:
-            grid = fv.build_grid(assembly, solver.resolution)
+        grid = fv.build_grid(assembly, solver.resolution)
         t_max = fv.solve(grid, coolant, flow, assembly.plate.material,
                          tol=solver.tol, max_iters=solver.max_iters).t_max
     else:
@@ -205,13 +202,10 @@ def evaluate_design(assembly: Assembly, flow: FlowCondition,
 
 def _row(descriptor: str, design: Assembly, flow: FlowCondition,
          evaluation: Evaluation, evaluator: str,
-         problem: DesignProblem | None = None,
-         grid: fv.Grid | None = None) -> StudyRow:
-    """The row of one design point, solved on `grid` if given (see
-    evaluate_design). It is feasible when t_max, dp and v are within the
-    problem's limits; a row with no problem is feasible."""
-    t_max, dp, mass = evaluate_design(design, flow, evaluation, evaluator,
-                                      grid)
+         problem: DesignProblem | None = None) -> StudyRow:
+    """The row of one design point. It is feasible when t_max, dp and v
+    are within the problem's limits; a row with no problem is feasible."""
+    t_max, dp, mass = evaluate_design(design, flow, evaluation, evaluator)
     feasible = problem is None or (
         t_max <= problem.t_max_limit and dp <= problem.pressure_budget
         and flow.inlet_velocity <= problem.v_max)
@@ -242,15 +236,11 @@ def _apply_axis(spec: SweepSpec, value) -> tuple[str, Assembly, FlowCondition]:
 
 
 def run_sweep(spec: SweepSpec, evaluator: str = "network") -> StudyResult:
-    """One evaluation per axis value, rows in input order. The FV points
-    of a velocity sweep, which share the base assembly, share its grid."""
+    """One evaluation per axis value, rows in input order."""
     points = [_apply_axis(spec, value) for value in spec.values]
-    grid = (fv.build_grid(spec.base, spec.evaluation.solver.resolution)
-            if evaluator == "fv" and spec.axis == "velocity" else None)
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         return StudyResult(rows=tuple(pool.map(
-            lambda point: _row(*point, spec.evaluation, evaluator, grid=grid),
-            points)))
+            lambda point: _row(*point, spec.evaluation, evaluator), points)))
 
 
 # --------------------------------------------------------------------------
@@ -310,17 +300,14 @@ def optimize(problem: DesignProblem, evaluator: str = "network",
                for cover in problem.cover_thicknesses]
 
     def rows_of(design: Assembly):
-        """The design's row at a velocity, as a function of it; its FV
-        points share one grid, dropped with the function."""
-        grid = (fv.build_grid(design, problem.evaluation.solver.resolution)
-                if evaluator == "fv" else None)
+        """The design's row at a velocity, as a function of it."""
         # 15 digits name every point of the 12-decimal grid below 1000 m/s
         return lambda v: _row(
             f"material={design.plate.material.name},"
             f"channels_per_row={design.layout.channels_per_row},"
             f"cover_mm={design.layout.cover_thickness * 1e3:.15g},"
             f"v={v:.15g}", design, FlowCondition(v, problem.inlet_temperature),
-            problem.evaluation, evaluator, problem, grid)
+            problem.evaluation, evaluator, problem)
 
     def best_of(rows, best=None):  # the first of equals, as in grid order
         return min(([best] if best else []) + [r for r in rows if r.feasible],

@@ -36,7 +36,8 @@ design point changes their outputs; an FV sweep whose `solver.max_iters`
 binds, under a `solver.tol` below what CG's recurrence reaches in that
 many iterations, ends in the solver's convergence error. The secondary plate's FV
 velocity sweep runs a second time on a 2-thread pool, and so does an FV
-material sweep of the small plate, whose points each build their own grid.
+material sweep of the small plate, whose points differ in their design
+where the velocity sweep's differ only in their flow.
 """
 
 from __future__ import annotations

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import weakref
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -881,19 +880,6 @@ class TestMeshStudy:
     def study(assembly, water, resolutions):
         return mesh_study(lambda r: build_grid(assembly, r), water, FLOW,
                           assembly.plate.material, resolutions)
-
-    def test_solved_grids_are_released(self, small, water, monkeypatch):
-        # a coarser grid is not held through a finer solve
-        grids, real_solve = [], fv.solve
-
-        def solve_one(grid, *args, **kwargs):
-            assert all(ref() is None for ref in grids)
-            grids.append(weakref.ref(grid))
-            return real_solve(grid, *args, **kwargs)
-        monkeypatch.setattr(fv, "solve", solve_one)
-        self.study(small, water, [2.5e-3, 2.2e-3, 2e-3])
-        assert len(grids) == 3
-        assert all(ref() is None for ref in grids)
 
     def test_requires_three_resolutions(self, small, water):
         with pytest.raises(ValueError):

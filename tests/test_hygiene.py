@@ -184,3 +184,10 @@ def test_studies_builds_every_row_in_one_function():
     source = (ROOT / "src" / "coldplate" / "studies.py").read_text()
     assert callers(source, "StudyRow") == {"_row"}
     assert callers(source, "evaluate_design") == {"_row"}
+
+
+def test_studies_builds_every_fv_grid_in_one_function():
+    # every FV design point of a sweep or optimize builds its own grid in
+    # studies.evaluate_design; no study passes a grid on to a point
+    source = (ROOT / "src" / "coldplate" / "studies.py").read_text()
+    assert callers(source, "build_grid") == {"evaluate_design"}

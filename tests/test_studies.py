@@ -350,17 +350,6 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
-def _record_grids(monkeypatch) -> list:
-    """Replace fv.build_grid by a wrapper that records each grid built."""
-    grids, real = [], fv.build_grid
-
-    def recorded(*args):
-        grids.append(real(*args))
-        return grids[-1]
-    monkeypatch.setattr(fv, "build_grid", recorded)
-    return grids
-
-
 class TestPrunedSearch:
     def test_premise_holds_on_c7_grid(self, primary):
         # the pruned search is exact because, for every geometry, t_max
@@ -464,9 +453,14 @@ class TestPrunedSearch:
         assert [r.v_mps for r in pruned.rows] == list(prob.velocities) * 2
 
 
-class TestSharedFvGrid:
-    """The FV points of a study on one assembly share its grid, from
-    which each solve assembles its own system."""
+def _grid_key(grid) -> tuple:
+    """A grid's (nx, ny, nz) and the bytes of its cross-section map."""
+    return grid.nx, grid.ny, grid.nz, grid.channel_id.tobytes()
+
+
+class TestFvStudyGrids:
+    """Every FV point of a study builds its own grid, from which its solve
+    assembles its own system."""
 
     def test_threaded_fv_sweep_matches_serial(self, small, monkeypatch):
         spec = SweepSpec(base=small, axis="velocity",
@@ -477,8 +471,8 @@ class TestSharedFvGrid:
 
     def test_threaded_secondary_sweep_matches_serial(self, monkeypatch):
         # the benchmark's threaded sweep: 12 channels at 1.5 mm, where the
-        # two pool threads share one grid and run its factorizations and
-        # transforms side by side
+        # two pool threads each build their points' grids and run their
+        # factorizations and transforms side by side
         spec = SweepSpec(base=cp.secondary_side(), axis="velocity",
                          values=(0.8, 1.1, 1.4, 2.9),
                          evaluation=studies.Evaluation(
@@ -487,33 +481,38 @@ class TestSharedFvGrid:
         monkeypatch.setenv("COLDPLATE_THREADS", "2")
         assert run_sweep(spec, "fv") == serial
 
-    def test_velocity_sweep_builds_one_grid(self, small, monkeypatch):
-        # more threads than points: every pool thread solves on the
-        # sweep's one grid
-        grids = _record_grids(monkeypatch)
+    def test_velocity_sweep_solves_on_the_base_grid(self, small,
+                                                    monkeypatch):
+        # more threads than points: every pool thread solves one point on
+        # the base assembly's grid at the solver resolution
         solves = _count_calls(monkeypatch, fv, "solve")
         monkeypatch.setenv("COLDPLATE_THREADS", "4")
-        run_sweep(SweepSpec(base=small, axis="velocity",
-                            values=(0.6, 1.1, 1.7, 2.3)), "fv")
-        assert len(solves) == 4 and len(grids) == 1
-        assert all(args[0] is grids[0] for args in solves)
+        spec = SweepSpec(base=small, axis="velocity",
+                         values=(0.6, 1.1, 1.7, 2.3))
+        run_sweep(spec, "fv")
+        key = _grid_key(fv.build_grid(small,
+                                      spec.evaluation.solver.resolution))
+        assert [_grid_key(args[0]) for args in solves] == [key] * 4
 
     @pytest.mark.parametrize("prune", [True, False])
-    def test_optimize_builds_one_grid_per_design(self, small, prune,
+    def test_optimize_solves_on_each_design_grid(self, small, prune,
                                                  monkeypatch):
-        grids = _record_grids(monkeypatch)
         solves = _count_calls(monkeypatch, fv, "solve")
         # two cover variants of one mass: the pruned search visits both
-        optimize(DesignProblem(base=small, materials=("aluminum",),
-                               channel_counts=(2,),
-                               cover_thicknesses=(1e-3, 1.5e-3),
-                               v_min=0.5, v_max=1.5, v_step=0.5), "fv",
-                 prune=prune)
+        prob = DesignProblem(base=small, materials=("aluminum",),
+                             channel_counts=(2,),
+                             cover_thicknesses=(1e-3, 1.5e-3),
+                             v_min=0.5, v_max=1.5, v_step=0.5)
+        optimize(prob, "fv", prune=prune)
         # pruned, each design is probed at v_hi and the point below it
         per_design = 2 if prune else 3
-        assert len(grids) == 2 and len(solves) == 2 * per_design
-        assert [sum(args[0] is grid for args in solves)
-                for grid in grids] == [per_design, per_design]
+        keys = [_grid_key(fv.build_grid(
+            variant(small, material="aluminum", channel_count=2,
+                    cover_thickness=cover),
+            prob.evaluation.solver.resolution))
+            for cover in prob.cover_thicknesses]
+        assert ([_grid_key(args[0]) for args in solves]
+                == [key for key in keys for _ in range(per_design)])
 
 
 _PRINTABLE = st.text(max_size=6).filter(str.isprintable)
