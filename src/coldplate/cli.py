@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 from io import StringIO
 from pathlib import Path
 
-from . import fv, hydraulics, studies, thermal
+from . import hydraulics, studies, thermal
+from .fv_settings import ConvergenceError, SolverSettings
 from .geometry import (PRESETS, Assembly, ChannelLayout, DieSource,
                        ModulePlacement, PlateGeometry, Rectangular,
                        Semicircular, plate_mass, validate)
@@ -156,7 +157,7 @@ _SWEEP_ITEM = {"velocity": _POSITIVE, "channel_count": _COUNT,
                "channel_shape": set(_SHAPES), "cover_thickness": _POSITIVE}
 _EVALUATOR = (set(studies.EVALUATORS), "network")
 _WATER = water_at_reference()
-_SOLVER = fv.SolverSettings()
+_SOLVER = SolverSettings()
 _FLOW = studies.SweepSpec.flow
 _STACK = _required(layers=[{
     **_required(name=_STRING, thickness_m=_POSITIVE, conductivity=_POSITIVE),
@@ -290,6 +291,13 @@ class RunConfig:
     optimize: studies.DesignProblem | None
     resolved: dict  # fully-resolved document for --echo-config
 
+    @property
+    def solves_fv(self) -> bool:
+        """Whether the action runs an FV solve, and so needs scipy."""
+        if self.action in ("sweep", "optimize"):
+            return self.resolved[self.action]["evaluator"] == "fv"
+        return self.action in ("solve-fv", "mesh-study")
+
 
 def parse_config(text: str, action: str | None = None) -> RunConfig:
     """Parse and validate a JSON config, filling documented defaults."""
@@ -356,7 +364,7 @@ def parse_config(text: str, action: str | None = None) -> RunConfig:
             _record(thermal.StackLayer, layer)
             for layer in resolved["stack"]["layers"])),
         minor_loss_K=resolved["hydraulics"]["minor_loss_K"],
-        solver=_record(fv.SolverSettings, resolved["solver"]))
+        solver=_record(SolverSettings, resolved["solver"]))
 
     def study(cls, section: dict, **fields):
         # the evaluator is not a field: run_sweep and optimize take it
@@ -434,6 +442,7 @@ def _run_optimize(config: RunConfig):
 
 
 def _run_solve_fv(config: RunConfig):
+    from . import fv
     solver = config.evaluation.solver
     grid = fv.build_grid(config.assembly, solver.resolution)
     solution = fv.solve(grid, config.evaluation.coolant, config.flow,
@@ -448,10 +457,12 @@ def _run_solve_fv(config: RunConfig):
     summary = (f"FV t_max = {solution.t_max:.2f} C on {grid.cell_count} "
                f"cells | energy imbalance = "
                f"{solution.energy_imbalance:.3e} W")
-    return result, csv, (solution, grid), summary
+    return result, csv, lambda path: fv.write_structured_points(
+        solution, grid, path), summary
 
 
 def _run_mesh_study(config: RunConfig):
+    from . import fv
     result = fv.mesh_study(lambda r: fv.build_grid(config.assembly, r),
                            config.evaluation.coolant, config.flow,
                            config.assembly.plate.material,
@@ -488,16 +499,20 @@ def run(config: RunConfig, out_dir: Path, echo_config: bool = False) -> int:
     _check_out(out_dir)
     if echo_config:
         print(json.dumps(config.resolved, indent=2, sort_keys=True))
-    result, csv, field_data, summary = _RUNNERS[config.action](config)
+    if config.solves_fv:
+        # numpy and scipy load here, in the action's set-up, so that no
+        # pool thread waits on an import inside its first solve
+        from . import fv
+        fv.scipy_routines()
+    result, csv, write_field, summary = _RUNNERS[config.action](config)
     # strict JSON: a non-finite result is an error, not a NaN in the file
     text = json.dumps(result, indent=2, sort_keys=True, allow_nan=False)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "result.json").write_text(text + "\n")
     (out_dir / "result.csv").write_text(csv)
-    if field_data is not None:
-        solution, grid = field_data
-        fv.write_structured_points(solution, grid, out_dir / "field.txt")
+    if write_field is not None:
+        write_field(out_dir / "field.txt")
     print(summary)
     return 0
 
@@ -524,7 +539,7 @@ def main(argv: list[str] | None = None) -> int:
         status, message = 2, exc
     except UnicodeDecodeError as exc:
         status, message = 1, f"invalid config: not UTF-8 text: {exc}"
-    except (ValueError, fv.ConvergenceError) as exc:
+    except (ValueError, ConvergenceError) as exc:
         status, message = 1, exc
     print(f"error: {message}", file=sys.stderr)
     return status

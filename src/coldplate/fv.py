@@ -45,14 +45,14 @@ x differences.
 The Picard passes run in those modes. The imposed heat is transformed
 once per solve; a pass transforms only the sink rows, adds their U*A to
 the walls' columns, solves the band in place and transforms back only
-the walls' columns, from which the coolant is re-marched. The returned field is then solved once by
-conjugate gradients (`cg`, this module's own loop with scipy's algorithm
-and stopping rule) against the last pass's right-hand side, with the
-exact inverse as its preconditioner: one iteration brings its recurrence
-residual below solver.tol, and max_iters bounds it. Its dot products and
-norms avoid BLAS: on vectors of a few hundred thousand entries a threaded
-BLAS `ddot` spins every core for each call, which leaves nothing for the
-sweep thread pool. The relative residual |A x - b| / |b| is recomputed
+the walls' columns, from which the coolant is re-marched. The returned
+field is then solved once by conjugate gradients (`cg`, this module's
+own loop with scipy's algorithm and stopping rule) against the last
+pass's right-hand side, with the exact inverse as its preconditioner:
+one iteration brings its recurrence residual below solver.tol, and
+max_iters bounds it. Its dot products and norms avoid BLAS: on vectors
+of a few hundred thousand entries a threaded BLAS `ddot` spins every
+core for each call, which leaves nothing for the sweep thread pool. The relative residual |A x - b| / |b| is recomputed
 for the returned field, which is refused above _RESIDUAL_SLACK * tol.
 
 Each solve assembles its whole system from the grid and leaves the grid
@@ -61,14 +61,15 @@ as it found it, so solves on one grid need no synchronization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.sparse import csr_matrix
 
 from . import thermal
+# re-exported: fv.SolverSettings and the errors are this module's too
+from .fv_settings import ConvergenceError, GridResolutionError, SolverSettings
 from .geometry import (Assembly, ChannelShape, Semicircular,
                        cross_section_area, validate, wetted_perimeter)
 from .hydraulics import FlowCondition
@@ -91,20 +92,16 @@ _MAX_OUTER = 100   # outer fluid-coupling passes before giving up
 _RESIDUAL_SLACK = 2.0
 
 
-class GridResolutionError(ValueError):
-    """Resolution cannot resolve the cover between channels and surface."""
-
-
-class ConvergenceError(RuntimeError):
-    """A linear solve or the coolant march did not converge."""
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    """Settings of every FV solve of a run: the config's `solver` section."""
-    resolution: float = 2e-3   # m, target cell size
-    tol: float = 1e-8          # relative residual of the returned field's CG
-    max_iters: int = 20000     # iterations of that CG call
+@functools.cache
+def scipy_routines():
+    """(cholesky_banded, cho_solve_banded, csr_matrix), the scipy routines
+    a solve uses. This is the package's one scipy import: a process that
+    solves no FV never loads scipy, and the first solve loads it unless
+    the caller has called this first (`cli.run` does, in an FV action's
+    set-up)."""
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+    from scipy.sparse import csr_matrix
+    return cholesky_banded, cho_solve_banded, csr_matrix
 
 
 @dataclass(eq=False)  # compared by identity: its fields are arrays
@@ -310,7 +307,7 @@ class _Operator:
     """The conduction matrix A = g_x T_x (x) I + I (x) K, applied without
     forming it (see the module docstring): K on every x plane, plus the
     conduction across each x face."""
-    plane: csr_matrix   # K, symmetric, on one x plane's m solid cells
+    plane: object       # K, a symmetric csr_matrix on a plane's m solid cells
     gx: float           # conductance of an x face, W/K
     nx: int
 
@@ -443,6 +440,7 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
     np.cumsum(present.sum(axis=1, dtype=np.int32), out=indptr[1:])
     # the diagonal's slot follows a row's minus neighbours
     data[indptr[:-1] + present[:, :2].sum(axis=1, dtype=np.int32)] = diag
+    csr_matrix = scipy_routines()[2]
     matrix = csr_matrix((data, columns[present], indptr), shape=(m, m))
     return _System(operator=_Operator(matrix, k * (grid.dy * grid.dz)
                                       / grid.dx, grid.nx),
@@ -565,6 +563,7 @@ class _Inverse:
     def solve_modes(self, b: np.ndarray) -> np.ndarray:
         """Overwrite b, the DCT along x of a right-hand side, mode after
         mode, with the DCT of its solution; returns b."""
+        cho_solve_banded = scipy_routines()[1]
         return cho_solve_banded((self.factor, False), b, overwrite_b=True,
                                 check_finite=False)
 
@@ -593,9 +592,10 @@ def _inverse(system: _System) -> _Inverse:
     modes = band.reshape(kd + 1, m, nx, order="F")  # a view of band
     modes[kd - offset, rows[lower]] = plane.data[lower, None]
     modes[kd] += op.gx * 4.0 * np.sin(0.5 * np.pi * np.arange(nx) / nx) ** 2
+    cholesky_banded = scipy_routines()[0]
     try:
         factor = cholesky_banded(band, overwrite_ab=True, check_finite=False)
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"the FV system's band factorization failed "
                                f"({exc})") from None
     return _Inverse(factor, nx)

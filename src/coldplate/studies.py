@@ -23,7 +23,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from . import fv, hydraulics, thermal
+from . import hydraulics, thermal
+from .fv_settings import SolverSettings
 from .geometry import (REFERENCE_RECT, Assembly, Rectangular, Semicircular,
                        equal_area_radius, plate_mass, secondary_side,
                        wetted_perimeter)
@@ -79,7 +80,7 @@ class Evaluation:
     coolant: CoolantProps = water_at_reference()
     stack: thermal.DieStack = thermal.DEFAULT_DIE_STACK
     minor_loss_K: float = DEFAULT_MINOR_LOSS_K
-    solver: fv.SolverSettings = fv.SolverSettings()
+    solver: SolverSettings = SolverSettings()
 
 
 @dataclass(frozen=True)
@@ -192,6 +193,7 @@ def evaluate_design(assembly: Assembly, flow: FlowCondition,
         t_max = thermal.solve_network(assembly, coolant, flow,
                                       evaluation.stack).t_max
     elif evaluator == "fv":
+        from . import fv  # here, so that network points load no numpy
         grid = fv.build_grid(assembly, solver.resolution)
         t_max = fv.solve(grid, coolant, flow, assembly.plate.material,
                          tol=solver.tol, max_iters=solver.max_iters).t_max

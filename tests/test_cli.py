@@ -446,6 +446,50 @@ class TestMain:
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
         assert not (tmp_path / "out" / "result.json").exists()
 
+    _OPTIMIZE = {"materials": ["copper"], "channel_counts": [2],
+                 "cover_thicknesses_m": [1e-3], "v_min": 0.5, "v_max": 1.5}
+    _COARSE = {"resolution_m": 2.5e-3}
+
+    @pytest.mark.parametrize("action, doc", [
+        ("report", {"preset": "primary_side"}),
+        ("report", {"preset": "secondary_side"}),
+        ("sweep", small_doc("sweep", sweep={"axis": "velocity",
+                                            "values": [0.6, 1.1]})),
+        ("optimize", small_doc("optimize", optimize=_OPTIMIZE)),
+    ], ids=["report-primary", "report-secondary", "sweep", "optimize"])
+    def test_network_actions_load_no_numpy(self, tmp_path, action, doc):
+        # an action that solves no FV starts and runs on the standard
+        # library alone
+        loaded = main_in_fresh_process(tmp_path, action, doc, (
+            "assert cli.main(argv) == 0\n"
+            "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules}\n"
+            "                        & {'numpy', 'scipy'})))\n"))
+        assert loaded == []
+
+    @pytest.mark.parametrize("action, doc", [
+        ("solve-fv", small_doc("solve-fv", solver=_COARSE)),
+        ("sweep", small_doc("sweep", solver=_COARSE, sweep={
+            "axis": "velocity", "values": [0.6, 1.1], "evaluator": "fv"})),
+        ("optimize", small_doc("optimize", optimize={
+            **_OPTIMIZE, "v_min": 1.1, "v_max": 1.1, "evaluator": "fv"})),
+        ("mesh-study", small_doc("mesh-study", mesh_study={
+            "resolutions_m": [2.5e-3, 2e-3, 1.5e-3]})),
+    ], ids=["solve-fv", "sweep", "optimize", "mesh-study"])
+    def test_fv_actions_load_scipy_in_set_up(self, tmp_path, action, doc):
+        # importing fv loads no scipy; an FV action loads it before its
+        # first grid, so that no solve, and no pool thread, waits on it
+        imported, held = main_in_fresh_process(tmp_path, action, doc, (
+            "from coldplate import fv\n"
+            "imported, held, build_grid = 'scipy' in sys.modules, [], "
+            "fv.build_grid\n"
+            "def traced(*args):\n"
+            "    held.append('scipy.linalg' in sys.modules)\n"
+            "    return build_grid(*args)\n"
+            "fv.build_grid = traced\n"
+            "assert cli.main(argv) == 0\n"
+            "print(json.dumps([imported, held]))\n"))
+        assert not imported and held[0]
+
     @pytest.mark.parametrize("action, section", [
         ("sweep", {"sweep": {"axis": "velocity", "values": [1.1, 2.9],
                              "evaluator": "fv"}}),
@@ -501,6 +545,21 @@ class TestMain:
 
 
 NAN = float("nan")
+
+
+def main_in_fresh_process(tmp_path, action, doc, script):
+    """What `script` prints last, read as JSON, run in a fresh process
+    that has imported json, sys and coldplate.cli; `argv` holds the
+    arguments of `coldplate <action>` on the config `doc`."""
+    cfg = write_config(tmp_path, doc)
+    argv = [action, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys\nfrom coldplate import cli"
+         f"\nargv = {argv!r}\n{script}"],
+        capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 class TestMalformedConfig:

@@ -578,11 +578,12 @@ class TestAssemble:
         # the resident-set growth of one solve in a fresh process, which
         # counts what tracemalloc does not see (allocator growth, LAPACK's
         # workspace): the peak RSS after the solve less the peak RSS after
-        # build_grid: 128.3-129.5 B per cell measured with the passes in
-        # the DCT modes, plus 5%
+        # build_grid and the scipy import: 128.3-129.5 B per cell measured
+        # with the passes in the DCT modes, plus 5%
         growth = peak_rss_growth(
             "plate = cp.primary_side()\n"
-            "grid = fv.build_grid(plate, 2.5e-3)\n",
+            "grid = fv.build_grid(plate, 2.5e-3)\n"
+            "fv.scipy_routines()\n",
             "fv.solve(grid, cp.water_at_reference(), "
             "cp.FlowCondition(1.1, 49.0), plate.plate.material)\n")
         cells = build_grid(cp.primary_side(), 2.5e-3).cell_count
@@ -594,15 +595,17 @@ class TestAssemble:
         # the benchmark's threaded sweep, the secondary plate's 4 FV
         # velocities at 1.5 mm on 2 pool threads, whose solves assemble
         # their systems side by side: its resident-set growth in a fresh
-        # process was 31.5-31.6 MB, plus 5%. Solves that each hold a full
-        # n-vector of the imposed heat measured 36.4-36.8 MB
+        # process, after the scipy import, was 31.5-31.6 MB, plus 5%.
+        # Solves that each hold a full n-vector of the imposed heat
+        # measured 36.4-36.8 MB
         growth = peak_rss_growth(
             "from coldplate import studies\n"
             "spec = studies.SweepSpec(\n"
             "    base=cp.secondary_side(), axis='velocity',\n"
             "    values=(0.8, 1.1, 1.4, 2.9),\n"
             "    evaluation=studies.Evaluation(\n"
-            "        solver=fv.SolverSettings(resolution=1.5e-3)))\n",
+            "        solver=fv.SolverSettings(resolution=1.5e-3)))\n"
+            "fv.scipy_routines()\n",
             "studies.run_sweep(spec, 'fv')\n",
             {"COLDPLATE_THREADS": "2"})
         assert growth <= 33.2e6

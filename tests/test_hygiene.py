@@ -1,8 +1,8 @@
 """Source hygiene: no module imports a name it never uses, the package
-imports nothing heavier than numpy, scipy.sparse and scipy.linalg (which
-scipy.sparse.linalg imports in turn), only `cli` reads
-JSON, every private module-level name is used somewhere in the package,
-and `studies` builds every row in one function."""
+imports nothing heavier than numpy, scipy.linalg and scipy.sparse, scipy
+only inside `fv.scipy_routines` and numpy at module level only in `fv`,
+only `cli` reads JSON, every private module-level name is used somewhere
+in the package, and `studies` builds every row in one function."""
 
 import ast
 import sys
@@ -18,8 +18,7 @@ MODULES = sorted(
     + list((ROOT / "tests").glob("*.py")))
 # Start-up time is interpreter start plus imports; every other third-party
 # module (scipy.optimize, say) would add to each CLI run and worker process.
-ALLOWED_THIRD_PARTY = {"numpy", "scipy.linalg", "scipy.sparse",
-                       "scipy.sparse.linalg"}
+ALLOWED_THIRD_PARTY = {"numpy", "scipy.linalg", "scipy.sparse"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,14 +37,36 @@ def unused_imports(source: str) -> list[str]:
         imported.items(), key=lambda item: item[1]) if name not in used]
 
 
+def imported_modules(node) -> list[str]:
+    """The modules an import statement names absolutely; [] for any other
+    node."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
 def absolute_imports(source: str) -> list[tuple[int, str]]:
     """(line, module) of every absolute import."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            found += [(node.lineno, alias.name) for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            found.append((node.lineno, node.module))
+    return [(node.lineno, module) for node in ast.walk(ast.parse(source))
+            for module in imported_modules(node)]
+
+
+def scopes(source: str, matches) -> set[str]:
+    """Qualified name of the innermost function or class around each node
+    for which matches(node) is true; "" for a node at module level."""
+    found = set()
+
+    def visit(node, scope: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if matches(node):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+    visit(ast.parse(source), "")
     return found
 
 
@@ -79,13 +100,42 @@ def test_detects_disallowed_import():
               "def f():\n    from scipy import optimize\n"
               "    import threadpoolctl, scipy.optimize\n")
     assert disallowed_imports(source) == [
-        "line 6: scipy", "line 7: threadpoolctl", "line 7: scipy.optimize"]
+        "line 3: scipy.sparse.linalg", "line 6: scipy",
+        "line 7: threadpoolctl", "line 7: scipy.optimize"]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.relative_to(ROOT)
                          .as_posix())
 def test_package_imports_stay_light(path):
     assert disallowed_imports(path.read_text()) == []
+
+
+def import_scopes(source: str, module: str) -> set[str]:
+    """The scopes (see `scopes`) of the absolute imports of `module` or of
+    one of its submodules."""
+    return scopes(source, lambda node: any(
+        m.split(".")[0] == module for m in imported_modules(node)))
+
+
+def test_detects_import_scopes():
+    source = ("import numpy as np\nif np:\n    from scipy import linalg\n"
+              "def f():\n    import numpy.linalg\n    def g():\n"
+              "        from scipy.sparse import csr_matrix\n"
+              "class C:\n    import numpyish\n")
+    assert import_scopes(source, "numpy") == {"", "f"}
+    assert import_scopes(source, "scipy") == {"", "f.g"}
+
+
+def test_scipy_and_numpy_load_only_where_fv_needs_them():
+    # an action that solves no FV starts without numpy or scipy: scipy is
+    # imported in one function of fv, and numpy at module level only by fv,
+    # which cli and studies import inside their FV paths
+    for path in PACKAGE:
+        source = path.read_text()
+        assert import_scopes(source, "scipy") == (
+            {"scipy_routines"} if path.name == "fv.py" else set()), path.name
+        if path.name != "fv.py":
+            assert "" not in import_scopes(source, "numpy"), path.name
 
 
 def test_detects_imports_of():
@@ -152,22 +202,10 @@ def test_no_unreferenced_privates():
 
 
 def callers(source: str, name: str) -> set[str]:
-    """Qualified name of the innermost function or class around each call
-    of `name`, called bare or as an attribute; "" for a module-level call."""
-    found = set()
-
-    def visit(node, scope: str):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            scope = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Call) and name in (
-                getattr(node.func, "id", None),
-                getattr(node.func, "attr", None)):
-            found.add(scope)
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-    visit(ast.parse(source), "")
-    return found
+    """The scopes (see `scopes`) of the calls of `name`, called bare or as
+    an attribute."""
+    return scopes(source, lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
 def test_detects_callers():

@@ -498,10 +498,11 @@ class TestFvStudyGrids:
     def test_optimize_solves_on_each_design_grid(self, small, prune,
                                                  monkeypatch):
         solves = _count_calls(monkeypatch, fv, "solve")
-        # two cover variants of one mass: the pruned search visits both
+        # two cover variants of one mass, which voxelize to two grids at
+        # 2 mm: the pruned search visits both
         prob = DesignProblem(base=small, materials=("aluminum",),
                              channel_counts=(2,),
-                             cover_thicknesses=(1e-3, 1.5e-3),
+                             cover_thicknesses=(1e-3, 3e-3),
                              v_min=0.5, v_max=1.5, v_step=0.5)
         optimize(prob, "fv", prune=prune)
         # pruned, each design is probed at v_hi and the point below it
@@ -511,6 +512,7 @@ class TestFvStudyGrids:
                     cover_thickness=cover),
             prob.evaluation.solver.resolution))
             for cover in prob.cover_thicknesses]
+        assert keys[0] != keys[1]
         assert ([_grid_key(args[0]) for args in solves]
                 == [key for key in keys for _ in range(per_design)])
 
