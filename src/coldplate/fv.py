@@ -31,29 +31,35 @@ A = g_x T_x (x) I + I (x) K exactly: T_x is the 1-D Laplacian with
 adiabatic ends, g_x the conductance of an x face, and K the matrix of one
 plane (y and z conduction, channel-wall and bottom films), the same in
 every plane because the void map, the wall U*A and the cell sizes do not
-vary along x. The orthonormal DCT-II Q diagonalizes T_x, with eigenvalues
-lambda_k = 4 sin^2(pi k / 2 nx), so A^-1 = (Q^T (x) I) blockdiag_k
-(K + g_x lambda_k I)^-1 (Q (x) I): a transform along x, one plane solve
-per mode and the inverse transform (the fast diagonalization method;
-Lynch, Rice & Thomas, Numer. Math. 6:185, 1964). Each mode's matrix is
-banded with half-bandwidth kd <= nz; one Cholesky factorization of the
-block-diagonal band of all nx modes costs O(n kd^2) per solve and holds
-(kd + 1) * 8 B per cell, and an apply costs O(n kd) plus two real FFTs
-along x. No 3-D matrix is stored: A p applies K to every plane plus the
-x differences.
+vary along x. `_System` is A, applied without a 3-D matrix (K on every
+plane plus the x differences), with the parts of its right-hand side: the
+imposed heat per plane, and the U*A table that the sink temperatures
+multiply.
+
+`_Inverse` is A^-1. The orthonormal DCT-II Q diagonalizes T_x, with
+eigenvalues lambda_k = 4 sin^2(pi k / 2 nx), so A^-1 = (Q^T (x) I)
+blockdiag_k (K + g_x lambda_k I)^-1 (Q (x) I): a transform along x, one
+plane solve per mode and the inverse transform (the fast diagonalization
+method; Lynch, Rice & Thomas, Numer. Math. 6:185, 1964). Each mode's
+matrix is banded with half-bandwidth kd <= nz. Built, `_Inverse` holds
+the Cholesky factor of the block-diagonal band of all nx modes, which
+costs O(n kd^2) per solve and (kd + 1) * 8 B per cell; an apply costs
+O(n kd) plus two real FFTs along x.
 
 The Picard passes run in those modes. The imposed heat is transformed
-once per solve; a pass transforms only the sink rows, adds their U*A to
-the walls' columns, solves the band in place and transforms back only
-the walls' columns, from which the coolant is re-marched. The returned
-field is then solved once by conjugate gradients (`cg`, this module's
-own loop with scipy's algorithm and stopping rule) against the last
-pass's right-hand side, with the exact inverse as its preconditioner:
-one iteration brings its recurrence residual below solver.tol, and
-max_iters bounds it. Its dot products and norms avoid BLAS: on vectors
-of a few hundred thousand entries a threaded BLAS `ddot` spins every
-core for each call, which leaves nothing for the sweep thread pool. The relative residual |A x - b| / |b| is recomputed
-for the returned field, which is refused above _RESIDUAL_SLACK * tol.
+once per solve; a pass transforms only the sink rows, builds its
+right-hand side (`_System.rhs`), solves the band in place and transforms
+back only the walls' columns, whose heat into each sink row
+(`_System.sink_heat`) re-marches the coolant. The returned field is then
+solved once by conjugate gradients (`cg`, this module's own loop with
+scipy's algorithm and stopping rule) against the last pass's right-hand
+side, with `_Inverse` as its preconditioner: one iteration brings its
+recurrence residual below solver.tol, and max_iters bounds it. Its dot
+products and norms avoid BLAS: on vectors of a few hundred thousand
+entries a threaded BLAS `ddot` spins every core for each call, which
+leaves nothing for the sweep thread pool. The relative residual
+|A x - b| / |b| is recomputed for the returned field, which is refused
+above _RESIDUAL_SLACK * tol.
 
 Each solve assembles its whole system from the grid and leaves the grid
 as it found it, so solves on one grid need no synchronization.
@@ -294,22 +300,27 @@ def _film(d: float, k: float, h):
     return 1.0 / (d / (2.0 * k) + 1.0 / h)
 
 
-def _shifted(axis: int):
-    """Slices of a plane picking the low and high cell of every interior
-    face across one axis (0 for y, 1 for z)."""
-    lo, hi = [slice(None)] * 2, [slice(None)] * 2
-    lo[axis], hi[axis] = slice(None, -1), slice(1, None)
-    return tuple(lo), tuple(hi)
+def _slots(values: np.ndarray) -> list[np.ndarray]:
+    """The five stencil-slot views (-y, -z, self, +z, +y) of a plane map:
+    each holds, at every plane cell, the value of `values` at its neighbour
+    through that slot, or -1 where that neighbour is off the plane."""
+    ny, nz = values.shape
+    padded = np.pad(values, 1, constant_values=-1)
+    return [padded[1 + dy:1 + dy + ny, 1 + dz:1 + dz + nz]
+            for dy, dz in ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))]
 
 
 @dataclass
-class _Operator:
-    """The conduction matrix A = g_x T_x (x) I + I (x) K, applied without
-    forming it (see the module docstring): K on every x plane, plus the
-    conduction across each x face."""
-    plane: object       # K, a symmetric csr_matrix on a plane's m solid cells
-    gx: float           # conductance of an x face, W/K
+class _System:
+    """The conduction matrix A, applied without forming it, with the parts
+    of its right-hand side (see the module docstring)."""
+    plane: object        # K, a symmetric csr_matrix on a plane's m solid cells
+    gx: float            # conductance of an x face, W/K
     nx: int
+    heated: np.ndarray   # plane cells that take imposed heat, ascending
+    heat: np.ndarray     # (nx, heated) imposed heat of each x plane, W
+    walls: np.ndarray    # plane cells with a convective face, ascending
+    ua: np.ndarray       # (n_channels + 1, walls) U*A from wall to sink row
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -326,52 +337,37 @@ class _Operator:
         out[:-1] -= flow
         return out.reshape(-1)
 
+    def rhs(self, out: np.ndarray, heat: np.ndarray,
+            sinks: np.ndarray) -> np.ndarray:
+        """Overwrite the (nx, m) out with the right-hand side of the imposed
+        heat (nx, heated) against the sinks (nx, n_channels + 1), both per x
+        plane or both in the DCT modes along x; returns out."""
+        out.fill(0.0)
+        out[:, self.heated] = heat
+        out[:, self.walls] += np.einsum("xr,rj->xj", sinks, self.ua)
+        return out
 
-@dataclass
-class _System:
-    operator: _Operator
-    heated: np.ndarray   # plane cells that take imposed heat, ascending
-    heat: np.ndarray     # (nx, heated) imposed heat of each x plane, W
-    walls: np.ndarray    # plane cells with a convective face, ascending
-    ua: np.ndarray       # (n_channels + 1, walls) U*A from wall to sink row
-
-    def rhs(self, t_sink: np.ndarray) -> np.ndarray:
-        """The right-hand side against the sink temperatures t_sink."""
-        nx = self.operator.nx
-        out = np.zeros((nx, self.operator.plane.shape[0]))
-        out[:, self.heated] = self.heat
-        out[:, self.walls] += np.einsum("xr,rj->xj", t_sink[:, :nx].T,
-                                        self.ua)
-        return out.reshape(-1)
-
-
-def _neighbour(values: np.ndarray, solid: np.ndarray, slot: int):
-    """For every solid cell of a plane, the value of the plane-shaped
-    `values` at its neighbour through one stencil slot (-y, -z, self, +z,
-    +y), or -1 where that neighbour is off the plane."""
-    if slot == 2:
-        return values[solid]
-    lo, hi = _shifted(min(slot, 4 - slot))
-    cell, other = (lo, hi) if slot > 2 else (hi, lo)
-    out = np.full(values.shape, -1, dtype=values.dtype)
-    out[cell] = values[other]
-    return out[solid]
+    def sink_heat(self, wall_temp: np.ndarray,
+                  sinks: np.ndarray) -> np.ndarray:
+        """Heat into each row of the sink temperatures `sinks` at each x
+        plane, W, from the walls' (nx, walls) temperatures."""
+        return (np.einsum("xj,rj->rx", wall_temp, self.ua)
+                - self.ua.sum(axis=1)[:, None] * sinks[:, :self.nx])
 
 
 def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
-    """Build the conduction operator, the imposed heat and the wall U*A
+    """Build the conduction matrix, the imposed heat and the wall U*A
     table, whose rows index a (n_channels + 1, nx + 1) fluid-temperature
     array; h is the channel film coefficient.
 
-    K and the walls come from the grid's plane map: one `_neighbour`
-    lookup of its index map per stencil slot gives K's columns, compressed
-    past the -1 entries, and one of the map itself per slot gives that
-    slot's wall faces. K's per-slot conductances, compressed as its
-    columns are, give its values, into whose self slots its diagonal goes:
-    for y and z in turn, conduction to a solid + neighbour, to a solid -
-    neighbour, the film of a + wall face, of a - wall face; then the
-    exterior bottom face's film (slab cases). Each wall's U*A to a sink
-    row sums its faces in that order."""
+    K and the walls come from the grid's plane map: the `_slots` of its
+    index map give K's columns, compressed past the -1 entries, and those
+    of the map itself give each slot's wall faces. K's per-slot
+    conductances, compressed as its columns are, give its values, into
+    whose self slots its diagonal goes: for y and z in turn, conduction to
+    a solid + neighbour, to a solid - neighbour, the film of a + wall face,
+    of a - wall face; then the exterior bottom face's film (slab cases).
+    Each wall's U*A to a sink row sums its faces in that order."""
     plane = grid.channel_id
     solid = plane < 0
     m = int(solid.sum())
@@ -382,9 +378,10 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
     # each slot's wall faces: the plane cell and the channel beyond it
     faces = [[], []]
     voxel_area = np.zeros(grid.n_channels)
+    beyond = _slots(plane)
     for axis in (0, 1):
         for slot in (4 - axis, axis):
-            channel = _neighbour(plane, solid, slot)
+            channel = beyond[slot][solid]
             cell = np.flatnonzero(channel >= 0).astype(np.int32)
             ids = channel[cell]
             faces[axis].append((cell, ids))
@@ -397,8 +394,7 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
     index = np.full(solid.shape, -1, dtype=np.int32)
     index[solid] = np.arange(m, dtype=np.int32)
     # C-order numbering makes each row's columns ascend in slot order
-    columns = np.stack([_neighbour(index, solid, slot) for slot in range(5)],
-                       axis=1)
+    columns = np.stack(_slots(index), axis=-1)[solid]
     present = columns >= 0
 
     diag = np.zeros(m)
@@ -442,12 +438,10 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
     data[indptr[:-1] + present[:, :2].sum(axis=1, dtype=np.int32)] = diag
     csr_matrix = scipy_routines()[2]
     matrix = csr_matrix((data, columns[present], indptr), shape=(m, m))
-    return _System(operator=_Operator(matrix, k * (grid.dy * grid.dz)
-                                      / grid.dx, grid.nx),
-                   heated=heated, heat=heat[:, heated], walls=walls,
-                   # C order: the rounding of einsum's sums follows
-                   # the layout
-                   ua=np.ascontiguousarray(ua[:, walls]))
+    # ua in C order: the rounding of einsum's sums follows the layout
+    return _System(plane=matrix, gx=k * (grid.dy * grid.dz) / grid.dx,
+                   nx=grid.nx, heated=heated, heat=heat[:, heated],
+                   walls=walls, ua=np.ascontiguousarray(ua[:, walls]))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -553,12 +547,35 @@ def _idct(y: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(eq=False)
 class _Inverse:
     """A^-1 by the fast diagonalization of the module docstring; called on
     r, it returns A^-1 r."""
-    factor: np.ndarray   # Cholesky factor of every mode's band, upper form
-    nx: int
+
+    def __init__(self, system: _System):
+        """Factor A. The band holds every mode's K + g_x lambda_k I in
+        LAPACK's upper form, mode after mode, in Fortran order so that the
+        factorization runs in place; no entry couples two modes. Raises
+        ConvergenceError where the factorization finds a matrix that is not
+        numerically positive definite."""
+        plane, gx, nx = system.plane, system.gx, system.nx
+        m = plane.shape[0]
+        # K's lower triangle by rows is its upper triangle by columns
+        rows = np.repeat(np.arange(m), np.diff(plane.indptr))
+        lower = plane.indices <= rows
+        offset = (rows - plane.indices)[lower]
+        kd = int(offset.max(initial=0))
+        band = np.zeros((kd + 1, nx * m), order="F")
+        modes = band.reshape(kd + 1, m, nx, order="F")  # a view of band
+        modes[kd - offset, rows[lower]] = plane.data[lower, None]
+        modes[kd] += gx * 4.0 * np.sin(0.5 * np.pi * np.arange(nx) / nx) ** 2
+        cholesky_banded = scipy_routines()[0]
+        try:
+            self.factor = cholesky_banded(band, overwrite_ab=True,
+                                          check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"the FV system's band factorization "
+                                   f"failed ({exc})") from None
+        self.nx = nx
 
     def solve_modes(self, b: np.ndarray) -> np.ndarray:
         """Overwrite b, the DCT along x of a right-hand side, mode after
@@ -570,35 +587,6 @@ class _Inverse:
     def __call__(self, r: np.ndarray) -> np.ndarray:
         y = self.solve_modes(_dct(r.reshape(self.nx, -1)).reshape(-1))
         return _idct(y.reshape(self.nx, -1)).reshape(-1)
-
-
-def _inverse(system: _System) -> _Inverse:
-    """Factor A for `_Inverse`.
-
-    The band holds every mode's K + g_x lambda_k I in LAPACK's upper form,
-    mode after mode, in Fortran order so that the factorization runs in
-    place; no entry couples two modes. Raises ConvergenceError where the
-    factorization finds a matrix that is not numerically positive
-    definite."""
-    op = system.operator
-    plane, nx = op.plane, op.nx
-    m = plane.shape[0]
-    # K's lower triangle, row by row, is its upper triangle column by column
-    rows = np.repeat(np.arange(m), np.diff(plane.indptr))
-    lower = plane.indices <= rows
-    offset = (rows - plane.indices)[lower]
-    kd = int(offset.max(initial=0))
-    band = np.zeros((kd + 1, nx * m), order="F")
-    modes = band.reshape(kd + 1, m, nx, order="F")  # a view of band
-    modes[kd - offset, rows[lower]] = plane.data[lower, None]
-    modes[kd] += op.gx * 4.0 * np.sin(0.5 * np.pi * np.arange(nx) / nx) ** 2
-    cholesky_banded = scipy_routines()[0]
-    try:
-        factor = cholesky_banded(band, overwrite_ab=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"the FV system's band factorization failed "
-                               f"({exc})") from None
-    return _Inverse(factor, nx)
 
 
 def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
@@ -619,22 +607,14 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
                  * cross_section_area(grid.shape))
 
     system = _assemble(grid, material, h)
-    op = system.operator
-    if not (math.isfinite(op.gx) and np.all(np.isfinite(op.plane.data))):
+    if not (math.isfinite(system.gx) and np.isfinite(system.plane.data).all()):
         raise ValueError("non-finite conductance in the FV system; check "
                          "material, coolant and flow inputs")
-    inverse = _inverse(system)
+    inverse = _Inverse(system)
     nx = grid.nx
     inlet = flow.inlet_temperature
     t_sink = np.full((n_ch + 1, nx + 1), inlet)
-    walls, ua = system.walls, system.ua
-    ua_row = ua.sum(axis=1)[:, None]
-
-    def sink_heat(wall_temp, sinks):
-        """Heat into each row of the sink temperatures `sinks` at each x
-        plane, W, from the walls' (nx, walls) temperatures."""
-        return (np.einsum("xj,rj->rx", wall_temp, ua)
-                - ua_row * sinks[:, :nx])
+    walls = system.walls
 
     # the imposed heat in the modes; from the inlet field the first pass's
     # residual is that heat, whose norm the orthonormal DCT keeps
@@ -642,13 +622,11 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
     if not math.isfinite(_norm(heat.reshape(-1))):
         raise ConvergenceError("the first pass's residual is not finite: "
                                "the imposed heat overflows")
-    modes = np.empty((nx, op.plane.shape[0]))
+    modes = np.empty((nx, system.plane.shape[0]))
     for outer in range(1, _MAX_OUTER + 1):
-        modes.fill(0.0)
-        modes[:, system.heated] = heat
-        modes[:, walls] += np.einsum("kr,rj->kj", _dct(t_sink[:, :nx].T), ua)
+        system.rhs(modes, heat, _dct(t_sink[:, :nx].T))
         solved = inverse.solve_modes(modes.reshape(-1)).reshape(nx, -1)
-        q_sink = sink_heat(_idct(solved[:, walls]), t_sink)
+        q_sink = system.sink_heat(_idct(solved[:, walls]), t_sink)
         # sink temperatures re-marched from the walls' heat; a flow too
         # weak to carry it gives non-finite ones, refused below
         t_new = t_sink.copy()
@@ -667,17 +645,18 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
             f"coolant march did not converge in {_MAX_OUTER} outer "
             f"iterations (last change {change:.3e} K)")
 
-    # the field against the sinks the last pass solved with; the passes
-    # transformed back only the walls' columns, so CG starts from the inlet
-    del heat, modes, solved
-    rhs = system.rhs(t_solved)
-    temp, info = cg(op, rhs, x0=np.full(op.shape[0], inlet), rtol=tol,
-                    M=inverse, maxiter=max_iters)
+    # the field against the sinks the last pass solved with, its
+    # right-hand side in the passes' buffer; the passes transformed back
+    # only the walls' columns, so CG starts from the inlet
+    del heat, solved
+    rhs = system.rhs(modes, system.heat, t_solved[:, :nx].T).reshape(-1)
+    temp, info = cg(system, rhs, x0=np.full(system.shape[0], inlet),
+                    rtol=tol, M=inverse, maxiter=max_iters)
     if info < 0:
         raise ConvergenceError("linear solve stopped: the residual is not "
                                "finite")
     bnorm = _norm(rhs)
-    rel = _norm(op @ temp - rhs) / bnorm if bnorm > 0 else 0.0
+    rel = _norm(system @ temp - rhs) / bnorm if bnorm > 0 else 0.0
     if info > 0:
         raise ConvergenceError(
             f"linear solve did not reach tol {tol:g} in {max_iters} "
@@ -688,7 +667,7 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
             f"{_RESIDUAL_SLACK:g} x tol {tol:g}: rounding in the conduction "
             f"system swamps the solve")
 
-    imbalance = grid.total_power - float(np.sum(sink_heat(
+    imbalance = grid.total_power - float(np.sum(system.sink_heat(
         temp.reshape(nx, -1)[:, walls], t_sink)))
 
     # field with the sink temperature of each void cell's station

@@ -26,18 +26,23 @@ compare those files with np.loadtxt(path, skiprows=10).
 
 The cases cover every action on both presets, including the ones that
 end in an error, an FV solve of the primary plate at 2.9 m/s (3 outer
-passes), and the small inline plate of `conftest.small_assembly`:
-its FV solve, an FV optimize over 2 geometries and 3 velocities, an FV
-shape sweep and a one-row FV solve on its rectangular variant, and a mesh
-study whose last two sizes give the same grid. A network sweep, a network
+passes), an FV sweep of each preset along each design axis
+(`<preset>-sweep-<axis>-fv` for material, channel_shape, channel_count
+and cover_thickness, at the preset's FV resolution and the axis's
+_SWEEPS values; today only material solves, and the other six end in
+the grid's or the geometry's refusal), and the small inline plate of
+`conftest.small_assembly`: its FV solve, an FV optimize over 2
+geometries and 3 velocities, an FV shape sweep and a one-row FV solve on
+its rectangular variant, and a mesh study whose last two sizes give the
+same grid. A network sweep, a network
 optimize and an FV sweep run with a non-default coolant, die stack,
 minor-loss K and solver tolerance, so a setting lost on its way to a
 design point changes their outputs; an FV sweep whose `solver.max_iters`
 binds, under a `solver.tol` below what CG's recurrence reaches in that
-many iterations, ends in the solver's convergence error. The secondary plate's FV
-velocity sweep runs a second time on a 2-thread pool, and so does an FV
-material sweep of the small plate, whose points differ in their design
-where the velocity sweep's differ only in their flow.
+many iterations, ends in the solver's convergence error. The secondary
+plate's FV velocity sweep runs a second time on a 2-thread pool, and so
+does an FV material sweep of the small plate, whose points differ in
+their design where the velocity sweep's differ only in their flow.
 """
 
 from __future__ import annotations
@@ -94,6 +99,12 @@ def _cases() -> dict[str, tuple[str, dict]]:
             "preset": preset, "solver": fv_solver,
             "sweep": {"axis": "velocity", "values": [1.1, 2.9],
                       "evaluator": "fv"}}
+        for axis in ("material", "channel_shape", "channel_count",
+                     "cover_thickness"):
+            cases[f"{preset}-sweep-{axis}-fv"] = "sweep", {
+                "preset": preset, "solver": fv_solver,
+                "sweep": {"axis": axis, "values": _SWEEPS[axis],
+                          "evaluator": "fv"}}
         cases[f"{preset}-optimize"] = "optimize", {
             "preset": preset, "optimize": {}}
         cases[f"{preset}-optimize-counts"] = "optimize", {
