@@ -63,6 +63,10 @@ above _RESIDUAL_SLACK * tol.
 
 Each solve assembles its whole system from the grid and leaves the grid
 as it found it, so solves on one grid need no synchronization.
+
+Floating-point exceptions inside a solve print nothing (numpy's error
+state is "ignore" for each call of `solve`); its own checks refuse the
+non-finite values, each naming the stage that failed.
 """
 
 from __future__ import annotations
@@ -365,8 +369,9 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
     of the map itself give each slot's wall faces. K's per-slot
     conductances, compressed as its columns are, give its values, into
     whose self slots its diagonal goes: for y and z in turn, conduction to
-    a solid + neighbour, to a solid - neighbour, the film of a + wall face,
-    of a - wall face; then the exterior bottom face's film (slab cases).
+    a solid + neighbour, to a solid - neighbour, the film of each face in
+    the axis's list of convective faces: + wall faces, - wall faces and,
+    last on z, the exterior bottom face (slab cases, last sink row).
     Each wall's U*A to a sink row sums its faces in that order."""
     plane = grid.channel_id
     solid = plane < 0
@@ -374,6 +379,8 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
     k = material.thermal_conductivity
     spacing = (grid.dy, grid.dz)
     face_area = (grid.dx * grid.dz, grid.dx * grid.dy)
+    index = np.full(solid.shape, -1, dtype=np.int32)
+    index[solid] = np.arange(m, dtype=np.int32)
 
     # each slot's wall faces: the plane cell and the channel beyond it
     faces = [[], []]
@@ -389,10 +396,11 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
     # rescale h so h * (voxel wetted area) equals h * (analytic area)
     analytic = (wetted_perimeter(grid.shape) * grid.nx * grid.dx
                 if grid.n_channels else 0.0)
-    h_corr = h * analytic / voxel_area
+    h_row = h * analytic / voxel_area
+    if grid.h_bottom is not None:  # the bottom layer's film, last sink row
+        faces[1].append((index[:, 0][solid[:, 0]], grid.n_channels))
+        h_row = np.append(h_row, grid.h_bottom)
 
-    index = np.full(solid.shape, -1, dtype=np.int32)
-    index[solid] = np.arange(m, dtype=np.int32)
     # C-order numbering makes each row's columns ascend in slot order
     columns = np.stack(_slots(index), axis=-1)[solid]
     present = columns >= 0
@@ -400,25 +408,16 @@ def _assemble(grid: Grid, material: SolidMaterial, h: float) -> _System:
     diag = np.zeros(m)
     stencil = np.zeros(5)  # off-diagonal value per slot
     ua = np.zeros((grid.n_channels + 1, m))  # U*A from cell to sink row
-    wall = np.zeros(m, dtype=bool)
     for axis in (0, 1):
         g = k * face_area[axis] / spacing[axis]
         stencil[[axis, 4 - axis]] = -g
         for slot in (4 - axis, axis):
             np.add(diag, g, out=diag, where=present[:, slot])
-        for cell, channel in faces[axis]:
-            film = _film(spacing[axis], k, h_corr[channel]) * face_area[axis]
+        for cell, row in faces[axis]:
+            film = _film(spacing[axis], k, h_row[row]) * face_area[axis]
             diag[cell] += film
-            ua[channel, cell] += film
-            wall[cell] = True
-    # optional convective bottom face (slab cases), last sink row
-    if grid.h_bottom is not None:
-        cell = index[:, 0][solid[:, 0]]
-        film = _film(grid.dz, k, grid.h_bottom) * face_area[1]
-        diag[cell] += film
-        ua[-1, cell] += film
-        wall[cell] = True
-    walls = np.flatnonzero(wall)
+            ua[row, cell] += film
+    walls = np.flatnonzero(ua.any(axis=0))
     if m and not walls.size:
         raise ValueError("grid has no convective faces; the steady problem "
                          "is singular")
@@ -589,6 +588,7 @@ class _Inverse:
         return _idct(y.reshape(self.nx, -1)).reshape(-1)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # per call
 def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
           material: SolidMaterial, tol: float = SolverSettings.tol,
           max_iters: int = SolverSettings.max_iters) -> FvSolution:
@@ -630,9 +630,8 @@ def solve(grid: Grid, coolant: CoolantProps, flow: FlowCondition,
         # sink temperatures re-marched from the walls' heat; a flow too
         # weak to carry it gives non-finite ones, refused below
         t_new = t_sink.copy()
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            t_new[:n_ch, 1:] = inlet + np.cumsum(
-                q_sink[:n_ch] / (m_dot * coolant.specific_heat), axis=1)
+        t_new[:n_ch, 1:] = inlet + np.cumsum(
+            q_sink[:n_ch] / (m_dot * coolant.specific_heat), axis=1)
         change = float(np.max(np.abs(t_new - t_sink)))
         if not math.isfinite(change):
             raise ConvergenceError(f"coolant pass {outer} stopped: the sink "

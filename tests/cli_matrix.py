@@ -19,11 +19,6 @@ each file that is not, the largest absolute change of any number in it
 the run exits 1 when any case is not byte-identical to, or has no
 counterpart in, the other directory, and 0 when all are identical.
 
-field.txt holds one value per line as "% .16e" (17 significant digits,
-an exact round trip); up to commit 409ecd4 it held repr, so against such
-a checkout its bytes differ while the float64 values it holds do not:
-compare those files with np.loadtxt(path, skiprows=10).
-
 The cases cover every action on both presets, including the ones that
 end in an error, an FV solve of the primary plate at 2.9 m/s (3 outer
 passes), an FV sweep of each preset along each design axis

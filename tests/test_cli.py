@@ -425,26 +425,48 @@ class TestMain:
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("velocity", [5e-324, 1e-310, 1e-300, 1e-200])
-    def test_tiny_velocity_is_one_error_line(self, tmp_path, velocity):
-        # the coolant march's quotient by the mass flow divides by zero or
-        # overflows, and its cumulative sum overflows or turns NaN; the
-        # solve refuses the sinks with no numpy warning ahead of the error.
-        # pytest records warnings instead of printing them, so the CLI
-        # runs in a process of its own
-        cfg = write_config(tmp_path, small_doc(
-            "solve-fv", solver={"resolution_m": 2.5e-3},
-            flow={"v_mps": velocity}))
+    @staticmethod
+    def solve_fv_in_fresh_process(tmp_path, doc):
+        """(exit code, stderr) of `solve-fv` on doc in a process of its own:
+        pytest records numpy's warnings instead of printing them."""
+        cfg = write_config(tmp_path, doc)
         env = {**os.environ,
                "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         proc = subprocess.run(
             [sys.executable, "-m", "coldplate.cli", "solve-fv", "--config",
              str(cfg), "--out", str(tmp_path / "out")],
             capture_output=True, text=True, env=env)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: coolant pass ")
-        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
         assert not (tmp_path / "out" / "result.json").exists()
+        return proc.returncode, proc.stderr
+
+    @pytest.mark.parametrize("velocity", [5e-324, 1e-310, 1e-300, 1e-200,
+                                          1e-10, 1e-8])
+    def test_tiny_velocity_is_one_error_line(self, tmp_path, velocity):
+        # the coolant march's quotient by the mass flow divides by zero or
+        # overflows, and its cumulative sum overflows or turns NaN; the
+        # solve refuses the sinks with no numpy warning ahead of the error
+        code, err = self.solve_fv_in_fresh_process(tmp_path, small_doc(
+            "solve-fv", solver={"resolution_m": 2.5e-3},
+            flow={"v_mps": velocity}))
+        assert code == 1
+        assert err.startswith("error: coolant pass ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("inlet, power, message", [
+        (1e307, 50.0, "error: coolant pass 1 stopped"),
+        (49.0, 1e308, "error: the first pass's residual is not finite"),
+    ], ids=["huge-inlet", "huge-die"])
+    def test_overflowing_input_is_one_error_line(self, tmp_path, inlet,
+                                                 power, message):
+        # finite inputs whose heat or temperatures overflow inside the
+        # solve: its own checks name the stage, and numpy prints nothing
+        doc = small_doc("solve-fv", solver={"resolution_m": 2.5e-3},
+                        flow={"inlet_C": inlet})
+        doc["assembly"]["modules"][0]["dies"][0]["power_W"] = power
+        code, err = self.solve_fv_in_fresh_process(tmp_path, doc)
+        assert code == 1
+        assert err.startswith(message)
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     _OPTIMIZE = {"materials": ["copper"], "channel_counts": [2],
                  "cover_thicknesses_m": [1e-3], "v_min": 0.5, "v_max": 1.5}

@@ -315,6 +315,21 @@ class TestSolve:
                   cp.FlowCondition(1e-310, 49.0), small.plate.material)
         assert calls == [] and len(band_solves) == 1
 
+    def test_error_state_is_the_solves_own(self, small, water):
+        # a 1e308 W die overflows the imposed heat's transform and norm:
+        # under a caller that raises on floating-point exceptions the solve
+        # still ends in its own check, and hands the caller its state back
+        module = small.modules[0]
+        die = replace(module.dies[0], power=1e308)
+        huge = replace(small, modules=(replace(module, dies=(die,)),))
+        raising = {"divide": "raise", "over": "raise", "invalid": "raise"}
+        with np.errstate(**raising):
+            with pytest.raises(ConvergenceError,
+                               match="residual is not finite"):
+                solve(build_grid(huge, 2.5e-3), water, FLOW,
+                      small.plate.material)
+            assert {k: np.geterr()[k] for k in raising} == raising
+
     def test_grid_and_solution_compare_by_identity(self, small, water):
         # their fields are arrays, whose == a generated __eq__ would
         # reduce to one truth value, and raise
@@ -710,12 +725,6 @@ class TestExactInverse:
                            match="band factorization failed"):
             solve(grid, water, FLOW, solid)
 
-
-class TestTwoLevel:
-    """The preconditioned coolant-pass solve. The class keeps the name it
-    had under the two-level preconditioner that the exact inverse
-    replaced, so its test ids compare across versions."""
-
     def test_preconditioner_spd(self, small, water):
         grid = build_grid(small, 1.5e-3)
         h = cp.heat_transfer_coefficient(water, grid.shape, 1.1)
@@ -731,10 +740,9 @@ class TestTwoLevel:
     def test_first_pass_iteration_budget(self, primary, water, monkeypatch):
         # the passes run no CG: stopped after the first, the solve has made
         # no call. CG on that pass's system from the inlet field, as the
-        # returned field's CG starts, takes one iteration at rtol 1e-8,
-        # where the two-level preconditioner this inverse replaced took 11
-        # to 24; counts repeat exactly, so this catches an inexact inverse
-        # without timing anything
+        # returned field's CG starts, takes one iteration at rtol 1e-8;
+        # counts repeat exactly, so this catches an inexact inverse without
+        # timing anything
         calls = record_cg(monkeypatch)
         monkeypatch.setattr(fv, "_MAX_OUTER", 1)
         grid = build_grid(primary, 2e-3)
